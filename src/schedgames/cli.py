@@ -441,8 +441,9 @@ def run(argv) -> Verdict:
         )
     try:
         return _HANDLERS[args.command](args)
-    except (ValueError, FileNotFoundError) as exc:
-        # ValidationError and JSONDecodeError are ValueErrors too
+    except (ValueError, OSError) as exc:
+        # ValidationError and JSONDecodeError are ValueErrors too; OSError
+        # covers missing, unreadable and directory paths
         print(f"error: {exc}", file=sys.stderr)
         return Verdict(command=args.command, payload={"error": str(exc)}, exit_code=2)
     except BudgetExceededError as exc:

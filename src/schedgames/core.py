@@ -293,6 +293,13 @@ def instance_to_dict(instance: Instance) -> dict:
     }
 
 
+def _as_list(value, what: str) -> list:
+    # a string would otherwise be split into its characters
+    if not isinstance(value, list):
+        raise ValidationError(f"{what} must be a list, got {value!r}")
+    return value
+
+
 def instance_from_dict(data: dict) -> Instance:
     if not isinstance(data, dict) or "machines" not in data:
         raise ValidationError("instance file must be an object with a 'machines' field")
@@ -300,9 +307,13 @@ def instance_from_dict(data: dict) -> Instance:
     if not isinstance(m, int) or isinstance(m, bool):
         raise ValidationError(f"'machines' must be an integer, got {m!r}")
     if "jobs" in data:
-        return IdenticalInstance(m=m, p=tuple(data["jobs"]))
+        return IdenticalInstance(m=m, p=tuple(_as_list(data["jobs"], "'jobs'")))
     if "matrix" in data:
-        return UnrelatedInstance(m=m, p=tuple(tuple(row) for row in data["matrix"]))
+        rows = _as_list(data["matrix"], "'matrix'")
+        return UnrelatedInstance(
+            m=m,
+            p=tuple(tuple(_as_list(row, f"matrix row {i}")) for i, row in enumerate(rows, 1)),
+        )
     raise ValidationError("instance file needs either 'jobs' or 'matrix'")
 
 

@@ -3,16 +3,22 @@ and pruned exhaustive search over joint actions.
 
 The search works in common-denominator integers (see `_scaling`) and
 visits candidate joint actions in lexicographic order of the assignment
-vector, so every reported witness is the lexicographically smallest one
-of its kind and runs are reproducible.  Deciding strong stability is a
-hard problem, so searches carry an explicit node budget and fail loudly
-(never approximately) when it runs out.
+vector.  Jobs that are interchangeable (twins: same start machine, same
+processing time on every machine) are explored once per symmetry orbit,
+through its lexicographically smallest member.  A relabelling of twins
+keeps every load and ratio, so every reported witness is still the
+lexicographically smallest one of its kind, and runs are reproducible.
+Deciding strong stability is a hard problem, so searches carry an
+explicit node budget and fail loudly (never approximately) when it runs
+out.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Callable, Iterator
 
 from ._scaling import scaled_sizes
@@ -145,11 +151,20 @@ class _StopScan(Exception):
 
 
 class ScanContext:
-    """Read-only scaled-integer view of (instance, schedule) shared by a scan."""
+    """Read-only scaled-integer view of (instance, schedule) shared by a scan.
 
-    __slots__ = ("instance", "schedule", "m", "n", "sizes", "scale", "orig", "load0", "cost0")
+    `twins` lists the twin classes among the `free` jobs (0-based, all
+    jobs by default): jobs with the same start machine and the same
+    scaled processing time on every machine, in index order, two or more
+    per class.  `prev_twin[j]` is the twin just before job j, or -1.
+    """
 
-    def __init__(self, instance: Instance, schedule: Schedule):
+    __slots__ = (
+        "instance", "schedule", "m", "n", "sizes", "scale", "orig", "load0", "cost0",
+        "twins", "prev_twin",
+    )
+
+    def __init__(self, instance: Instance, schedule: Schedule, free=None):
         validate_schedule(instance, schedule)
         self.instance = instance
         self.schedule = schedule
@@ -162,12 +177,123 @@ class ScanContext:
             load0[i] += self.sizes[i][j]
         self.load0 = load0
         self.cost0 = [load0[i] for i in self.orig]
+        columns = list(zip(*self.sizes))
+        classes: dict = {}
+        for j in range(self.n) if free is None else free:
+            classes.setdefault((self.orig[j], columns[j]), []).append(j)
+        self.twins = tuple(tuple(c) for c in classes.values() if len(c) > 1)
+        self.prev_twin = [-1] * self.n
+        for c in self.twins:
+            for a, b in zip(c, c[1:]):
+                self.prev_twin[b] = a
 
     def to_schedule(self, assign) -> Schedule:
         return Schedule(tuple(i + 1 for i in assign))
 
     def migrants_of(self, assign) -> frozenset[int]:
         return frozenset(j + 1 for j in range(self.n) if assign[j] != self.orig[j])
+
+    def orbit_size(self, assign) -> int:
+        """Number of labelled joint actions that relabel twins of the
+        representative `assign` (targets non-decreasing within each twin
+        class, as `on_leaf` receives them): the product over twin classes
+        of the multinomial of their targets."""
+        size = 1
+        for c in self.twins:
+            if assign[c[0]] == assign[c[-1]]:
+                continue
+            counts: dict = {}
+            for j in c:
+                counts[assign[j]] = counts.get(assign[j], 0) + 1
+            placed = 0
+            for k in counts.values():
+                placed += k
+                size *= comb(placed, k)
+        return size
+
+    def orbit(self, assign) -> list[tuple[int, ...]]:
+        """Every labelled joint action that relabels twins of the
+        representative `assign` (`orbit_size` of them), `assign` first and
+        the rest in no fixed order."""
+        members = [tuple(assign)]
+        for c in self.twins:
+            if assign[c[0]] == assign[c[-1]]:
+                continue
+            grown = []
+            orders = _distinct_orders([assign[j] for j in c])
+            for member in members:
+                for order in orders:
+                    relabelled = list(member)
+                    for j, i in zip(c, order):
+                        relabelled[j] = i
+                    grown.append(tuple(relabelled))
+            members = grown
+        return members
+
+
+def _distinct_orders(values: list) -> list[tuple]:
+    """Distinct orderings of a sorted list, by repeated next permutation;
+    the sorted order comes first."""
+    out = [tuple(values)]
+    last = len(values) - 1
+    while True:
+        k = last - 1
+        while k >= 0 and values[k] >= values[k + 1]:
+            k -= 1
+        if k < 0:
+            return out
+        h = last
+        while values[h] <= values[k]:
+            h -= 1
+        values[k], values[h] = values[h], values[k]
+        values[k + 1 :] = reversed(values[k + 1 :])
+        out.append(tuple(values))
+
+
+class OrbitMerge:
+    """Expand the orbit representatives of a scan into every labelled
+    joint action and pass them to `emit(ctx, assign)` in global
+    lexicographic order, stopping the scan after `limit` (positive or
+    None) of them; `count` is the number passed on.
+
+    A member of a later orbit is never below that orbit's representative,
+    which comes after the current one; so once a representative is seen,
+    every pending member below it, and then the representative, is final.
+    Call `add` per leaf and `flush` after the scan ends; after a budget
+    stop, skip `flush` to keep what was emitted a lexicographic prefix.
+    """
+
+    def __init__(self, emit: Callable, limit: int | None = None):
+        self.emit = emit
+        self.limit = limit
+        self.count = 0
+        self.pending: list = []
+        self.ctx = None
+
+    def add(self, ctx, assign, _loads=None):
+        """Take one representative; usable as `on_leaf` itself."""
+        self.ctx = ctx
+        pending = self.pending
+        rep = assign
+        if ctx.twins:  # else every orbit is trivial and nothing is pending
+            members = ctx.orbit(assign)
+            rep = members[0]
+            for member in members[1:]:
+                heapq.heappush(pending, member)
+            while pending and pending[0] < rep:
+                self._emit(heapq.heappop(pending))
+        self._emit(rep)
+
+    def flush(self):
+        while self.pending and self.count != self.limit:
+            self.emit(self.ctx, heapq.heappop(self.pending))
+            self.count += 1
+
+    def _emit(self, assign):
+        self.emit(self.ctx, assign)
+        self.count += 1
+        if self.count == self.limit:
+            raise _StopScan
 
 
 def scan_deviations(
@@ -180,7 +306,8 @@ def scan_deviations(
     min_ratio_floor=None,
 ) -> ScanContext:
     """Depth-first search over joint actions, calling on_leaf(ctx, assign,
-    loads) for every profitable candidate in lexicographic order.
+    loads) once per symmetry orbit of profitable candidates, in
+    lexicographic order.
 
     Without `coalition`, any set of jobs may move and a candidate is
     profitable iff every mover strictly improves.  With `coalition`, only
@@ -189,17 +316,26 @@ def scan_deviations(
     reaches the smallest original cost among the movers bound to it.
     `min_ratio_floor`, a mutable [num, den] pair, further prunes branches
     whose smallest member improvement ratio cannot exceed num/den.
+
+    Two jobs free to act are twins when they share a start machine and
+    have the same processing time on every machine (`ctx.twins`).
+    Relabelling twins changes no load, cost or ratio, so the search only
+    visits candidates whose targets are non-decreasing within each twin
+    class; this is the lexicographically smallest member of its orbit,
+    hence the first profitable leaf, and the first leaf attaining any
+    leaf value, is the same as in a scan of every labelled candidate.
+    `on_leaf` sees representatives only: a caller that counts labelled
+    deviations adds `ctx.orbit_size(assign)`, and one that needs each of
+    them expands `ctx.orbit(assign)` (`OrbitMerge` restores the global
+    lexicographic order).  Branches skipped by the twin bound count as
+    resolved in `BudgetExceededError.explored_fraction`, since their
+    representatives come earlier in lexicographic order.
     """
     if not isinstance(budget, int) or budget < 1:
         raise ValidationError(f"node budget must be positive, got {budget!r}")
-    ctx = ScanContext(instance, schedule)
-    m, n = ctx.m, ctx.n
-    sizes, orig, cost0 = ctx.sizes, ctx.orig, ctx.cost0
-
-    loads = [0] * m
+    n = instance.n
     if coalition is None:
         free = list(range(n))
-        members_fixed = False
     else:
         seen = set()
         for j in coalition:
@@ -207,7 +343,15 @@ def scan_deviations(
                 raise ValidationError(f"coalition member {j!r} is not a job index in 1..{n}")
             seen.add(j - 1)
         free = sorted(seen)
-        members_fixed = True
+    ctx = ScanContext(instance, schedule, free)
+    m = ctx.m
+    sizes, orig = ctx.sizes, ctx.orig
+    # per depth: the job, its start machine and cost, and its previous twin
+    plan = [(j, orig[j], ctx.cost0[j], ctx.prev_twin[j]) for j in free]
+
+    loads = [0] * m
+    members_fixed = coalition is not None
+    if members_fixed:
         for j in range(n):
             if j not in seen:
                 loads[orig[j]] += sizes[orig[j]][j]
@@ -233,10 +377,8 @@ def scan_deviations(
             if migrants:
                 on_leaf(ctx, assign, loads)
             return
-        j = free[t]
-        oj = orig[j]
-        cj = cost0[j]
-        for i in range(m):
+        j, oj, cj, twin = plan[t]
+        for i in range(0 if twin < 0 else assign[twin], m):
             choice[t] = i
             nodes += 1
             if nodes > budget:
@@ -461,23 +603,28 @@ def enumerate_profitable_deviations(
     node_budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> DeviationSweep:
     """Every profitable deviation (movers-only coalitions), lexicographic
-    in the joint action; complete iff it finished under budget and limit."""
+    in the joint action; complete iff it finished under budget and limit.
+    A budget stop keeps the lexicographic prefix found so far."""
+    if limit is not None and (not isinstance(limit, int) or limit < 1):
+        raise ValidationError(f"limit must be a positive int or None, got {limit!r}")
     found: list[Deviation] = []
-    truncated = False
 
-    def grab(ctx, assign, loads):
-        nonlocal truncated
-        after = ctx.to_schedule(assign)
+    def emit(ctx, assign):
         migrants = ctx.migrants_of(assign)
         found.append(
-            Deviation(before=ctx.schedule, after=after, migrants=migrants, coalition=migrants)
+            Deviation(
+                before=ctx.schedule,
+                after=ctx.to_schedule(assign),
+                migrants=migrants,
+                coalition=migrants,
+            )
         )
-        if limit is not None and len(found) >= limit:
-            truncated = True
-            raise _StopScan
 
+    merge = OrbitMerge(emit, limit)
+    complete = True
     try:
-        scan_deviations(instance, schedule, budget=node_budget, on_leaf=grab)
+        scan_deviations(instance, schedule, budget=node_budget, on_leaf=merge.add)
+        merge.flush()
     except BudgetExceededError:
-        truncated = True
-    return DeviationSweep(deviations=tuple(found), complete=not truncated)
+        complete = False
+    return DeviationSweep(deviations=tuple(found), complete=complete and merge.count != limit)

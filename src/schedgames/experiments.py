@@ -14,6 +14,7 @@ import csv
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .core import (
     BudgetExceededError,
@@ -24,6 +25,7 @@ from .core import (
     instance_from_dict,
     instance_to_dict,
     load_profile,
+    parse_rational,
     schedule_from_dict,
     schedule_to_dict,
     validate_schedule,
@@ -205,9 +207,12 @@ class TrialRecord:
 
 @dataclass(frozen=True)
 class Violation:
-    """A failed check with everything needed to replay it standalone."""
+    """A failed check with everything needed to replay it standalone:
+    the scheduler and eps select the checks that apply."""
 
     trial: int
+    scheduler: str
+    eps: Fraction | None
     check: str
     observed: str
     bound: str
@@ -218,6 +223,8 @@ class Violation:
     def to_dict(self) -> dict:
         return {
             "trial": self.trial,
+            "scheduler": self.scheduler,
+            "eps": None if self.eps is None else format_rational(self.eps),
             "check": self.check,
             "observed": self.observed,
             "bound": self.bound,
@@ -424,6 +431,8 @@ def bound_sweep(config: SweepConfig) -> SweepReport:
                     report.violations.append(
                         Violation(
                             trial=t,
+                            scheduler=config.scheduler,
+                            eps=config.eps,
                             check=c.name,
                             observed=c.observed,
                             bound=c.bound,
@@ -438,6 +447,8 @@ def bound_sweep(config: SweepConfig) -> SweepReport:
             report.violations.append(
                 Violation(
                     trial=t,
+                    scheduler=config.scheduler,
+                    eps=config.eps,
                     check="deviation-structure",
                     observed=repr(sr),
                     bound="structural predicates",
@@ -477,14 +488,21 @@ def ptas_sweep(config: SweepConfig) -> SweepReport:
 
 
 def replay_violation(payload: dict, node_budget: int = 10**8) -> bool:
-    """Re-evaluate a violation record from scratch; True iff it reproduces."""
+    """Re-evaluate a violation record from scratch; True iff it reproduces.
+
+    The record's own `scheduler` and `eps` select the checks; records
+    written before those fields existed fall back to guessing the
+    scheduler from the schedule, which cannot recognize `ptas`."""
     instance = instance_from_dict(payload["instance"])
     schedule = schedule_from_dict(payload["schedule"])
     validate_schedule(instance, schedule)
+    scheduler = payload.get("scheduler") or _detect_scheduler(instance, schedule)
+    eps = payload.get("eps")
+    config = SimpleNamespace(scheduler=scheduler, eps=None if eps is None else parse_rational(eps))
     check = payload["check"]
     if check == "deviation-structure":
         after = schedule_from_dict(payload["witness"])
-        lpt_origin = schedule.assignment == lpt(instance).assignment
+        lpt_origin = scheduler == "lpt"
         return not structural_report(instance, schedule, after, lpt_origin=lpt_origin).passed
     measures = measure_report(instance, schedule, node_budget=node_budget)
     makespan = load_profile(instance, schedule).makespan
@@ -492,12 +510,7 @@ def replay_violation(payload: dict, node_budget: int = 10**8) -> bool:
         opt = optimal_makespan(instance, node_budget=node_budget).value
     except BudgetExceededError:
         opt = None
-
-    class _Cfg:
-        scheduler = _detect_scheduler(instance, schedule)
-        eps = None
-
-    checks = _bound_checks(_Cfg, instance, schedule, measures, makespan, opt)
+    checks = _bound_checks(config, instance, schedule, measures, makespan, opt)
     failed = {c.name for c in checks if not c.holds}
     return check in failed
 

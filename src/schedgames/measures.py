@@ -24,6 +24,7 @@ from .core import (
 from .equilibria import (
     DEFAULT_SEARCH_BUDGET,
     Deviation,
+    OrbitMerge,
     ScanContext,
     _leaf_max_damage,
     _leaf_max_improvement,
@@ -192,18 +193,23 @@ def measure_report(
         "dr": [1, 1, None],
     }
     count = [0]
+    merge = None
+    if on_deviation is not None:
+        merge = OrbitMerge(lambda ctx, assign: on_deviation(_as_deviation(ctx, assign)))
 
     def leaf(ctx, assign, loads):
-        count[0] += 1
+        count[0] += ctx.orbit_size(assign)
         _bump(best["min"], *_leaf_min_improvement(ctx, assign, loads), ctx, assign)
         _bump(best["max"], *_leaf_max_improvement(ctx, assign, loads), ctx, assign)
         _bump(best["dr"], *_leaf_max_damage(ctx, assign, loads), ctx, assign)
-        if on_deviation is not None:
-            on_deviation(_as_deviation(ctx, assign))
+        if merge is not None:
+            merge.add(ctx, assign)
 
     exhaustive = True
     try:
         ctx = scan_deviations(instance, schedule, budget=node_budget, on_leaf=leaf)
+        if merge is not None:
+            merge.flush()
     except BudgetExceededError:
         exhaustive = False
         ctx = None

@@ -128,6 +128,26 @@ def test_usage_errors_exit_2(fig1_files):
     assert run(["witness", "--figure", "3", "--param", "m=x", "--out", "/tmp/wbad"]).exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "data",
+    [{"machines": 2, "jobs": "53"}, {"machines": 2, "matrix": ["12", "34"]}],
+)
+def test_string_instance_fields_exit_2(tmp_path, data):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(data))
+    verdict = run(["schedule", "--alg", "lpt", "--in", str(path)])
+    assert verdict.exit_code == 2
+    assert "must be a list" in verdict.payload["error"]
+
+
+def test_directory_path_exits_2_with_json_error(tmp_path, fig1_files):
+    _, schedule = fig1_files
+    verdict = run(["check", "--ne", "--in", str(tmp_path), "--schedule", schedule])
+    assert verdict.exit_code == 2
+    assert "error" in verdict.payload
+    json.dumps(verdict.payload)
+
+
 def test_witness_figures(tmp_path):
     out = str(tmp_path / "w1")
     verdict = run(["witness", "--figure", "1", "--out", out])

@@ -187,6 +187,22 @@ def test_instance_validation_errors():
         instance_from_dict({"machines": 2, "jobs": [1.25]})
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"machines": 2, "jobs": "53"},
+        {"machines": 2, "jobs": 5},
+        {"machines": 2, "matrix": ["12", "34"]},
+        {"machines": 2, "matrix": "1234"},
+        {"machines": 2, "matrix": [[1, 2], "34"]},
+    ],
+)
+def test_instance_from_dict_rejects_non_list_fields(data):
+    # strings must not be split into one job per character
+    with pytest.raises(ValidationError, match="must be a list"):
+        instance_from_dict(data)
+
+
 def test_format_rational():
     assert format_rational(Fraction(8, 2)) == 4
     assert format_rational(Fraction(5, 4)) == "5/4"

@@ -170,6 +170,8 @@ def test_enumeration_contains_benchmark_deviation():
 def test_enumeration_respects_limit():
     sweep = enumerate_profitable_deviations(FIG1, FIG1_NE, limit=1)
     assert len(sweep) == 1 and not sweep.complete
+    with pytest.raises(ValidationError):
+        enumerate_profitable_deviations(FIG1, FIG1_NE, limit=0)
 
 
 @given(instance_with_schedule(min_m=2, max_m=3, min_n=1, max_n=6))
@@ -230,7 +232,8 @@ def test_budget_exhaustion_is_loud_and_reports_fraction():
 def test_budget_is_honored_within_factor_two():
     from schedgames.equilibria import scan_deviations
 
-    instance = IdenticalInstance(m=3, p=(1,) * 9)
+    # distinct sizes: no twin jobs, so the full scan needs far more than 1000 nodes
+    instance = IdenticalInstance(m=3, p=tuple(range(1, 10)))
     schedule = Schedule((1,) * 9)
     for budget in (10, 100, 1000):
         with pytest.raises(BudgetExceededError) as info:

@@ -13,6 +13,7 @@ from schedgames.experiments import (
     random_instance,
     random_ne,
     replay_violation,
+    Violation,
 )
 from schedgames.witnesses import figure1
 
@@ -199,6 +200,59 @@ def test_replay_rejects_non_violation():
     }
     assert replay_violation(payload) is False
     assert is_nash(art.instance, art.schedule).holds
+
+
+FIG1_RECORD = {
+    "trial": 0,
+    "instance": {"machines": 3, "jobs": [5, 5, 3, 2, 3, 2]},
+    "schedule": {"assignment": [1, 1, 2, 2, 3, 3]},
+    "witness": None,
+}
+
+
+def test_replay_reads_ptas_scheduler_and_eps_from_record():
+    # the benchmark equilibrium has ir_min 5/4, above 1 + 1/10
+    payload = dict(
+        FIG1_RECORD,
+        scheduler="ptas",
+        eps="1/10",
+        check="ptas-min-improvement",
+        observed="5/4",
+        bound="<= 1 + 1/10",
+    )
+    assert replay_violation(payload) is True
+    assert replay_violation(dict(payload, eps="1/2")) is False
+    # an old record without the fields is guessed to be random-ne
+    old = {k: v for k, v in payload.items() if k not in ("scheduler", "eps")}
+    assert replay_violation(old) is False
+
+
+def test_replay_keeps_random_ne_scheduler_of_non_equilibrium():
+    payload = dict(
+        FIG1_RECORD,
+        schedule={"assignment": [1, 1, 1, 2, 3, 3]},
+        scheduler="random-ne",
+        eps=None,
+        check="schedule-is-equilibrium",
+    )
+    assert replay_violation(payload) is True
+
+
+def test_violation_record_carries_scheduler_and_eps():
+    violation = Violation(
+        trial=0,
+        scheduler="ptas",
+        eps=Fraction(1, 10),
+        check="ptas-min-improvement",
+        observed="5/4",
+        bound="<= 1 + 1/10",
+        instance=FIG1_RECORD["instance"],
+        schedule=FIG1_RECORD["schedule"],
+        witness=None,
+    )
+    record = violation.to_dict()
+    assert record["scheduler"] == "ptas" and record["eps"] == "1/10"
+    assert replay_violation(record) is True
 
 
 def test_inconclusive_trials_are_counted_not_judged():

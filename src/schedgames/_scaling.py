@@ -8,7 +8,6 @@ results stay exact.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .core import IdenticalInstance, Instance
 
@@ -26,7 +25,3 @@ def scaled_sizes(instance: Instance) -> tuple[list[list[int]], int]:
         row = [int(q * scale) for q in instance.p]
         return [row] * instance.m, scale
     return [[int(q * scale) for q in row] for row in instance.p], scale
-
-
-def to_fraction(scaled: int, scale: int) -> Fraction:
-    return Fraction(scaled, scale)

@@ -58,16 +58,6 @@ class Verdict:
     rendered: str | None = None
 
 
-def _deviation_payload(deviation) -> dict | None:
-    if deviation is None:
-        return None
-    return {
-        "assignment": list(deviation.after.assignment),
-        "migrants": sorted(deviation.migrants),
-        "coalition": sorted(deviation.coalition),
-    }
-
-
 def _fmt(q) -> str:
     return str(format_rational(q))
 
@@ -125,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, help="job count or range, e.g. 4..8")
     p.add_argument("--p-max", type=int, default=20)
     p.add_argument("--eps", help="ptas approximation parameter")
-    p.add_argument("--budget", type=int, default=10**8)
+    p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET)
     p.add_argument("--out", help="write the per-trial CSV here")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     return parser
@@ -152,6 +142,10 @@ def _parse_params(text: str | None) -> dict[str, str]:
 
 
 def _cmd_schedule(args) -> Verdict:
+    if args.alg != "ptas" and (args.eps is not None or args.refine):
+        raise ValidationError("--eps and --refine apply only to --alg ptas")
+    if args.alg != "ls" and args.order is not None:
+        raise ValidationError("--order applies only to --alg ls")
     instance = read_instance(args.instance)
     if args.alg == "lpt":
         schedule = lpt(instance)
@@ -197,7 +191,7 @@ def _cmd_check(args) -> Verdict:
         result = is_strong(instance, schedule, node_budget=args.budget)
         payload["se"] = {
             "holds": result.holds,
-            "witness": _deviation_payload(result.witness),
+            "witness": None if result.witness is None else result.witness.to_dict(),
         }
         all_hold &= result.holds
     if args.coalition:
@@ -206,7 +200,7 @@ def _cmd_check(args) -> Verdict:
         payload["coalition"] = {
             "members": members,
             "can_deviate": deviation is not None,
-            "witness": _deviation_payload(deviation),
+            "witness": None if deviation is None else deviation.to_dict(),
         }
         all_hold &= deviation is None
     return Verdict(command="check", payload=payload, exit_code=0 if all_hold else 1)
@@ -240,42 +234,42 @@ def _cmd_measures(args) -> Verdict:
     instance = read_instance(args.instance)
     schedule = read_schedule(args.schedule)
     report = measure_report(instance, schedule, node_budget=args.budget)
+    by_measure = {
+        "ir_min": report.ir_min_witness,
+        "ir_max": report.ir_max_witness,
+        "dr_max": report.dr_max_witness,
+    }
     payload = {
         "ir_min": _fmt(report.ir_min),
         "ir_max": _fmt(report.ir_max),
         "dr_max": _fmt(report.dr_max),
         "exhaustive": report.exhaustive,
         "deviations": report.deviation_count,
-        "ir_min_witness": _deviation_payload(report.ir_min_witness),
-        "ir_max_witness": _deviation_payload(report.ir_max_witness),
-        "dr_max_witness": _deviation_payload(report.dr_max_witness),
     }
+    for name, witness in by_measure.items():
+        payload[f"{name}_witness"] = None if witness is None else witness.to_dict()
     rendered = None
     if args.table1:
         rows = _table_rows(instance, schedule, report)
         if args.out:
             out = Path(args.out)
             out.mkdir(parents=True, exist_ok=True)
-            for name, witness in (
-                ("ir_min", report.ir_min_witness),
-                ("ir_max", report.ir_max_witness),
-                ("dr_max", report.dr_max_witness),
-            ):
+            for row in rows[1:]:
+                witness = by_measure[row[0]]
                 if witness is not None:
-                    path = out / f"witness_{name}.json"
-                    path.write_text(
-                        json.dumps(_deviation_payload(witness), indent=2) + "\n",
-                        encoding="utf-8",
-                    )
-                    for row in rows[1:]:
-                        if row[0] == name:
-                            row[3] = str(path)
+                    path = out / f"witness_{row[0]}.json"
+                    _write_json(witness.to_dict(), path)
+                    row[3] = str(path)
             (out / "table1.csv").write_text(_render_csv(rows), encoding="utf-8")
             payload["table1"] = str(out / "table1.csv")
         if args.format == "csv":
             rendered = _render_csv(rows)
     exit_code = 0 if report.exhaustive else 3
     return Verdict(command="measures", payload=payload, exit_code=exit_code, rendered=rendered)
+
+
+def _write_json(obj, path) -> None:
+    Path(path).write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
 
 
 def _render_csv(rows) -> str:
@@ -321,12 +315,7 @@ def _cmd_witness(args) -> Verdict:
     emit("instance.json", artifact.instance, write_instance)
     emit("schedule.json", artifact.schedule, write_schedule)
     if artifact.deviation is not None:
-        path = out / "deviation.json"
-        path.write_text(
-            json.dumps(_deviation_payload(artifact.deviation), indent=2) + "\n",
-            encoding="utf-8",
-        )
-        payload["files"].append(str(path))
+        emit("deviation.json", artifact.deviation.to_dict(), _write_json)
         stats = deviation_stats(
             artifact.instance, artifact.schedule, artifact.deviation.after
         )
@@ -357,7 +346,7 @@ def _cmd_reduce(args) -> Verdict:
         out.mkdir(parents=True, exist_ok=True)
         write_instance(artifact.instance, out / "instance.json")
         write_schedule(artifact.start_schedule, out / "schedule.json")
-        (out / "artifact.json").write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        _write_json(payload, out / "artifact.json")
         payload["files"] = [
             str(out / "instance.json"),
             str(out / "schedule.json"),
@@ -367,8 +356,10 @@ def _cmd_reduce(args) -> Verdict:
 
 
 def _cmd_experiment(args) -> Verdict:
-    if not args.preset and not args.scheduler:
-        raise ValidationError("pick --preset table1|ptas or an explicit --scheduler")
+    if bool(args.preset) == bool(args.scheduler):
+        raise ValidationError("pick one of --preset table1|ptas and --scheduler")
+    if args.eps is not None and "ptas" not in (args.preset, args.scheduler):
+        raise ValidationError("--eps applies only to the ptas scheduler")
     m_range = _parse_span(args.m)
     n_range = _parse_span(args.n)
     eps = parse_rational(args.eps) if args.eps else None
@@ -391,7 +382,7 @@ def _cmd_experiment(args) -> Verdict:
             n_range=n_range,
             p_max=args.p_max,
             scheduler=scheduler,
-            eps=eps if scheduler == "ptas" else None,
+            eps=eps,
             budget=args.budget,
         )
         reports.append(bound_sweep(config))

@@ -10,6 +10,7 @@ value and every operation is a pure function.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -36,11 +37,18 @@ class BudgetExceededError(RuntimeError):
         self.best = best
 
 
+# Largest decimal exponent magnitude a string may carry: "1e20000" would
+# otherwise become a 66,439-bit numerator that every later scan works on.
+MAX_DECIMAL_EXPONENT = 100
+_EXPONENT = re.compile(r"e([-+]?[0-9_]+)$", re.IGNORECASE)
+
+
 def parse_rational(value) -> Fraction:
     """Parse an exact rational from an int, 'a/b' string, or decimal string.
 
     Floats are rejected: a JSON literal like 1.633 does not round-trip
-    exactly, so decimals must be quoted ("1.633" -> 1633/1000).
+    exactly, so decimals must be quoted ("1.633" -> 1633/1000).  So are
+    decimal exponents above MAX_DECIMAL_EXPONENT in magnitude.
     """
     if isinstance(value, bool):
         raise ValidationError(f"not a rational: {value!r}")
@@ -53,8 +61,18 @@ def parse_rational(value) -> Fraction:
             f"refusing inexact float {value!r}; write it as a quoted string"
         )
     if isinstance(value, str):
+        text = value.strip()
+        exponent = _EXPONENT.search(text)
+        if exponent:
+            digits = exponent.group(1).lstrip("+-").replace("_", "").lstrip("0")
+            # compare lengths first: int() refuses strings of over 4300 digits
+            too_long = len(digits) > len(str(MAX_DECIMAL_EXPONENT))
+            if too_long or int(digits or "0") > MAX_DECIMAL_EXPONENT:
+                raise ValidationError(
+                    f"decimal exponent of {value!r} exceeds {MAX_DECIMAL_EXPONENT} in magnitude"
+                )
         try:
-            return Fraction(value.strip())
+            return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"not a rational: {value!r}") from exc
     raise ValidationError(f"not a rational: {value!r}")

@@ -11,6 +11,12 @@ lexicographically smallest one of its kind, and runs are reproducible.
 Deciding strong stability is a hard problem, so searches carry an
 explicit node budget and fail loudly (never approximately) when it runs
 out.
+
+`scan_deviations` is the one search kernel.  Here `is_strong`,
+`can_coalition_deviate` and `enumerate_profitable_deviations` are views
+over it; the measures that maximize a ratio over deviations live in
+`measures`.  Each `Deviation` a scan finds is built by
+`ScanContext.deviation` and written out by `Deviation.to_dict`.
 """
 
 from __future__ import annotations
@@ -33,24 +39,6 @@ from .core import (
 
 DEFAULT_SEARCH_BUDGET = 10**8
 
-COALITION_MODES = ("migrants-only", "migrants-plus-improvers")
-OBJECTIVES = ("any", "maximize-ir-min", "maximize-ir-max", "maximize-dr-max")
-
-
-@dataclass(frozen=True)
-class SearchOptions:
-    node_budget: int = DEFAULT_SEARCH_BUDGET
-    coalition_mode: str = "migrants-only"
-    objective: str = "any"
-
-    def __post_init__(self):
-        if not isinstance(self.node_budget, int) or self.node_budget < 1:
-            raise ValidationError(f"node budget must be positive, got {self.node_budget!r}")
-        if self.coalition_mode not in COALITION_MODES:
-            raise ValidationError(f"unknown coalition mode {self.coalition_mode!r}")
-        if self.objective not in OBJECTIVES:
-            raise ValidationError(f"unknown objective {self.objective!r}")
-
 
 @dataclass(frozen=True)
 class Deviation:
@@ -62,6 +50,15 @@ class Deviation:
     after: Schedule
     migrants: frozenset[int]
     coalition: frozenset[int]
+
+    def to_dict(self) -> dict:
+        """The witness record written by the CLI and sweeps; read back by
+        `schedule_from_dict`, which takes its `assignment`."""
+        return {
+            "assignment": list(self.after.assignment),
+            "migrants": sorted(self.migrants),
+            "coalition": sorted(self.coalition),
+        }
 
 
 @dataclass(frozen=True)
@@ -192,6 +189,17 @@ class ScanContext:
 
     def migrants_of(self, assign) -> frozenset[int]:
         return frozenset(j + 1 for j in range(self.n) if assign[j] != self.orig[j])
+
+    def deviation(self, assign, coalition=None) -> Deviation:
+        """The deviation to the joint action `assign`; its coalition is the
+        migrants unless given."""
+        migrants = self.migrants_of(assign)
+        return Deviation(
+            before=self.schedule,
+            after=self.to_schedule(assign),
+            migrants=migrants,
+            coalition=migrants if coalition is None else frozenset(coalition),
+        )
 
     def orbit_size(self, assign) -> int:
         """Number of labelled joint actions that relabel twins of the
@@ -419,136 +427,26 @@ def scan_deviations(
     return ctx
 
 
-def find_profitable_deviation(
-    instance: Instance, schedule: Schedule, options: SearchOptions | None = None
-) -> Deviation | None:
-    """Search for a profitable joint move; None means the schedule is a
-    strong equilibrium (the search is exhaustive within its budget).
+def _first_deviation(instance, schedule, budget, coalition=None) -> Deviation | None:
+    """The lexicographically first profitable deviation, or None."""
+    hit: list = []
 
-    objective="any" returns the lexicographically smallest qualifying
-    joint action; the maximize-* objectives return the deviation
-    attaining the largest min-improvement, max-improvement (counting
-    improving bystanders), or max-damage ratio respectively.
-    """
-    options = options or SearchOptions()
-    if options.objective == "any":
-        hit: list = []
+    def grab(ctx, assign, loads):
+        hit.append(ctx.deviation(assign, coalition))
+        raise _StopScan
 
-        def grab(ctx, assign, loads):
-            hit.append(ctx.to_schedule(assign))
-            raise _StopScan
-
-        ctx = scan_deviations(
-            instance, schedule, budget=options.node_budget, on_leaf=grab
-        )
-        if not hit:
-            return None
-        return _attach_coalition(instance, ctx.schedule, hit[0], options.coalition_mode)
-
-    best: dict = {}
-    if options.objective == "maximize-ir-min":
-        floor = [1, 1]
-
-        def leaf(ctx, assign, loads):
-            num, den = _leaf_min_improvement(ctx, assign, loads)
-            if num is not None and num * floor[1] > floor[0] * den:
-                floor[0], floor[1] = num, den
-                best["after"] = ctx.to_schedule(assign)
-
-        ctx = scan_deviations(
-            instance,
-            schedule,
-            budget=options.node_budget,
-            on_leaf=leaf,
-            min_ratio_floor=floor,
-        )
-    elif options.objective == "maximize-ir-max":
-        ctx = _scan_maximize(instance, schedule, options.node_budget, best, _leaf_max_improvement)
-    else:  # maximize-dr-max
-        ctx = _scan_maximize(instance, schedule, options.node_budget, best, _leaf_max_damage)
-    if "after" not in best:
-        return None
-    return _attach_coalition(instance, ctx.schedule, best["after"], options.coalition_mode)
-
-
-def _leaf_min_improvement(ctx, assign, loads):
-    """Smallest improvement ratio among the movers of a leaf: (num, den)."""
-    num, den = None, None
-    for j in range(ctx.n):
-        if assign[j] != ctx.orig[j]:
-            c, l = ctx.cost0[j], loads[assign[j]]
-            if num is None or c * den < num * l:
-                num, den = c, l
-    return num, den
-
-
-def _stayer_flags(ctx, assign):
-    stayers = [False] * ctx.m
-    for j in range(ctx.n):
-        if assign[j] == ctx.orig[j]:
-            stayers[assign[j]] = True
-    return stayers
-
-
-def _leaf_max_improvement(ctx, assign, loads):
-    """Largest improvement over movers and improving bystanders: (num, den)."""
-    num, den = None, None
-    for j in range(ctx.n):
-        if assign[j] != ctx.orig[j]:
-            c, l = ctx.cost0[j], loads[assign[j]]
-            if num is None or c * den > num * l:
-                num, den = c, l
-    stayers = _stayer_flags(ctx, assign)
-    for i in range(ctx.m):
-        if stayers[i] and loads[i] < ctx.load0[i]:
-            c, l = ctx.load0[i], loads[i]
-            if num is None or c * den > num * l:
-                num, den = c, l
-    return num, den
-
-
-def _leaf_max_damage(ctx, assign, loads):
-    """Largest load growth on a machine keeping at least one job: (num, den)."""
-    num, den = None, None
-    stayers = _stayer_flags(ctx, assign)
-    for i in range(ctx.m):
-        if stayers[i] and loads[i] > ctx.load0[i]:
-            c, l = loads[i], ctx.load0[i]
-            if num is None or c * den > num * l:
-                num, den = c, l
-    return num, den
-
-
-def _scan_maximize(instance, schedule, budget, best, leaf_value):
-    state = [0, 1]  # best value seen, as num/den
-
-    def leaf(ctx, assign, loads):
-        num, den = leaf_value(ctx, assign, loads)
-        if num is not None and num * state[1] > state[0] * den:
-            state[0], state[1] = num, den
-            best["after"] = ctx.to_schedule(assign)
-
-    return scan_deviations(instance, schedule, budget=budget, on_leaf=leaf)
-
-
-def _attach_coalition(instance, before, after, coalition_mode) -> Deviation:
-    migrants = frozenset(
-        j for j in range(1, instance.n + 1) if before.machine_of(j) != after.machine_of(j)
-    )
-    coalition = migrants
-    if coalition_mode == "migrants-plus-improvers":
-        coalition = migrants | improving_bystanders(instance, before, after)
-    return Deviation(before=before, after=after, migrants=migrants, coalition=coalition)
+    scan_deviations(instance, schedule, budget=budget, on_leaf=grab, coalition=coalition)
+    return hit[0] if hit else None
 
 
 def is_strong(
     instance: Instance, schedule: Schedule, node_budget: int = DEFAULT_SEARCH_BUDGET
 ) -> StrongResult:
     """Is the schedule resilient to every coalition move?  Exhaustive
-    within the budget; raises BudgetExceededError rather than guessing."""
-    witness = find_profitable_deviation(
-        instance, schedule, SearchOptions(node_budget=node_budget)
-    )
+    within the budget; raises BudgetExceededError rather than guessing.
+    On failure the witness is the lexicographically smallest profitable
+    joint action, its coalition the migrants."""
+    witness = _first_deviation(instance, schedule, node_budget)
     return StrongResult(holds=witness is None, witness=witness)
 
 
@@ -563,22 +461,7 @@ def can_coalition_deviate(
     members = frozenset(coalition)
     if not members:
         return None
-    hit: list = []
-
-    def grab(ctx, assign, loads):
-        hit.append(ctx.to_schedule(assign))
-        raise _StopScan
-
-    scan_deviations(
-        instance, schedule, budget=node_budget, on_leaf=grab, coalition=members
-    )
-    if not hit:
-        return None
-    after = hit[0]
-    migrants = frozenset(
-        j for j in range(1, instance.n + 1) if schedule.machine_of(j) != after.machine_of(j)
-    )
-    return Deviation(before=schedule, after=after, migrants=migrants, coalition=members)
+    return _first_deviation(instance, schedule, node_budget, members)
 
 
 @dataclass(frozen=True)
@@ -608,19 +491,7 @@ def enumerate_profitable_deviations(
     if limit is not None and (not isinstance(limit, int) or limit < 1):
         raise ValidationError(f"limit must be a positive int or None, got {limit!r}")
     found: list[Deviation] = []
-
-    def emit(ctx, assign):
-        migrants = ctx.migrants_of(assign)
-        found.append(
-            Deviation(
-                before=ctx.schedule,
-                after=ctx.to_schedule(assign),
-                migrants=migrants,
-                coalition=migrants,
-            )
-        )
-
-    merge = OrbitMerge(emit, limit)
+    merge = OrbitMerge(lambda ctx, assign: found.append(ctx.deviation(assign)), limit)
     complete = True
     try:
         scan_deviations(instance, schedule, budget=node_budget, on_leaf=merge.add)

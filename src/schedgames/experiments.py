@@ -30,7 +30,7 @@ from .core import (
     schedule_to_dict,
     validate_schedule,
 )
-from .equilibria import improving_moves, is_nash
+from .equilibria import DEFAULT_SEARCH_BUDGET, improving_moves, is_nash
 from .measures import (
     LPT_DAMAGE_LIMIT,
     LPT_MAX_IMPROVEMENT_LIMIT_3,
@@ -150,7 +150,7 @@ class SweepConfig:
     p_max: int
     scheduler: str
     eps: Fraction | None = None
-    budget: int = 10**8
+    budget: int = DEFAULT_SEARCH_BUDGET
     structural: bool = True
 
     def __post_init__(self):
@@ -208,9 +208,11 @@ class TrialRecord:
 @dataclass(frozen=True)
 class Violation:
     """A failed check with everything needed to replay it standalone:
-    the scheduler and eps select the checks that apply."""
+    the scheduler and eps select the checks that apply, and `seed` is the
+    `TrialRecord.seed` of the trial that drew the instance."""
 
     trial: int
+    seed: int
     scheduler: str
     eps: Fraction | None
     check: str
@@ -223,6 +225,7 @@ class Violation:
     def to_dict(self) -> dict:
         return {
             "trial": self.trial,
+            "seed": self.seed,
             "scheduler": self.scheduler,
             "eps": None if self.eps is None else format_rational(self.eps),
             "check": self.check,
@@ -370,16 +373,6 @@ def _bound_checks(config, instance, schedule, report: MeasureReport, makespan, o
     return checks
 
 
-def _witness_payload(deviation) -> dict | None:
-    if deviation is None:
-        return None
-    return {
-        "assignment": list(deviation.after.assignment),
-        "migrants": sorted(deviation.migrants),
-        "coalition": sorted(deviation.coalition),
-    }
-
-
 def bound_sweep(config: SweepConfig) -> SweepReport:
     """Run the configured trials, measuring every schedule exactly and
     checking every applicable limit; a clean sweep has no violations.
@@ -431,6 +424,7 @@ def bound_sweep(config: SweepConfig) -> SweepReport:
                     report.violations.append(
                         Violation(
                             trial=t,
+                            seed=trial_seed,
                             scheduler=config.scheduler,
                             eps=config.eps,
                             check=c.name,
@@ -438,7 +432,7 @@ def bound_sweep(config: SweepConfig) -> SweepReport:
                             bound=c.bound,
                             instance=instance_to_dict(instance),
                             schedule=schedule_to_dict(schedule),
-                            witness=_witness_payload(witness),
+                            witness=None if witness is None else witness.to_dict(),
                         )
                     )
         else:
@@ -447,6 +441,7 @@ def bound_sweep(config: SweepConfig) -> SweepReport:
             report.violations.append(
                 Violation(
                     trial=t,
+                    seed=trial_seed,
                     scheduler=config.scheduler,
                     eps=config.eps,
                     check="deviation-structure",
@@ -454,7 +449,7 @@ def bound_sweep(config: SweepConfig) -> SweepReport:
                     bound="structural predicates",
                     instance=instance_to_dict(instance),
                     schedule=schedule_to_dict(schedule),
-                    witness=_witness_payload(dev),
+                    witness=dev.to_dict(),
                 )
             )
         report.records.append(
@@ -480,14 +475,7 @@ def bound_sweep(config: SweepConfig) -> SweepReport:
     return report
 
 
-def ptas_sweep(config: SweepConfig) -> SweepReport:
-    """Bound sweep specialized to the approximation scheme."""
-    if config.scheduler != "ptas":
-        raise ValidationError("ptas_sweep needs scheduler='ptas'")
-    return bound_sweep(config)
-
-
-def replay_violation(payload: dict, node_budget: int = 10**8) -> bool:
+def replay_violation(payload: dict, node_budget: int = DEFAULT_SEARCH_BUDGET) -> bool:
     """Re-evaluate a violation record from scratch; True iff it reproduces.
 
     The record's own `scheduler` and `eps` select the checks; records

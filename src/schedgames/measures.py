@@ -6,6 +6,13 @@ of its (unchanged) machine, and the damage ratio of a job left behind on
 a heavier machine is the new load over the old.  A schedule's measures
 maximize these over every profitable deviation; by convention all three
 are exactly 1 when no deviation exists.
+
+`measure_report` computes all three, with witnesses, from one scan of
+`equilibria.scan_deviations`; read `ir_max` and `dr_max` from it.
+`ir_min` answers the min-improvement measure alone with a scan that
+prunes every branch unable to beat the best ratio found so far.  The
+`ir_max` witness counts improving bystanders in its coalition; every
+other witness's coalition is its migrants.
 """
 
 from __future__ import annotations
@@ -26,9 +33,6 @@ from .equilibria import (
     Deviation,
     OrbitMerge,
     ScanContext,
-    _leaf_max_damage,
-    _leaf_max_improvement,
-    _leaf_min_improvement,
     improving_bystanders,
     is_nash,
     profitable_deviation,
@@ -167,13 +171,52 @@ class MeasureReport:
         return self.ir_min <= Fraction(alpha)
 
 
-def _as_deviation(ctx, assign, coalition_mode="migrants-only") -> Deviation:
-    after = ctx.to_schedule(assign)
-    migrants = ctx.migrants_of(assign)
-    coalition = migrants
-    if coalition_mode == "migrants-plus-improvers":
-        coalition = migrants | improving_bystanders(ctx.instance, ctx.schedule, after)
-    return Deviation(before=ctx.schedule, after=after, migrants=migrants, coalition=coalition)
+def _leaf_min_improvement(ctx, assign, loads):
+    """Smallest improvement ratio among the movers of a leaf: (num, den)."""
+    num, den = None, None
+    for j in range(ctx.n):
+        if assign[j] != ctx.orig[j]:
+            c, l = ctx.cost0[j], loads[assign[j]]
+            if num is None or c * den < num * l:
+                num, den = c, l
+    return num, den
+
+
+def _stayer_flags(ctx, assign):
+    stayers = [False] * ctx.m
+    for j in range(ctx.n):
+        if assign[j] == ctx.orig[j]:
+            stayers[assign[j]] = True
+    return stayers
+
+
+def _leaf_max_improvement(ctx, assign, loads):
+    """Largest improvement over movers and improving bystanders: (num, den)."""
+    num, den = None, None
+    for j in range(ctx.n):
+        if assign[j] != ctx.orig[j]:
+            c, l = ctx.cost0[j], loads[assign[j]]
+            if num is None or c * den > num * l:
+                num, den = c, l
+    stayers = _stayer_flags(ctx, assign)
+    for i in range(ctx.m):
+        if stayers[i] and loads[i] < ctx.load0[i]:
+            c, l = ctx.load0[i], loads[i]
+            if num is None or c * den > num * l:
+                num, den = c, l
+    return num, den
+
+
+def _leaf_max_damage(ctx, assign, loads):
+    """Largest load growth on a machine keeping at least one job: (num, den)."""
+    num, den = None, None
+    stayers = _stayer_flags(ctx, assign)
+    for i in range(ctx.m):
+        if stayers[i] and loads[i] > ctx.load0[i]:
+            c, l = loads[i], ctx.load0[i]
+            if num is None or c * den > num * l:
+                num, den = c, l
+    return num, den
 
 
 def measure_report(
@@ -195,7 +238,7 @@ def measure_report(
     count = [0]
     merge = None
     if on_deviation is not None:
-        merge = OrbitMerge(lambda ctx, assign: on_deviation(_as_deviation(ctx, assign)))
+        merge = OrbitMerge(lambda ctx, assign: on_deviation(ctx.deviation(assign)))
 
     def leaf(ctx, assign, loads):
         count[0] += ctx.orbit_size(assign)
@@ -214,18 +257,22 @@ def measure_report(
         exhaustive = False
         ctx = None
 
-    def finish(slot, coalition_mode):
+    def finish(slot, with_bystanders=False):
         num, den, assign = slot
         if assign is None:
             return Fraction(1), None
-        return Fraction(num, den), _as_deviation(ctx, assign, coalition_mode)
+        coalition = None
+        if with_bystanders:
+            after = ctx.to_schedule(assign)
+            coalition = ctx.migrants_of(assign) | improving_bystanders(instance, schedule, after)
+        return Fraction(num, den), ctx.deviation(assign, coalition)
 
     # witnesses need the context; on budget exhaustion rebuild it
     if ctx is None:
         ctx = ScanContext(instance, schedule)
-    ir_min, w_min = finish(best["min"], "migrants-only")
-    ir_max, w_max = finish(best["max"], "migrants-plus-improvers")
-    dr_max, w_dr = finish(best["dr"], "migrants-only")
+    ir_min, w_min = finish(best["min"])
+    ir_max, w_max = finish(best["max"], with_bystanders=True)
+    dr_max, w_dr = finish(best["dr"])
     return MeasureReport(
         ir_min=ir_min,
         ir_max=ir_max,
@@ -266,29 +313,8 @@ def ir_min(
     except BudgetExceededError:
         exhaustive = False
         ctx = ScanContext(instance, schedule)
-    witness = None if slot[2] is None else _as_deviation(ctx, slot[2])
+    witness = None if slot[2] is None else ctx.deviation(slot[2])
     return MeasureValue(value=Fraction(slot[0], slot[1]), witness=witness, exhaustive=exhaustive)
-
-
-def ir_max(
-    instance: Instance, schedule: Schedule, node_budget: int = DEFAULT_SEARCH_BUDGET
-) -> MeasureValue:
-    """Largest single-member improvement over all deviations, counting
-    improving bystanders as coalition members."""
-    report = measure_report(instance, schedule, node_budget)
-    return MeasureValue(
-        value=report.ir_max, witness=report.ir_max_witness, exhaustive=report.exhaustive
-    )
-
-
-def dr_max(
-    instance: Instance, schedule: Schedule, node_budget: int = DEFAULT_SEARCH_BUDGET
-) -> MeasureValue:
-    """Largest cost growth inflicted on a job outside the coalition."""
-    report = measure_report(instance, schedule, node_budget)
-    return MeasureValue(
-        value=report.dr_max, witness=report.dr_max_witness, exhaustive=report.exhaustive
-    )
 
 
 def alpha_strong(

@@ -2,8 +2,12 @@ import json
 
 import pytest
 
+from fractions import Fraction
+
+from schedgames import experiments
 from schedgames.cli import run
 from schedgames.core import read_instance, read_schedule, write_instance, write_schedule
+from schedgames.experiments import SweepConfig, bound_sweep, replay_violation
 from schedgames.witnesses import figure1
 
 
@@ -234,3 +238,90 @@ def test_experiment_explicit_scheduler_csv_stdout():
 def test_experiment_needs_preset_or_scheduler():
     verdict = run(["experiment", "--seed", "1", "--trials", "2", "--m", "3", "--n", "4"])
     assert verdict.exit_code == 2
+
+
+def test_experiment_rejects_preset_with_scheduler():
+    verdict = run(
+        [
+            "experiment", "--preset", "table1", "--scheduler", "ls", "--seed", "5",
+            "--trials", "2", "--m", "3", "--n", "4",
+        ]
+    )
+    assert verdict.exit_code == 2
+    assert "--preset" in verdict.payload["error"]
+
+
+def test_experiment_rejects_eps_without_ptas():
+    for picked in (["--scheduler", "lpt"], ["--preset", "table1"]):
+        verdict = run(
+            ["experiment", *picked, "--eps", "1/2", "--seed", "5", "--trials", "2", "--m", "3", "--n", "4"]
+        )
+        assert verdict.exit_code == 2
+        assert "--eps" in verdict.payload["error"]
+
+
+def test_schedule_rejects_flags_of_other_algorithms(fig1_files):
+    instance, _ = fig1_files
+    for alg, flags in (
+        ("lpt", ["--eps", "1/2"]),
+        ("lpt", ["--order", "3,2"]),
+        ("ls", ["--refine"]),
+        ("ptas", ["--eps", "1/2", "--order", "3,2"]),
+    ):
+        verdict = run(["schedule", "--alg", alg, *flags, "--in", instance])
+        assert verdict.exit_code == 2
+        assert "only" in verdict.payload["error"]
+
+
+def test_huge_decimal_exponent_exits_2(tmp_path, fig1_files):
+    _, schedule = fig1_files
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({"machines": 3, "jobs": ["1e5000", 5, 3, 2, 3, 2]}))
+    verdict = run(["measures", "--in", str(path), "--schedule", schedule])
+    assert verdict.exit_code == 2
+    assert "exponent" in verdict.payload["error"]
+
+
+def test_fig1_deviation_serializes_alike_everywhere(tmp_path, fig1_files, monkeypatch):
+    """The check payload, the measures witness file, the witness figure and
+    a sweep violation all write the benchmark deviation as one dict."""
+    instance, schedule = fig1_files
+    art = figure1()
+    expected = art.deviation.to_dict()
+
+    check = run(["check", "--se", "--in", instance, "--schedule", schedule])
+    assert check.payload["se"]["witness"] == expected
+
+    out = tmp_path / "table"
+    run(["measures", "--table1", "--out", str(out), "--in", instance, "--schedule", schedule])
+    assert json.loads((out / "witness_ir_min.json").read_text()) == expected
+
+    run(["witness", "--figure", "1", "--out", str(tmp_path / "w1")])
+    assert json.loads((tmp_path / "w1" / "deviation.json").read_text()) == expected
+
+    # a sweep whose one trial is the benchmark, with a damage limit every
+    # equilibrium fails, so the trial records its ir_min witness
+    monkeypatch.setattr(experiments, "random_instance", lambda *args: art.instance)
+    monkeypatch.setattr(experiments, "random_ne", lambda *args: art.schedule)
+    monkeypatch.setattr(experiments, "NE_DAMAGE_LIMIT", Fraction(1))
+    config = SweepConfig(
+        seed=1, trials=1, m_range=(3, 3), n_range=(6, 6), p_max=5, scheduler="random-ne"
+    )
+    violations = bound_sweep(config).violations
+    assert [v.check for v in violations] == ["ne-damage"]
+    assert violations[0].witness == expected
+
+    # read as an lpt start, the deviation fails the unit-normalized checks:
+    # the size-2 jobs that reach the center are below its unit size 5
+    record = {
+        "trial": 0,
+        "scheduler": "lpt",
+        "eps": None,
+        "check": "deviation-structure",
+        "observed": "",
+        "bound": "structural predicates",
+        "instance": {"machines": 3, "jobs": [5, 5, 3, 2, 3, 2]},
+        "schedule": {"assignment": [1, 1, 2, 2, 3, 3]},
+        "witness": expected,
+    }
+    assert replay_violation(record) is True

@@ -142,6 +142,14 @@ def test_parse_rational_accepts_decimal_fraction_and_int():
     assert parse_rational(7) == 7
 
 
+def test_parse_rational_caps_decimal_exponent():
+    assert parse_rational("1e100") == 10**100
+    assert parse_rational("-2.5E-100") == Fraction(-25, 10**101)
+    for bad in ("1e101", "1e-101", "1e20000", "3.5E+2_000", "1e" + "9" * 5000):
+        with pytest.raises(ValidationError, match="exponent"):
+            parse_rational(bad)
+
+
 @pytest.mark.parametrize("bad", [1.5, True, "x", "1/0", None, [1]])
 def test_parse_rational_rejects_inexact_or_malformed(bad):
     with pytest.raises(ValidationError):

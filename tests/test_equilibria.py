@@ -14,10 +14,8 @@ from schedgames.core import (
     load_profile,
 )
 from schedgames.equilibria import (
-    SearchOptions,
     can_coalition_deviate,
     enumerate_profitable_deviations,
-    find_profitable_deviation,
     improving_bystanders,
     improving_moves,
     is_nash,
@@ -25,6 +23,7 @@ from schedgames.equilibria import (
     profitable_deviation,
 )
 from schedgames.experiments import random_instance, random_ne
+from schedgames.measures import ir_min, measure_report
 
 FIG1 = IdenticalInstance(m=3, p=(5, 5, 3, 2, 3, 2))
 FIG1_NE = Schedule((1, 1, 2, 2, 3, 3))
@@ -60,11 +59,11 @@ def test_is_nash_on_unrelated_instance():
     assert result.witness == (1, 2)  # job 1 runs in 1/10 on machine 2
 
 
-# --- find_profitable_deviation / is_strong -------------------------------
+# --- is_strong --------------------------------------------------------------
 
 
 def test_benchmark_deviation_is_found_lex_first():
-    deviation = find_profitable_deviation(FIG1, FIG1_NE)
+    deviation = is_strong(FIG1, FIG1_NE).witness
     assert deviation.after.assignment == FIG1_MOVE.assignment
     assert deviation.migrants == frozenset({1, 2, 4, 6})
     assert deviation.coalition == deviation.migrants
@@ -72,7 +71,7 @@ def test_benchmark_deviation_is_found_lex_first():
 
 def test_equal_jobs_spread_out_is_strong():
     instance = IdenticalInstance(m=3, p=(2, 2, 2))
-    assert find_profitable_deviation(instance, Schedule((1, 2, 3))) is None
+    assert is_strong(instance, Schedule((1, 2, 3))).witness is None
 
 
 def test_benchmark_schedule_is_not_strong():
@@ -188,7 +187,7 @@ def test_enumeration_matches_unpruned_oracle(pair):
 @given(instance_with_schedule(min_m=2, max_m=3, min_n=1, max_n=6))
 def test_find_none_iff_enumeration_empty(pair):
     instance, schedule = pair
-    found = find_profitable_deviation(instance, schedule)
+    found = is_strong(instance, schedule).witness
     sweep = enumerate_profitable_deviations(instance, schedule)
     assert (found is None) == (len(sweep) == 0)
 
@@ -252,11 +251,7 @@ def test_enumeration_flags_truncation_on_budget():
 
 def test_search_options_validation():
     with pytest.raises(ValidationError):
-        SearchOptions(node_budget=0)
-    with pytest.raises(ValidationError):
-        SearchOptions(coalition_mode="everyone")
-    with pytest.raises(ValidationError):
-        SearchOptions(objective="minimize")
+        is_strong(FIG1, FIG1_NE, node_budget=0)
 
 
 # --- deviation construction -------------------------------------------------
@@ -289,30 +284,22 @@ def test_improving_bystanders_on_benchmark_move():
     assert improving_bystanders(FIG1, FIG1_NE, FIG1_MOVE) == frozenset()
 
 
-# --- maximize objectives -----------------------------------------------------
+# --- maximize objectives (answered by the measures) --------------------------
 
 
 def test_objective_maximize_min_improvement_on_benchmark():
-    deviation = find_profitable_deviation(
-        FIG1, FIG1_NE, SearchOptions(objective="maximize-ir-min")
-    )
+    deviation = ir_min(FIG1, FIG1_NE).witness
     assert deviation.after.assignment == FIG1_MOVE.assignment
 
 
 def test_objective_maximize_damage_on_benchmark():
-    deviation = find_profitable_deviation(
-        FIG1, FIG1_NE, SearchOptions(objective="maximize-dr-max")
-    )
+    deviation = measure_report(FIG1, FIG1_NE).dr_max_witness
     loads = load_profile(FIG1, deviation.after).loads
     assert max(loads) == 8  # the size-3 jobs end up damaged 5 -> 8
 
 
 def test_objective_plus_improvers_mode_attaches_bystanders():
     instance = IdenticalInstance(m=2, p=(4, 1))
-    deviation = find_profitable_deviation(
-        instance,
-        Schedule((1, 1)),
-        SearchOptions(objective="any", coalition_mode="migrants-plus-improvers"),
-    )
+    deviation = measure_report(instance, Schedule((1, 1))).ir_max_witness
     assert deviation.migrants == frozenset({2})
     assert deviation.coalition == frozenset({1, 2})

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from schedgames import experiments
 from schedgames.core import ValidationError, canonical_form, load_profile
 from schedgames.equilibria import is_nash
 from schedgames.experiments import (
@@ -9,7 +10,6 @@ from schedgames.experiments import (
     SplitMix64,
     SweepConfig,
     bound_sweep,
-    ptas_sweep,
     random_instance,
     random_ne,
     replay_violation,
@@ -132,15 +132,10 @@ def test_ls_sweep_checks_single_move_damage():
 
 def test_ptas_sweep_checks_scheme_bounds():
     config = small_config("ptas", eps=Fraction(1, 2), trials=8, n_range=(3, 6))
-    report = ptas_sweep(config)
+    report = bound_sweep(config)
     assert report.violations == []
     names = {c.name for r in report.records for c in r.checks}
     assert {"ptas-min-improvement", "ptas-makespan", "schedule-is-equilibrium"} <= names
-
-
-def test_ptas_sweep_requires_matching_scheduler():
-    with pytest.raises(ValidationError):
-        ptas_sweep(small_config("lpt"))
 
 
 def test_sweep_replays_identically():
@@ -241,6 +236,7 @@ def test_replay_keeps_random_ne_scheduler_of_non_equilibrium():
 def test_violation_record_carries_scheduler_and_eps():
     violation = Violation(
         trial=0,
+        seed=1,
         scheduler="ptas",
         eps=Fraction(1, 10),
         check="ptas-min-improvement",
@@ -253,6 +249,21 @@ def test_violation_record_carries_scheduler_and_eps():
     record = violation.to_dict()
     assert record["scheduler"] == "ptas" and record["eps"] == "1/10"
     assert replay_violation(record) is True
+
+
+def test_violation_record_carries_trial_seed(monkeypatch):
+    # a damage limit of 1 fails on every equilibrium trial
+    monkeypatch.setattr(experiments, "NE_DAMAGE_LIMIT", Fraction(1))
+    report = bound_sweep(small_config("random-ne", trials=5))
+    assert report.violations
+    for violation in report.violations:
+        assert violation.seed == report.records[violation.trial].seed
+        record = violation.to_dict()
+        assert record["seed"] == violation.seed
+        assert replay_violation(record) is True
+        # records written before the field existed still replay
+        del record["seed"]
+        assert replay_violation(record) is True
 
 
 def test_inconclusive_trials_are_counted_not_judged():

@@ -10,8 +10,6 @@ from schedgames.measures import (
     alpha_strong,
     check_flower,
     deviation_stats,
-    dr_max,
-    ir_max,
     ir_min,
     leq_lpt_three_machine_limit,
     lpt_min_improvement_limit,
@@ -90,8 +88,9 @@ def test_rounded_lpt_instance_min_improvement_bracket():
 
 def test_ratio_family_max_improvement_is_r():
     art = figure3(3)
-    assert ir_max(art.instance, art.schedule).value == 3
-    assert dr_max(art.instance, art.schedule).value == Fraction(11, 6)
+    report = measure_report(art.instance, art.schedule)
+    assert report.ir_max == 3
+    assert report.dr_max == Fraction(11, 6)
 
 
 def test_swap_instance_min_improvement():

@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -196,6 +197,8 @@ def _cmd_check(args) -> Verdict:
         all_hold &= result.holds
     if args.coalition:
         members = [int(x) for x in args.coalition.split(",")]
+        if len(set(members)) != len(members):
+            raise ValidationError(f"--coalition names a job twice: {args.coalition}")
         deviation = can_coalition_deviate(instance, schedule, members, node_budget=args.budget)
         payload["coalition"] = {
             "members": members,
@@ -452,10 +455,18 @@ def run(argv) -> Verdict:
 
 def main() -> None:
     verdict = run(sys.argv[1:])
-    if verdict.rendered is not None:
-        sys.stdout.write(verdict.rendered)
-    else:
-        print(json.dumps(verdict.payload, indent=2))
+    try:
+        if verdict.rendered is not None:
+            sys.stdout.write(verdict.rendered)
+        else:
+            print(json.dumps(verdict.payload, indent=2))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early; send the rest of the output, and the
+        # interpreter's final flush, to devnull instead of raising again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     sys.exit(verdict.exit_code)
 
 

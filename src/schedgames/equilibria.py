@@ -103,19 +103,6 @@ def is_nash(instance: Instance, schedule: Schedule) -> NashResult:
     return NashResult(holds=True)
 
 
-def improving_bystanders(instance: Instance, before: Schedule, after: Schedule) -> frozenset[int]:
-    """Non-migrating jobs whose machine load strictly decreased; they can
-    join the coalition of the move without violating profitability."""
-    old = load_profile(instance, before).loads
-    new = load_profile(instance, after).loads
-    out = []
-    for j in range(1, instance.n + 1):
-        i = before.machine_of(j)
-        if after.machine_of(j) == i and new[i - 1] < old[i - 1]:
-            out.append(j)
-    return frozenset(out)
-
-
 def profitable_deviation(
     instance: Instance, before: Schedule, after: Schedule, coalition=None
 ) -> Deviation:
@@ -199,6 +186,19 @@ class ScanContext:
             after=self.to_schedule(assign),
             migrants=migrants,
             coalition=migrants if coalition is None else frozenset(coalition),
+        )
+
+    def bystanders(self, assign) -> frozenset[int]:
+        """Jobs that keep their machine while its load strictly drops under
+        the joint action `assign`; they can join the coalition of the move
+        without violating profitability."""
+        loads = [0] * self.m
+        for j, i in enumerate(assign):
+            loads[i] += self.sizes[i][j]
+        return frozenset(
+            j + 1
+            for j, i in enumerate(assign)
+            if i == self.orig[j] and loads[i] < self.load0[i]
         )
 
     def orbit_size(self, assign) -> int:

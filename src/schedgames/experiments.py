@@ -6,6 +6,8 @@ Reports are replayable: the per-trial seeds derive deterministically
 from the sweep seed via SplitMix64 (documented below), so (seed, config)
 regenerate identical reports modulo timing fields, and any violation
 record carries everything needed to reproduce it standalone.
+`bound_sweep` and `replay_violation` evaluate a trial through the one
+private `_evaluate`, so a replay runs the checks the sweep ran.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import csv
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from types import SimpleNamespace
 
 from .core import (
     BudgetExceededError,
@@ -133,6 +134,19 @@ def random_ne(instance: IdenticalInstance, seed: int, on_move=None) -> Schedule:
             return Schedule(tuple(assignment))
 
 
+def _check_scheduler(scheduler, eps) -> None:
+    """Reject a scheduler the sweep cannot run: an unknown name, ptas
+    without a positive eps, or an eps that the scheduler would not read."""
+    if scheduler not in SCHEDULERS:
+        raise ValidationError(f"scheduler must be one of {SCHEDULERS}, got {scheduler!r}")
+    if scheduler == "ptas" and eps is None:
+        raise ValidationError("the ptas scheduler needs eps")
+    if scheduler != "ptas" and eps is not None:
+        raise ValidationError(f"eps applies only to the ptas scheduler, not {scheduler!r}")
+    if eps is not None and eps <= 0:
+        raise ValidationError(f"eps must be positive, got {eps}")
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """One sweep: `trials` random instances with m in m_range, n in
@@ -161,12 +175,9 @@ class SweepConfig:
                 raise ValidationError(f"{name} must be an ordered positive interval, got {lo}..{hi}")
         if self.p_max < 1:
             raise ValidationError("p_max must be positive")
-        if self.scheduler not in SCHEDULERS:
-            raise ValidationError(f"scheduler must be one of {SCHEDULERS}, got {self.scheduler!r}")
-        if self.scheduler == "ptas" and self.eps is None:
-            raise ValidationError("the ptas scheduler needs eps")
         if self.eps is not None:
             object.__setattr__(self, "eps", Fraction(self.eps))
+        _check_scheduler(self.scheduler, self.eps)
         if self.m_range[1] ** self.n_range[1] > self.budget:
             raise ValidationError(
                 f"m^n can reach {self.m_range[1]}^{self.n_range[1]}, beyond the "
@@ -305,16 +316,18 @@ def _schedule_for(config: SweepConfig, instance: IdenticalInstance, extra_seed: 
     return random_ne(instance, extra_seed)
 
 
-def _bound_checks(config, instance, schedule, report: MeasureReport, makespan, opt):
-    """Every limit applicable to this scheduler and machine count."""
+def _bound_checks(
+    scheduler, eps, equilibrium, instance, schedule, report: MeasureReport, makespan, opt
+):
+    """Every limit applicable to this scheduler and machine count;
+    `equilibrium` says whether the schedule is a Nash equilibrium."""
     m = instance.m
     checks = []
-    equilibrium = is_nash(instance, schedule).holds
 
     def add(name, holds, observed, bound):
         checks.append(BoundCheck(name=name, holds=holds, observed=str(observed), bound=bound))
 
-    if config.scheduler in ("lpt", "ptas", "random-ne"):
+    if scheduler in ("lpt", "ptas", "random-ne"):
         add("schedule-is-equilibrium", equilibrium, equilibrium, "true")
     if equilibrium:
         limit = ne_min_improvement_limit(m)
@@ -324,7 +337,7 @@ def _bound_checks(config, instance, schedule, report: MeasureReport, makespan, o
             top = makespan
             total = instance.total()
             add("ne-top-load-at-most-half", 2 * top <= total, top, f"<= {total}/2")
-    if config.scheduler == "lpt":
+    if scheduler == "lpt":
         if m == 3:
             add(
                 "lpt-min-improvement",
@@ -345,7 +358,7 @@ def _bound_checks(config, instance, schedule, report: MeasureReport, makespan, o
         if opt is not None:
             limit = Fraction(4, 3) - Fraction(1, 3 * m)
             add("lpt-makespan", makespan <= limit * opt, makespan, f"<= ({limit})*opt")
-    if config.scheduler == "ls":
+    if scheduler == "ls":
         if opt is not None:
             limit = 2 - Fraction(1, m)
             add("ls-makespan", makespan <= limit * opt, makespan, f"<= ({limit})*opt")
@@ -356,21 +369,45 @@ def _bound_checks(config, instance, schedule, report: MeasureReport, makespan, o
             if before > 0:
                 worst = max(worst, (before + instance.p[j - 1]) / before)
         add("ls-single-move-damage", worst <= 2, worst, "<= 2")
-    if config.scheduler == "ptas":
-        add(
-            "ptas-min-improvement",
-            report.ir_min <= 1 + config.eps,
-            report.ir_min,
-            f"<= 1 + {config.eps}",
-        )
+    if scheduler == "ptas":
+        add("ptas-min-improvement", report.ir_min <= 1 + eps, report.ir_min, f"<= 1 + {eps}")
         if opt is not None:
             add(
-                "ptas-makespan",
-                makespan <= (1 + config.eps) * opt,
-                makespan,
-                f"<= (1 + {config.eps})*opt",
+                "ptas-makespan", makespan <= (1 + eps) * opt, makespan, f"<= (1 + {eps})*opt"
             )
-    return checks
+    return tuple(checks)
+
+
+def _evaluate(scheduler, eps, instance, schedule, budget, structural):
+    """Measure one trial's schedule and check every applicable limit,
+    computing equilibrium status once for the checks and for the
+    structural predicates, which run on every deviation of a three-machine
+    equilibrium when `structural`.  Returns (measures, makespan, opt,
+    checks, structural_failures): `opt` is None past its budget, `checks`
+    is empty when the measures ran out of budget (the trial is
+    inconclusive), and the failures are (deviation, report) pairs."""
+    equilibrium = is_nash(instance, schedule).holds
+    structural_failures: list[tuple] = []
+    on_deviation = None
+    if structural and instance.m == 3 and equilibrium:
+
+        def on_deviation(dev):
+            sr = structural_report(instance, schedule, dev.after, lpt_origin=scheduler == "lpt")
+            if not sr.passed:
+                structural_failures.append((dev, sr))
+
+    measures = measure_report(instance, schedule, node_budget=budget, on_deviation=on_deviation)
+    makespan = load_profile(instance, schedule).makespan
+    try:
+        opt = optimal_makespan(instance, node_budget=budget).value
+    except BudgetExceededError:
+        opt = None
+    checks: tuple[BoundCheck, ...] = ()
+    if measures.exhaustive:
+        checks = _bound_checks(
+            scheduler, eps, equilibrium, instance, schedule, measures, makespan, opt
+        )
+    return measures, makespan, opt, checks, structural_failures
 
 
 def bound_sweep(config: SweepConfig) -> SweepReport:
@@ -393,64 +430,34 @@ def bound_sweep(config: SweepConfig) -> SweepReport:
         extra_seed = trng.next_u64()
         instance = random_instance(instance_seed, m, n, config.p_max)
         schedule = _schedule_for(config, instance, extra_seed)
-        makespan = load_profile(instance, schedule).makespan
-
-        structural_failures: list[tuple] = []
-        on_deviation = None
-        if config.structural and m == 3 and is_nash(instance, schedule).holds:
-
-            def on_deviation(dev, _instance=instance, _schedule=schedule):
-                sr = structural_report(
-                    _instance, _schedule, dev.after, lpt_origin=config.scheduler == "lpt"
-                )
-                if not sr.passed:
-                    structural_failures.append((dev, sr))
-
-        measures = measure_report(
-            instance, schedule, node_budget=config.budget, on_deviation=on_deviation
+        measures, makespan, opt, checks, structural_failures = _evaluate(
+            config.scheduler, config.eps, instance, schedule, config.budget, config.structural
         )
-        try:
-            opt = optimal_makespan(instance, node_budget=config.budget).value
-        except BudgetExceededError:
-            opt = None
-
         inconclusive = not measures.exhaustive
-        checks: tuple[BoundCheck, ...] = ()
-        if not inconclusive:
-            checks = tuple(_bound_checks(config, instance, schedule, measures, makespan, opt))
-            for c in checks:
-                if not c.holds:
-                    witness = measures.ir_min_witness or measures.dr_max_witness
-                    report.violations.append(
-                        Violation(
-                            trial=t,
-                            seed=trial_seed,
-                            scheduler=config.scheduler,
-                            eps=config.eps,
-                            check=c.name,
-                            observed=c.observed,
-                            bound=c.bound,
-                            instance=instance_to_dict(instance),
-                            schedule=schedule_to_dict(schedule),
-                            witness=None if witness is None else witness.to_dict(),
-                        )
-                    )
-        else:
+        if inconclusive:
             report.inconclusive += 1
+
+        def violation(check, observed, bound, witness):
+            return Violation(
+                trial=t,
+                seed=trial_seed,
+                scheduler=config.scheduler,
+                eps=config.eps,
+                check=check,
+                observed=observed,
+                bound=bound,
+                instance=instance_to_dict(instance),
+                schedule=schedule_to_dict(schedule),
+                witness=None if witness is None else witness.to_dict(),
+            )
+
+        witness = measures.ir_min_witness or measures.dr_max_witness
+        for c in checks:
+            if not c.holds:
+                report.violations.append(violation(c.name, c.observed, c.bound, witness))
         for dev, sr in structural_failures:
             report.violations.append(
-                Violation(
-                    trial=t,
-                    seed=trial_seed,
-                    scheduler=config.scheduler,
-                    eps=config.eps,
-                    check="deviation-structure",
-                    observed=repr(sr),
-                    bound="structural predicates",
-                    instance=instance_to_dict(instance),
-                    schedule=schedule_to_dict(schedule),
-                    witness=dev.to_dict(),
-                )
+                violation("deviation-structure", repr(sr), "structural predicates", dev)
             )
         report.records.append(
             TrialRecord(
@@ -478,29 +485,26 @@ def bound_sweep(config: SweepConfig) -> SweepReport:
 def replay_violation(payload: dict, node_budget: int = DEFAULT_SEARCH_BUDGET) -> bool:
     """Re-evaluate a violation record from scratch; True iff it reproduces.
 
-    The record's own `scheduler` and `eps` select the checks; records
-    written before those fields existed fall back to guessing the
-    scheduler from the schedule, which cannot recognize `ptas`."""
+    The record's own `scheduler` and `eps` select the checks, and must
+    name a scheduler the sweep can run; records written before those
+    fields existed fall back to guessing the scheduler from the schedule,
+    which cannot recognize `ptas`.  A `deviation-structure` record is
+    replayed on its witness alone; any other check reproduces only when
+    the trial's measures finish within `node_budget`."""
     instance = instance_from_dict(payload["instance"])
     schedule = schedule_from_dict(payload["schedule"])
     validate_schedule(instance, schedule)
     scheduler = payload.get("scheduler") or _detect_scheduler(instance, schedule)
     eps = payload.get("eps")
-    config = SimpleNamespace(scheduler=scheduler, eps=None if eps is None else parse_rational(eps))
+    eps = None if eps is None else parse_rational(eps)
+    _check_scheduler(scheduler, eps)
     check = payload["check"]
     if check == "deviation-structure":
         after = schedule_from_dict(payload["witness"])
         lpt_origin = scheduler == "lpt"
         return not structural_report(instance, schedule, after, lpt_origin=lpt_origin).passed
-    measures = measure_report(instance, schedule, node_budget=node_budget)
-    makespan = load_profile(instance, schedule).makespan
-    try:
-        opt = optimal_makespan(instance, node_budget=node_budget).value
-    except BudgetExceededError:
-        opt = None
-    checks = _bound_checks(config, instance, schedule, measures, makespan, opt)
-    failed = {c.name for c in checks if not c.holds}
-    return check in failed
+    checks = _evaluate(scheduler, eps, instance, schedule, node_budget, structural=False)[3]
+    return any(c.name == check and not c.holds for c in checks)
 
 
 def _detect_scheduler(instance, schedule) -> str:

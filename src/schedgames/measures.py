@@ -13,6 +13,10 @@ are exactly 1 when no deviation exists.
 prunes every branch unable to beat the best ratio found so far.  The
 `ir_max` witness counts improving bystanders in its coalition; every
 other witness's coalition is its migrants.
+
+`deviation_stats` is the one validated pass over a single given
+deviation: its ratios, migration matrix, flows and loads.  `check_flower`
+and `structural_report` read every per-deviation fact from it.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from .equilibria import (
     Deviation,
     OrbitMerge,
     ScanContext,
-    improving_bystanders,
     is_nash,
     profitable_deviation,
     scan_deviations,
@@ -81,6 +84,8 @@ class DeviationStats:
     staying_load[i-1] totals the jobs that keep machine i; moved_load
     carries the per-pair totals (measured on the destination machine for
     unrelated instances, since that is the load actually added there).
+    `loads_before` and `loads_after` are the machine loads of the two
+    schedules.
     """
 
     mover_improvement: dict[int, Fraction]
@@ -89,6 +94,8 @@ class DeviationStats:
     migration: tuple[tuple[int, ...], ...]
     staying_load: tuple[Fraction, ...]
     moved_load: tuple[tuple[Fraction, ...], ...]
+    loads_before: tuple[Fraction, ...]
+    loads_after: tuple[Fraction, ...]
 
     @property
     def min_improvement(self) -> Fraction:
@@ -138,6 +145,8 @@ def deviation_stats(instance: Instance, before: Schedule, after: Schedule) -> De
         migration=tuple(tuple(row) for row in migration),
         staying_load=tuple(staying),
         moved_load=tuple(tuple(row) for row in moved),
+        loads_before=old,
+        loads_after=new,
     )
 
 
@@ -263,8 +272,7 @@ def measure_report(
             return Fraction(1), None
         coalition = None
         if with_bystanders:
-            after = ctx.to_schedule(assign)
-            coalition = ctx.migrants_of(assign) | improving_bystanders(instance, schedule, after)
+            coalition = ctx.migrants_of(assign) | ctx.bystanders(assign)
         return Fraction(num, den), ctx.deviation(assign, coalition)
 
     # witnesses need the context; on budget exhaustion rebuild it
@@ -327,41 +335,37 @@ def alpha_strong(
     return ir_min(instance, schedule, node_budget).value <= Fraction(alpha)
 
 
-def _migration_matrix(instance, before, after):
-    matrix = [[0] * instance.m for _ in range(instance.m)]
-    for j in range(1, instance.n + 1):
-        src, dst = before.machine_of(j), after.machine_of(j)
-        if src != dst:
-            matrix[src - 1][dst - 1] = 1
-    return matrix
-
-
 def _flower_center(loads, matrix) -> int:
     """Most loaded machine, preferring one touched by a migration and
-    breaking remaining ties by lowest index.  Returns a 1-based index."""
+    breaking remaining ties by lowest index.  Returns a 0-based index."""
     top = max(loads)
     candidates = [i for i, l in enumerate(loads) if l == top]
     touched = [
         i for i in candidates if any(matrix[i]) or any(row[i] for row in matrix)
     ]
-    return (touched[0] if touched else candidates[0]) + 1
+    return touched[0] if touched else candidates[0]
+
+
+def _is_flower(matrix, center) -> bool:
+    """Each other machine sends to and receives from `center`, and to no
+    machine but it."""
+    m = len(matrix)
+    for i in range(m):
+        if i == center:
+            continue
+        if not (matrix[center][i] and matrix[i][center]):
+            return False
+        for j in range(m):
+            if j != center and j != i and matrix[i][j]:
+                return False
+    return True
 
 
 def check_flower(instance: Instance, before: Schedule, after: Schedule) -> bool:
     """Every migration enters or leaves the most loaded machine, in both
     directions for each of the other machines."""
-    profitable_deviation(instance, before, after)
-    matrix = _migration_matrix(instance, before, after)
-    center = _flower_center(load_profile(instance, before).loads, matrix) - 1
-    for i in range(instance.m):
-        if i == center:
-            continue
-        if not (matrix[center][i] and matrix[i][center]):
-            return False
-        for j in range(instance.m):
-            if j != center and j != i and matrix[i][j]:
-                return False
-    return True
+    stats = deviation_stats(instance, before, after)
+    return _is_flower(stats.migration, _flower_center(stats.loads_before, stats.migration))
 
 
 @dataclass(frozen=True)
@@ -412,25 +416,23 @@ def structural_report(
     """
     if not is_nash(instance, before).holds:
         raise ValidationError("structural checks require an equilibrium starting schedule")
-    dev = profitable_deviation(instance, before, after)
-    old = load_profile(instance, before).loads
-    new = load_profile(instance, after).loads
-    matrix = _migration_matrix(instance, before, after)
+    stats = deviation_stats(instance, before, after)
+    old, new, matrix = stats.loads_before, stats.loads_after, stats.migration
     m = instance.m
 
     receivers_also_lose = all(
         any(matrix[i]) or not any(row[i] for row in matrix) for i in range(m)
     )
-    migrant_count = len(dev.migrants)
+    migrant_count = len(stats.mover_improvement)
 
     flower = outer_up = center_down = None
     center = unit_job = None
     incoming = staying = None
     unit_ok = None
     if m == 3:
-        c = _flower_center(old, matrix) - 1
+        c = _flower_center(old, matrix)
         center = c + 1
-        flower = check_flower(instance, before, after)
+        flower = _is_flower(matrix, c)
         outer = [i for i in range(3) if i != c]
         outer_up = all(new[i] > old[i] for i in outer)
         center_down = new[c] < min(new[i] for i in outer)
@@ -442,27 +444,8 @@ def structural_report(
             # the stable size sort assigns equal jobs by ascending index,
             # so the last-placed lightest job is the highest-index one
             unit_job = max(j for j in on_center if instance.p[j - 1] == unit_size)
-            incoming = {}
-            staying = {}
-            for i in outer:
-                into_center = sum(
-                    (
-                        instance.p[j - 1]
-                        for j in range(1, instance.n + 1)
-                        if before.machine_of(j) == i + 1 and after.machine_of(j) == c + 1
-                    ),
-                    Fraction(0),
-                )
-                stays = sum(
-                    (
-                        instance.p[j - 1]
-                        for j in range(1, instance.n + 1)
-                        if before.machine_of(j) == i + 1 and after.machine_of(j) == i + 1
-                    ),
-                    Fraction(0),
-                )
-                incoming[i + 1] = into_center / unit_size
-                staying[i + 1] = stays / unit_size
+            incoming = {i + 1: stats.moved_load[i][c] / unit_size for i in outer}
+            staying = {i + 1: stats.staying_load[i] / unit_size for i in outer}
             unit_ok = all(v >= 1 for v in incoming.values()) and all(
                 v >= 1 for v in staying.values()
             )

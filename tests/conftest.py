@@ -26,7 +26,7 @@ def rationals(max_value=8, max_denominator=12):
 
 
 def identical_instances(min_m=1, max_m=3, min_n=0, max_n=6, sizes=None):
-    sizes = sizes or rationals()
+    sizes = rationals() if sizes is None else sizes
     return st.builds(
         lambda m, p: IdenticalInstance(m=m, p=tuple(p)),
         st.integers(min_m, max_m),

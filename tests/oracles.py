@@ -7,7 +7,7 @@ deliberately shares no code with the package's pruned searches.
 import itertools
 from fractions import Fraction
 
-from schedgames.core import Schedule, load_profile
+from schedgames.core import IdenticalInstance, Schedule, load_profile
 
 
 def brute_deviations(instance, schedule):
@@ -113,3 +113,37 @@ def greedy_resimulation(instance, order):
         assignment[j - 1] = target + 1
         loads[target] += instance.p[j - 1]
     return tuple(assignment)
+
+
+def brute_structure(instance, before, after):
+    """The structural facts of one deviation, read straight off the two
+    schedules: the migration matrix, the flower centre (most loaded
+    machine before, one touched by a migration first, then the lowest
+    index; 1-based) and whether the migrations form a flower around it.
+    On identical machines also the unit job (the highest-index smallest
+    job on the centre) and the per-unit load each other machine sends to
+    the centre (`incoming`) and keeps (`staying`), keyed by machine."""
+    m, n = instance.m, instance.n
+    src = [before.machine_of(j) - 1 for j in range(1, n + 1)]
+    dst = [after.machine_of(j) - 1 for j in range(1, n + 1)]
+    loads = [Fraction(0)] * m
+    for j in range(n):
+        loads[src[j]] += instance.processing_time(j + 1, src[j] + 1)
+    edges = {(s, d) for s, d in zip(src, dst) if s != d}
+    matrix = tuple(tuple(int((s, d) in edges) for d in range(m)) for s in range(m))
+    touched = {i for edge in edges for i in edge}
+    c = min(range(m), key=lambda i: (-loads[i], i not in touched, i))
+    star = {(c, i) for i in range(m) if i != c} | {(i, c) for i in range(m) if i != c}
+    out = {"migration": matrix, "center": c + 1, "flower": edges == star}
+    if isinstance(instance, IdenticalInstance):
+        on_center = [j for j in range(n) if src[j] == c]
+        unit = min(instance.p[j] for j in on_center)
+        out["unit_job"] = 1 + max(j for j in on_center if instance.p[j] == unit)
+        out["incoming"], out["staying"] = {}, {}
+        for i in range(m):
+            if i != c:
+                moved = [instance.p[j] for j in range(n) if src[j] == i and dst[j] == c]
+                kept = [instance.p[j] for j in range(n) if src[j] == i and dst[j] == i]
+                out["incoming"][i + 1] = sum(moved, Fraction(0)) / unit
+                out["staying"][i + 1] = sum(kept, Fraction(0)) / unit
+    return out

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -54,6 +58,31 @@ def test_check_coalition(fig1_files):
     verdict = run(["check", "--coalition", "3,5", "--in", instance, "--schedule", schedule])
     assert verdict.exit_code == 0
     assert verdict.payload["coalition"]["can_deviate"] is False
+
+
+def test_check_coalition_rejects_duplicate_members(fig1_files):
+    instance, schedule = fig1_files
+    verdict = run(["check", "--coalition", "1,1,2", "--in", instance, "--schedule", schedule])
+    assert verdict.exit_code == 2
+    assert "twice" in verdict.payload["error"]
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+@pytest.mark.parametrize("flag, code", [("--ne", 0), ("--se", 1)])
+def test_closed_stdout_exits_with_verdict_code(fig1_files, flag, code):
+    instance, schedule = fig1_files
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "schedgames", "check", flag, "--in", instance, "--schedule", schedule],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    proc.stdout.close()  # the reader leaves before the payload is written
+    _, err = proc.communicate(timeout=60)
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err
+    assert proc.returncode == code
 
 
 def test_check_budget_exhaustion_exit_code(fig1_files):

@@ -14,9 +14,9 @@ from schedgames.core import (
     load_profile,
 )
 from schedgames.equilibria import (
+    ScanContext,
     can_coalition_deviate,
     enumerate_profitable_deviations,
-    improving_bystanders,
     improving_moves,
     is_nash,
     is_strong,
@@ -281,7 +281,8 @@ def test_profitable_deviation_rejects_mover_outside_coalition():
 def test_improving_bystanders_on_benchmark_move():
     # machine 1 empties from 10 to 4, but both its jobs migrated; the
     # size-3 jobs stay on heavier machines, so nobody qualifies
-    assert improving_bystanders(FIG1, FIG1_NE, FIG1_MOVE) == frozenset()
+    move = [i - 1 for i in FIG1_MOVE.assignment]
+    assert ScanContext(FIG1, FIG1_NE).bystanders(move) == frozenset()
 
 
 # --- maximize objectives (answered by the measures) --------------------------

@@ -169,6 +169,14 @@ def test_sweep_config_validation():
         small_config("lpt", n_range=(4, 20), budget=10**5)  # 3^20 over budget
 
 
+def test_sweep_config_rejects_unusable_eps():
+    # an lpt sweep wrote records carrying an eps that no check had read
+    with pytest.raises(ValidationError, match="eps applies only"):
+        small_config("lpt", eps="1/2")
+    with pytest.raises(ValidationError, match="must be positive"):
+        small_config("ptas", eps=0)
+
+
 def test_sweep_mixed_machine_range():
     config = SweepConfig(
         seed=4,
@@ -220,6 +228,20 @@ def test_replay_reads_ptas_scheduler_and_eps_from_record():
     # an old record without the fields is guessed to be random-ne
     old = {k: v for k, v in payload.items() if k not in ("scheduler", "eps")}
     assert replay_violation(old) is False
+
+
+def test_replay_rejects_unknown_scheduler():
+    payload = dict(FIG1_RECORD, scheduler="foo", eps=None, check="ne-min-improvement")
+    with pytest.raises(ValidationError, match="scheduler must be one of"):
+        replay_violation(payload)
+
+
+@pytest.mark.parametrize("eps, message", [(None, "needs eps"), ("-1", "must be positive")])
+def test_replay_rejects_ptas_record_without_usable_eps(eps, message):
+    # ptas cannot run without a positive eps, so no such record is replayable
+    payload = dict(FIG1_RECORD, scheduler="ptas", eps=eps, check="ptas-min-improvement")
+    with pytest.raises(ValidationError, match=message):
+        replay_violation(payload)
 
 
 def test_replay_keeps_random_ne_scheduler_of_non_equilibrium():

@@ -1,11 +1,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
-from conftest import instance_with_schedule
-from oracles import brute_measures
+from conftest import identical_instances, instance_with_schedule, rationals, twin_heavy_pairs
+from oracles import brute_measures, brute_structure
 from schedgames.core import IdenticalInstance, Schedule, ValidationError, load_profile
+from schedgames.equilibria import enumerate_profitable_deviations
+from schedgames.experiments import random_ne
 from schedgames.measures import (
     alpha_strong,
     check_flower,
@@ -17,6 +19,7 @@ from schedgames.measures import (
     ne_min_improvement_limit,
     structural_report,
 )
+from schedgames.schedulers import lpt
 from schedgames.witnesses import figure1, figure3, figure9, footnote5
 
 FIG1 = figure1()
@@ -204,6 +207,49 @@ def test_rounded_instance_unit_normalized_quantities():
         Fraction(1266, 1000),
         Fraction(1633, 1000),
     ]
+
+
+# n >= 8 because smaller three-machine equilibria rarely admit a deviation
+@given(
+    instance=identical_instances(3, 3, 8, 10, sizes=rationals(max_value=100, max_denominator=1)),
+    seed=st.integers(0, 2**32),
+)
+def test_structural_report_matches_oracle(instance, seed):
+    for schedule in (lpt(instance), random_ne(instance, seed)):
+        for dev in enumerate_profitable_deviations(instance, schedule):
+            ref = brute_structure(instance, schedule, dev.after)
+            stats = deviation_stats(instance, schedule, dev.after)
+            assert stats.migration == ref["migration"]
+            assert stats.loads_before == load_profile(instance, schedule).loads
+            assert stats.loads_after == load_profile(instance, dev.after).loads
+            assert check_flower(instance, schedule, dev.after) == ref["flower"]
+            plain = structural_report(instance, schedule, dev.after)
+            unit = structural_report(instance, schedule, dev.after, lpt_origin=True)
+            for report in (plain, unit):
+                assert report.center == ref["center"]
+                assert report.flower == ref["flower"]
+                assert report.migrant_count == len(dev.migrants)
+            assert plain.unit_job is plain.incoming_per_unit is plain.staying_per_unit is None
+            assert unit.unit_job == ref["unit_job"]
+            assert unit.incoming_per_unit == ref["incoming"]
+            assert unit.staying_per_unit == ref["staying"]
+
+
+@given(
+    pair=st.one_of(
+        instance_with_schedule(min_m=3, max_m=3, min_n=2, max_n=6),
+        twin_heavy_pairs(unrelated=True, min_m=3, max_m=3, min_n=2, max_n=6),
+    )
+)
+def test_check_flower_matches_oracle_from_any_start(pair):
+    instance, schedule = pair
+    for dev in enumerate_profitable_deviations(instance, schedule):
+        stats = deviation_stats(instance, schedule, dev.after)
+        assert stats.loads_before == load_profile(instance, schedule).loads
+        assert stats.loads_after == load_profile(instance, dev.after).loads
+        ref = brute_structure(instance, schedule, dev.after)
+        assert stats.migration == ref["migration"]
+        assert check_flower(instance, schedule, dev.after) == ref["flower"]
 
 
 # --- bound helpers -------------------------------------------------------------

@@ -17,6 +17,7 @@ from schedgames.core import (
     IdenticalInstance,
     Schedule,
     UnrelatedInstance,
+    load_profile,
 )
 from schedgames.equilibria import (
     ScanContext,
@@ -136,6 +137,17 @@ def test_measure_report_matches_oracle(pair):
     for (value, witness), (want, joint) in zip(got, witnesses):
         assert value == want
         assert (None if witness is None else witness.after.assignment) == joint
+    if report.ir_max_witness is not None:
+        # its coalition is every job whose cost strictly drops
+        after = report.ir_max_witness.after
+        old = load_profile(instance, schedule).loads
+        new = load_profile(instance, after).loads
+        gain = {
+            j
+            for j in range(1, instance.n + 1)
+            if new[after.machine_of(j) - 1] < old[schedule.machine_of(j) - 1]
+        }
+        assert report.ir_max_witness.coalition == gain
     value = ir_min(instance, schedule)
     assert value.value == witnesses[0][0]
     assert (None if value.witness is None else value.witness.after.assignment) == witnesses[0][1]

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -301,6 +305,21 @@ def test_extremal_search_gives_up_on_impossible_target():
     result = search_extremal_lpt(3, "dr_max", Fraction(2), node_budget=30000)
     assert not result.found
     assert result.value < Fraction(3, 2)
+
+
+def test_find_extremal_instances_script_runs():
+    root = Path(__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, str(root / "scripts" / "find_extremal_instances.py"), "--budget", "100000"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert any(line.startswith("ir_max:") for line in lines)
+    assert any(line.startswith("dr_max:") for line in lines)
 
 
 def test_reduction_artifact_deviation_matches_construction():

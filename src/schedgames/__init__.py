@@ -24,7 +24,6 @@ from .equilibria import (
 )
 from .measures import (
     MeasureReport,
-    alpha_strong,
     check_flower,
     deviation_stats,
     ir_min,
@@ -33,7 +32,6 @@ from .measures import (
 )
 from .schedulers import (
     PtasConfig,
-    lex_compare,
     lex_min_assignment,
     list_schedule,
     lpt,
@@ -51,7 +49,6 @@ __all__ = [
     "Schedule",
     "UnrelatedInstance",
     "ValidationError",
-    "alpha_strong",
     "can_coalition_deviate",
     "canonical_form",
     "check_flower",
@@ -62,7 +59,6 @@ __all__ = [
     "is_nash",
     "is_strong",
     "job_cost",
-    "lex_compare",
     "lex_min_assignment",
     "list_schedule",
     "load_profile",

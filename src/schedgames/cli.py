@@ -4,7 +4,8 @@ Subcommands: schedule, check, measures, witness, reduce, experiment.
 The result payload is JSON on stdout (CSV with --format csv where it
 applies); diagnostics go to stderr.  Exit codes: 0 the command succeeded
 and every checked property holds, 1 a checked property fails (e.g. the
-schedule is not strong), 2 usage error, 3 a search ran out of budget.
+schedule is not strong, or `witness --search` missed its target), 2
+usage error, 3 a search ran out of budget.
 """
 
 from __future__ import annotations
@@ -96,8 +97,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["json", "csv"], default="json")
 
     p = sub.add_parser("witness", help="generate a benchmark artifact")
-    p.add_argument("--figure", required=True, choices=["1", "3", "9", "fn5", "ls"])
-    p.add_argument("--param", help="parameters, e.g. r=3 or x=10,eps=1/10")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--figure", choices=["1", "3", "9", "fn5", "ls"])
+    source.add_argument(
+        "--search", choices=["ir_max", "dr_max"], help="search LPT schedules for a target"
+    )
+    p.add_argument("--param", help="parameters, e.g. r=3, x=10,eps=1/10 or target=1.55,m=3")
     p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("reduce", help="Partition reduction artifacts")
@@ -285,7 +290,8 @@ def _cmd_witness(args) -> Verdict:
     params = _parse_params(args.param)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    payload: dict = {"figure": args.figure, "files": []}
+    payload: dict = {"search": args.search} if args.search else {"figure": args.figure}
+    payload["files"] = []
 
     def emit(name, obj, writer):
         path = out / name
@@ -307,7 +313,15 @@ def _cmd_witness(args) -> Verdict:
         }
         return Verdict(command="witness", payload=payload, exit_code=0)
 
-    if args.figure == "1":
+    search = None
+    if args.search:
+        if "target" not in params or set(params) - {"target", "m"}:
+            raise ValidationError("--search takes --param target=T and optionally m=M")
+        search = witnesses.search_extremal_lpt(
+            int(params.get("m", "3")), args.search, params["target"]
+        )
+        artifact = witnesses.FigureArtifact(search.instance, search.schedule, search.deviation)
+    elif args.figure == "1":
         artifact = witnesses.figure1()
     elif args.figure == "3":
         artifact = witnesses.figure3(params.get("r", "3"), int(params.get("m", "3")))
@@ -315,8 +329,10 @@ def _cmd_witness(args) -> Verdict:
         artifact = witnesses.figure9()
     else:
         artifact = witnesses.footnote5(params.get("eps", "1/10"))
-    emit("instance.json", artifact.instance, write_instance)
-    emit("schedule.json", artifact.schedule, write_schedule)
+    # a search that found no deviation at all has no instance
+    if artifact.instance is not None:
+        emit("instance.json", artifact.instance, write_instance)
+        emit("schedule.json", artifact.schedule, write_schedule)
     if artifact.deviation is not None:
         emit("deviation.json", artifact.deviation.to_dict(), _write_json)
         stats = deviation_stats(
@@ -325,7 +341,12 @@ def _cmd_witness(args) -> Verdict:
         payload["min_improvement"] = _fmt(stats.min_improvement)
         payload["max_improvement"] = _fmt(stats.max_improvement)
         payload["max_damage"] = _fmt(stats.max_damage)
-    return Verdict(command="witness", payload=payload, exit_code=0)
+    if search is None:
+        return Verdict(command="witness", payload=payload, exit_code=0)
+    payload["found"] = search.found
+    payload["value"] = _fmt(search.value)
+    payload["nodes"] = search.budget_charged
+    return Verdict(command="witness", payload=payload, exit_code=0 if search.found else 1)
 
 
 def _cmd_reduce(args) -> Verdict:

@@ -141,11 +141,13 @@ class ScanContext:
     jobs by default): jobs with the same start machine and the same
     scaled processing time on every machine, in index order, two or more
     per class.  `prev_twin[j]` is the twin just before job j, or -1.
+    `nodes` is the number of nodes the scan that returned the context
+    visited (0 until a scan ends).
     """
 
     __slots__ = (
         "instance", "schedule", "m", "n", "sizes", "scale", "orig", "load0", "cost0",
-        "twins", "prev_twin",
+        "twins", "prev_twin", "nodes",
     )
 
     def __init__(self, instance: Instance, schedule: Schedule, free=None):
@@ -170,6 +172,7 @@ class ScanContext:
         for c in self.twins:
             for a, b in zip(c, c[1:]):
                 self.prev_twin[b] = a
+        self.nodes = 0
 
     def to_schedule(self, assign) -> Schedule:
         return Schedule(tuple(i + 1 for i in assign))
@@ -338,6 +341,9 @@ def scan_deviations(
     lexicographic order).  Branches skipped by the twin bound count as
     resolved in `BudgetExceededError.explored_fraction`, since their
     representatives come earlier in lexicographic order.
+
+    The returned context's `nodes` is the number of nodes the scan
+    visited, the count that `budget` caps.
     """
     if not isinstance(budget, int) or budget < 1:
         raise ValidationError(f"node budget must be positive, got {budget!r}")
@@ -424,6 +430,7 @@ def scan_deviations(
         dfs(0, 0)
     except _StopScan:
         pass
+    ctx.nodes = nodes
     return ctx
 
 

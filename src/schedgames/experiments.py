@@ -155,7 +155,9 @@ class SweepConfig:
 
     Integer sizes keep the exhaustive deviation search exact and fast;
     `structural` additionally validates the per-deviation structure on
-    every three-machine equilibrium trial.
+    every three-machine equilibrium trial.  `budget` caps each search of
+    a trial, whatever m and n are: a trial whose measures run out of it
+    is inconclusive, and its `opt` is None once that search runs out.
     """
 
     seed: int
@@ -179,11 +181,6 @@ class SweepConfig:
         if self.eps is not None:
             object.__setattr__(self, "eps", parse_rational(self.eps))
         _check_scheduler(self.scheduler, self.eps)
-        if self.m_range[1] ** self.n_range[1] > self.budget:
-            raise ValidationError(
-                f"m^n can reach {self.m_range[1]}^{self.n_range[1]}, beyond the "
-                f"node budget {self.budget}; shrink the ranges or raise the budget"
-            )
 
 
 @dataclass(frozen=True)
@@ -487,16 +484,16 @@ def bound_sweep(config: SweepConfig) -> SweepReport:
 def replay_violation(payload: dict, node_budget: int = DEFAULT_SEARCH_BUDGET) -> bool:
     """Re-evaluate a violation record from scratch; True iff it reproduces.
 
-    The record's own `scheduler` and `eps` select the checks, and must
-    name a scheduler the sweep can run; records written before those
-    fields existed fall back to guessing the scheduler from the schedule,
-    which cannot recognize `ptas`.  A `deviation-structure` record is
-    replayed on its witness alone; any other check reproduces only when
-    the trial's measures finish within `node_budget`."""
+    The record's own `scheduler` (required) and `eps` select the checks,
+    and must name a scheduler the sweep can run.  A `deviation-structure`
+    record is replayed on its witness alone; any other check reproduces
+    only when the trial's measures finish within `node_budget`."""
     instance = instance_from_dict(payload["instance"])
     schedule = schedule_from_dict(payload["schedule"])
     validate_schedule(instance, schedule)
-    scheduler = payload.get("scheduler") or _detect_scheduler(instance, schedule)
+    if "scheduler" not in payload:
+        raise ValidationError("the violation record has no 'scheduler' field")
+    scheduler = payload["scheduler"]
     eps = payload.get("eps")
     eps = None if eps is None else parse_rational(eps)
     _check_scheduler(scheduler, eps)
@@ -508,11 +505,3 @@ def replay_violation(payload: dict, node_budget: int = DEFAULT_SEARCH_BUDGET) ->
     checks = _evaluate(scheduler, eps, instance, schedule, node_budget, structural=False)[3]
     return any(c.name == check and not c.holds for c in checks)
 
-
-def _detect_scheduler(instance, schedule) -> str:
-    if isinstance(instance, IdenticalInstance):
-        if schedule.assignment == lpt(instance).assignment:
-            return "lpt"
-        if schedule.assignment == list_schedule(instance, range(1, instance.n + 1)).assignment:
-            return "ls"
-    return "random-ne" if is_nash(instance, schedule).holds else "ls"

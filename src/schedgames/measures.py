@@ -168,7 +168,9 @@ class MeasureValue:
 @dataclass(frozen=True)
 class MeasureReport:
     """The three measures with witnesses.  `exhaustive` is False when the
-    node budget truncated the search, making the values lower bounds."""
+    node budget truncated the search, making the values lower bounds.
+    `nodes` is what the scan visited, or after a budget stop the count
+    carried by its `BudgetExceededError`."""
 
     ir_min: Fraction
     ir_max: Fraction
@@ -178,6 +180,7 @@ class MeasureReport:
     dr_max_witness: Deviation | None
     exhaustive: bool
     deviation_count: int
+    nodes: int
 
     @property
     def strong(self) -> bool:
@@ -268,10 +271,12 @@ def measure_report(
     exhaustive = True
     try:
         ctx = scan_deviations(instance, schedule, budget=node_budget, on_leaf=leaf)
+        nodes = ctx.nodes
         if merge is not None:
             merge.flush()
-    except BudgetExceededError:
+    except BudgetExceededError as exc:
         exhaustive = False
+        nodes = exc.nodes
         ctx = None
 
     def finish(slot, with_bystanders=False):
@@ -298,6 +303,7 @@ def measure_report(
         dr_max_witness=w_dr,
         exhaustive=exhaustive,
         deviation_count=count[0],
+        nodes=nodes,
     )
 
 
@@ -331,16 +337,6 @@ def ir_min(
         ctx = ScanContext(instance, schedule)
     witness = None if slot[2] is None else ctx.deviation(slot[2])
     return MeasureValue(value=Fraction(slot[0], slot[1]), witness=witness, exhaustive=exhaustive)
-
-
-def alpha_strong(
-    instance: Instance,
-    schedule: Schedule,
-    alpha,
-    node_budget: int = DEFAULT_SEARCH_BUDGET,
-) -> bool:
-    """True iff no coalition improves every member by more than alpha."""
-    return ir_min(instance, schedule, node_budget).value <= Fraction(alpha)
 
 
 def _flower_center(loads, matrix) -> int:

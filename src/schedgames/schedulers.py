@@ -73,27 +73,6 @@ def list_schedule(instance: IdenticalInstance, order: Sequence[int]) -> Schedule
     return Schedule(tuple(assignment))
 
 
-def sorted_loads(loads) -> tuple[Fraction, ...]:
-    """Load vector sorted non-increasingly (the lexicographic order key)."""
-    if hasattr(loads, "loads"):
-        loads = loads.loads
-    return tuple(sorted(loads, reverse=True))
-
-
-def lex_compare(a, b) -> int:
-    """Compare two load vectors lexicographically after sorting both
-    non-increasingly.  Returns -1, 0, or 1."""
-    a = sorted_loads(a)
-    b = sorted_loads(b)
-    if len(a) != len(b):
-        raise ValidationError(f"cannot compare load vectors of lengths {len(a)} and {len(b)}")
-    if a < b:
-        return -1
-    if a > b:
-        return 1
-    return 0
-
-
 @dataclass(frozen=True)
 class PartialAssignment:
     """Assignment of a job subset.  jobs[k] is on machine machines[k]."""

@@ -4,6 +4,11 @@ start schedules, and a verified search for extremal LPT instances.
 
 Every generator returns exact rationals and every bundled deviation is
 validated for profitability at construction time.
+
+The extremal search charges each candidate the nodes its scan reports
+visiting (`MeasureReport.nodes`) against one shared node budget: a
+candidate is scanned with whatever budget is left, and a candidate that
+exhausts it ends the search.
 """
 
 from __future__ import annotations
@@ -346,6 +351,8 @@ def search_extremal_lpt(
     Every hit is re-verified: the witness deviation is revalidated from
     scratch and must reproduce the claimed ratio.  Returns the best value
     found when the candidate stream or the node budget runs out.
+    `budget_charged` is the number of scan nodes visited, at most
+    `node_budget`.
     """
     if m < 3:
         raise ValidationError(f"needs at least 3 machines, got {m}")
@@ -356,16 +363,16 @@ def search_extremal_lpt(
     best: tuple | None = None
     charged = 0
     for sizes in _extremal_candidates(m):
-        instance = IdenticalInstance(m=m, p=sizes)
-        # a scan visits at most ~1.5 * m^n nodes; charge a safe upper bound
-        cost = 2 * m**instance.n
-        if charged + cost > node_budget:
+        left = node_budget - charged
+        if left == 0:
             break
-        charged += cost
+        instance = IdenticalInstance(m=m, p=sizes)
         schedule = lpt(instance)
-        report = measure_report(instance, schedule, node_budget=cost)
+        report = measure_report(instance, schedule, node_budget=left)
+        # a budget stop counts the one node past `left` that it refused
+        charged += min(report.nodes, left)
         if not report.exhaustive:
-            continue
+            break
         value = report.ir_max if measure == "ir_max" else report.dr_max
         witness = report.ir_max_witness if measure == "ir_max" else report.dr_max_witness
         if value > best_value:

@@ -10,8 +10,17 @@ from fractions import Fraction
 
 from schedgames import experiments
 from schedgames.cli import run
-from schedgames.core import read_instance, read_schedule, write_instance, write_schedule
+from schedgames.core import (
+    parse_rational,
+    read_instance,
+    read_schedule,
+    schedule_from_dict,
+    write_instance,
+    write_schedule,
+)
+from schedgames.equilibria import profitable_deviation
 from schedgames.experiments import SweepConfig, bound_sweep, replay_violation
+from schedgames.measures import deviation_stats
 from schedgames.witnesses import figure1
 
 
@@ -207,6 +216,46 @@ def test_witness_figures(tmp_path):
     assert verdict.payload["improvement_move"]["ratio"] == "11/2"
 
 
+def test_witness_search_writes_verified_witnesses(tmp_path):
+    for measure, target in (("ir_max", "1.55"), ("dr_max", "1.40")):
+        out = tmp_path / measure
+        verdict = run(
+            ["witness", "--search", measure, "--param", f"target={target}", "--out", str(out)]
+        )
+        assert verdict.exit_code == 0
+        assert verdict.payload["found"] is True and verdict.payload["nodes"] > 0
+        instance = read_instance(out / "instance.json")
+        schedule = read_schedule(out / "schedule.json")
+        record = json.loads((out / "deviation.json").read_text())
+        deviation = profitable_deviation(
+            instance, schedule, schedule_from_dict(record), record["coalition"]
+        )
+        stats = deviation_stats(instance, schedule, deviation.after)
+        reached = stats.max_improvement if measure == "ir_max" else stats.max_damage
+        assert reached == parse_rational(verdict.payload["value"]) >= parse_rational(target)
+
+
+def test_witness_search_exits_1_below_its_target(tmp_path):
+    verdict = run(["witness", "--search", "dr_max", "--param", "target=2", "--out", str(tmp_path)])
+    assert verdict.exit_code == 1
+    assert verdict.payload["found"] is False
+    assert parse_rational(verdict.payload["value"]) < Fraction(3, 2)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--search", "ir_max", "--figure", "1", "--param", "target=1.5"],
+        ["--search", "ir_max"],
+        ["--search", "ir_max", "--param", "target=1.5,r=3"],
+        ["--search", "ir_max", "--param", "target=1.5,m=2"],
+    ],
+    ids=["with-figure", "no-target", "unknown-param", "two-machines"],
+)
+def test_witness_search_rejects_bad_usage(tmp_path, flags):
+    assert run(["witness", *flags, "--out", str(tmp_path)]).exit_code == 2
+
+
 def test_reduce_identical(tmp_path):
     out = str(tmp_path / "red")
     verdict = run(["reduce", "--set", "3,3,4,4", "--variant", "identical", "--out", out])
@@ -262,6 +311,18 @@ def test_experiment_explicit_scheduler_csv_stdout():
     )
     assert verdict.exit_code == 0
     assert verdict.rendered.startswith("trial,scheduler")
+
+
+def test_experiment_reports_budget_capped_trials_as_inconclusive():
+    # m^n = 3^9 exceeds the budget; the trials still run
+    verdict = run(
+        [
+            "experiment", "--scheduler", "lpt", "--seed", "3", "--trials", "6",
+            "--m", "3", "--n", "9", "--budget", "1000",
+        ]
+    )
+    assert verdict.exit_code == 0
+    assert verdict.payload["trials"] == 6 and verdict.payload["inconclusive"] == 5
 
 
 def test_experiment_needs_preset_or_scheduler():

@@ -165,8 +165,8 @@ def test_sweep_config_validation():
         small_config("ptas")  # missing eps
     with pytest.raises(ValidationError):
         small_config("lpt", m_range=(3, 2))
-    with pytest.raises(ValidationError):
-        small_config("lpt", n_range=(4, 20), budget=10**5)  # 3^20 over budget
+    # 3^20 exceeds the budget, but m^n is no cost: such trials end inconclusive
+    assert small_config("lpt", n_range=(4, 20), budget=10**5).budget == 10**5
 
 
 def test_sweep_config_rejects_unusable_eps():
@@ -204,6 +204,7 @@ def test_replay_rejects_non_violation():
     # a fabricated record whose claim does not actually fail
     art = figure1()
     payload = {
+        "scheduler": "random-ne",
         "check": "ne-min-improvement",
         "instance": {"machines": 3, "jobs": [5, 5, 3, 2, 3, 2]},
         "schedule": {"assignment": [1, 1, 2, 2, 3, 3]},
@@ -215,6 +216,7 @@ def test_replay_rejects_non_violation():
 
 FIG1_RECORD = {
     "trial": 0,
+    "scheduler": "random-ne",
     "instance": {"machines": 3, "jobs": [5, 5, 3, 2, 3, 2]},
     "schedule": {"assignment": [1, 1, 2, 2, 3, 3]},
     "witness": None,
@@ -233,9 +235,10 @@ def test_replay_reads_ptas_scheduler_and_eps_from_record():
     )
     assert replay_violation(payload) is True
     assert replay_violation(dict(payload, eps="1/2")) is False
-    # an old record without the fields is guessed to be random-ne
+    # a record must name its scheduler; none is guessed from the schedule
     old = {k: v for k, v in payload.items() if k not in ("scheduler", "eps")}
-    assert replay_violation(old) is False
+    with pytest.raises(ValidationError, match="'scheduler'"):
+        replay_violation(old)
 
 
 def test_replay_rejects_unknown_scheduler():
@@ -297,8 +300,18 @@ def test_violation_record_carries_trial_seed(monkeypatch):
 
 
 def test_inconclusive_trials_are_counted_not_judged():
-    from schedgames.measures import measure_report
-
-    art = figure1()
-    partial = measure_report(art.instance, art.schedule, node_budget=5)
-    assert not partial.exhaustive  # the sweep marks such trials inconclusive
+    # 3^9 joint actions exceed the budget, yet the sweep runs: trials whose
+    # measures run out of budget are counted, not judged
+    config = SweepConfig(
+        seed=3, trials=6, m_range=(3, 3), n_range=(9, 9), p_max=20, scheduler="lpt", budget=1000
+    )
+    report = bound_sweep(config)
+    assert report.inconclusive == 5
+    capped = [r for r in report.records if r.inconclusive]
+    assert len(capped) == 5 and sum(r.exhaustive for r in report.records) == 1
+    for r in capped:
+        assert not r.exhaustive and r.checks == ()
+        assert r.ir_min is r.ir_max is r.dr_max is None
+    rows = report.csv_rows()
+    column = CSV_COLUMNS.index("bounds_ok")
+    assert [row[column] == "" for row in rows[1:]] == [r.inconclusive for r in report.records]

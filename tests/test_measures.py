@@ -9,7 +9,6 @@ from schedgames.core import IdenticalInstance, Schedule, ValidationError, load_p
 from schedgames.equilibria import enumerate_profitable_deviations
 from schedgames.experiments import random_ne
 from schedgames.measures import (
-    alpha_strong,
     check_flower,
     deviation_stats,
     ir_min,
@@ -112,6 +111,16 @@ def test_measure_witnesses_reproduce_their_values():
 def test_budget_exhaustion_flags_report_inconclusive():
     report = measure_report(FIG1.instance, FIG1.schedule, node_budget=5)
     assert not report.exhaustive
+    assert report.nodes == 6  # the count carried by the budget error
+
+
+def test_report_nodes_is_the_smallest_budget_that_finishes():
+    full = measure_report(FIG1.instance, FIG1.schedule)
+    assert full.exhaustive and full.nodes > 0
+    assert measure_report(FIG1.instance, FIG1.schedule, node_budget=full.nodes) == full
+    assert not measure_report(
+        FIG1.instance, FIG1.schedule, node_budget=full.nodes - 1
+    ).exhaustive
 
 
 @given(instance_with_schedule(min_m=2, max_m=3, min_n=1, max_n=6))
@@ -140,9 +149,12 @@ def test_measure_ordering_invariants(pair):
 
 
 def test_alpha_strong_predicate():
-    assert alpha_strong(FIG1.instance, FIG1.schedule, Fraction(5, 4))
-    assert not alpha_strong(FIG1.instance, FIG1.schedule, Fraction(6, 5))
-    assert measure_report(FIG1.instance, FIG1.schedule).is_alpha_strong(2)
+    assert ir_min(FIG1.instance, FIG1.schedule).value <= Fraction(5, 4)
+    assert not ir_min(FIG1.instance, FIG1.schedule).value <= Fraction(6, 5)
+    report = measure_report(FIG1.instance, FIG1.schedule)
+    assert report.is_alpha_strong(Fraction(5, 4))
+    assert not report.is_alpha_strong(Fraction(6, 5))
+    assert report.is_alpha_strong(2)
 
 
 # --- flower ------------------------------------------------------------------

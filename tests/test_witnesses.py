@@ -1,8 +1,4 @@
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -305,21 +301,24 @@ def test_extremal_search_gives_up_on_impossible_target():
     result = search_extremal_lpt(3, "dr_max", Fraction(2), node_budget=30000)
     assert not result.found
     assert result.value < Fraction(3, 2)
+    assert result.budget_charged <= 30000
 
 
-def test_find_extremal_instances_script_runs():
-    root = Path(__file__).resolve().parent.parent
-    done = subprocess.run(
-        [sys.executable, str(root / "scripts" / "find_extremal_instances.py"), "--budget", "100000"],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=str(root / "src")),
-        timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    lines = done.stdout.splitlines()
-    assert any(line.startswith("ir_max:") for line in lines)
-    assert any(line.startswith("dr_max:") for line in lines)
+@pytest.mark.parametrize(
+    "measure, target, nodes", [("ir_max", "1.55", 566), ("dr_max", "1.40", 728)]
+)
+def test_extremal_search_charges_the_nodes_its_scans_visit(measure, target, nodes):
+    result = search_extremal_lpt(3, measure, Fraction(target))
+    assert result.found and result.budget_charged == nodes
+
+
+def test_extremal_search_reaches_target_on_four_machines():
+    # each 8-job candidate costs far less than 4^8 nodes to scan
+    result = search_extremal_lpt(4, "ir_max", Fraction(155, 100), node_budget=100_000)
+    assert result.found and result.value == Fraction(61, 39)
+    assert result.budget_charged <= 100_000
+    stats = deviation_stats(result.instance, result.schedule, result.deviation.after)
+    assert stats.max_improvement == result.value
 
 
 def test_reduction_artifact_deviation_matches_construction():

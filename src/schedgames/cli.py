@@ -286,8 +286,23 @@ def _render_csv(rows) -> str:
     return buf.getvalue()
 
 
+# the --param keys each figure reads
+_FIGURE_PARAMS = {"1": (), "3": ("r", "m"), "9": (), "fn5": ("eps",), "ls": ("x", "eps")}
+
+
 def _cmd_witness(args) -> Verdict:
     params = _parse_params(args.param)
+    if args.search:
+        if "target" not in params or set(params) - {"target", "m"}:
+            raise ValidationError("--search takes --param target=T and optionally m=M")
+    else:
+        known = _FIGURE_PARAMS[args.figure]
+        unread = sorted(set(params) - set(known))
+        if unread:
+            raise ValidationError(
+                f"--figure {args.figure} does not read --param {', '.join(unread)}"
+                f" (it reads: {', '.join(known) or 'none'})"
+            )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     payload: dict = {"search": args.search} if args.search else {"figure": args.figure}
@@ -315,8 +330,6 @@ def _cmd_witness(args) -> Verdict:
 
     search = None
     if args.search:
-        if "target" not in params or set(params) - {"target", "m"}:
-            raise ValidationError("--search takes --param target=T and optionally m=M")
         search = witnesses.search_extremal_lpt(
             int(params.get("m", "3")), args.search, params["target"]
         )

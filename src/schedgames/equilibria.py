@@ -8,9 +8,14 @@ processing time on every machine) are explored once per symmetry orbit,
 through its lexicographically smallest member.  A relabelling of twins
 keeps every load and ratio, so every reported witness is still the
 lexicographically smallest one of its kind, and runs are reproducible.
-Deciding strong stability is a hard problem, so searches carry an
-explicit node budget and fail loudly (never approximately) when it runs
-out.
+The search also cuts every branch that cannot conserve load: at a
+profitable leaf each machine that receives a migrant ends strictly below
+that migrant's old cost and every other machine at or below its start
+load, yet the final loads add up to the work placed.  Both cuts only
+skip branches holding no profitable leaf, so they change no verdict,
+witness or count.  Deciding strong stability is a hard problem, so
+searches carry an explicit node budget and fail loudly (never
+approximately) when it runs out.
 
 `scan_deviations` is the one search kernel.  Here `is_strong`,
 `can_coalition_deviate` and `enumerate_profitable_deviations` are views
@@ -38,6 +43,9 @@ from .core import (
 )
 
 DEFAULT_SEARCH_BUDGET = 10**8
+# the scan recurses once per job free to act, so it stays well inside the
+# interpreter's default recursion limit of 1000 frames
+_MAX_SCAN_JOBS = 500
 
 
 @dataclass(frozen=True)
@@ -328,6 +336,18 @@ def scan_deviations(
     `min_ratio_floor`, a mutable [num, den] pair, further prunes branches
     whose smallest member improvement ratio cannot exceed num/den.
 
+    Load conservation cuts more.  At a profitable leaf a capped machine
+    ends at most at its cap less one (scaled integers), and an uncapped
+    one at most at the larger of its start load and the largest start
+    cost among jobs at later depths less one, since a later mover caps it
+    no higher than that.  The final loads still add up to at least the
+    placed load plus each unplaced job's smallest size (the total work on
+    identical machines).  So when these room bounds sum to less, no
+    profitable leaf lies below and the branch is cut.  The check runs
+    only on a child whose cap drops, where the room shrinks most, so the
+    other children pay nothing for it.  Like the cap cut, it keeps every
+    profitable leaf, hence every verdict, witness, count and orbit.
+
     Two jobs free to act are twins when they share a start machine and
     have the same processing time on every machine (`ctx.twins`).
     Relabelling twins changes no load, cost or ratio, so the search only
@@ -340,10 +360,12 @@ def scan_deviations(
     them expands `ctx.orbit(assign)` (`OrbitMerge` restores the global
     lexicographic order).  Branches skipped by the twin bound count as
     resolved in `BudgetExceededError.explored_fraction`, since their
-    representatives come earlier in lexicographic order.
+    representatives come earlier in lexicographic order; cut branches
+    count as resolved too.
 
     The returned context's `nodes` is the number of nodes the scan
-    visited, the count that `budget` caps.
+    visited, the count that `budget` caps.  The search recurses once per
+    job free to act, so more than 500 of them raise ValidationError.
     """
     if not isinstance(budget, int) or budget < 1:
         raise ValidationError(f"node budget must be positive, got {budget!r}")
@@ -357,11 +379,24 @@ def scan_deviations(
                 raise ValidationError(f"coalition member {j!r} is not a job index in 1..{n}")
             seen.add(j - 1)
         free = sorted(seen)
+    if len(free) > _MAX_SCAN_JOBS:
+        raise ValidationError(
+            f"a deviation scan handles at most {_MAX_SCAN_JOBS} jobs free to act, got {len(free)}"
+        )
     ctx = ScanContext(instance, schedule, free)
     m = ctx.m
     sizes, orig = ctx.sizes, ctx.orig
-    # per depth: the job, its start machine and cost, and its previous twin
-    plan = [(j, orig[j], ctx.cost0[j], ctx.prev_twin[j]) for j in free]
+    cost0, load0 = ctx.cost0, ctx.load0
+    # per depth: the job, its start machine and cost, its previous twin,
+    # and for the jobs at later depths the sum of their smallest sizes and
+    # the largest of their start costs less one (-1 past the last depth)
+    plan = []
+    rest_min, rest_top = 0, -1
+    for j in reversed(free):
+        plan.append((j, orig[j], cost0[j], ctx.prev_twin[j], rest_min, rest_top))
+        rest_min += min(sizes[i][j] for i in range(m))
+        rest_top = max(rest_top, cost0[j] - 1)
+    plan.reverse()
 
     loads = [0] * m
     members_fixed = coalition is not None
@@ -373,6 +408,9 @@ def scan_deviations(
     depth = len(free)
     infinity = sum(max(sizes[i][j] for i in range(m)) for j in range(n)) + 1
     caps = [infinity] * m
+    # a machine's largest final load at a profitable leaf, as far as its
+    # cap tells: cap - 1 once capped, its start load while uncapped
+    room = list(load0)
     assign = list(orig)
     choice = [0] * depth
     nodes = 0
@@ -391,7 +429,7 @@ def scan_deviations(
             if migrants:
                 on_leaf(ctx, assign, loads)
             return
-        j, oj, cj, twin = plan[t]
+        j, oj, cj, twin, rest_min, rest_top = plan[t]
         for i in range(0 if twin < 0 else assign[twin], m):
             choice[t] = i
             nodes += 1
@@ -408,21 +446,41 @@ def scan_deviations(
                 continue
             new_load = loads[i] + size
             old_cap = caps[i]
-            new_cap = old_cap
-            if not stay or members_fixed:
-                if cj < new_cap:
-                    new_cap = cj
-            if new_load >= new_cap:
+            if (stay and not members_fixed) or cj >= old_cap:
+                # no cap drops: nothing but the load changes
+                if new_load >= old_cap:
+                    continue
+                if min_ratio_floor is not None and old_cap != infinity:
+                    if old_cap * min_ratio_floor[1] <= new_load * min_ratio_floor[0]:
+                        continue
+                loads[i] = new_load
+                assign[j] = i
+                dfs(t + 1, migrants if stay else migrants + 1)
+                loads[i] = new_load - size
                 continue
-            if min_ratio_floor is not None and new_cap != infinity:
-                if new_cap * min_ratio_floor[1] <= new_load * min_ratio_floor[0]:
+            if new_load >= cj:
+                continue
+            if min_ratio_floor is not None:
+                if cj * min_ratio_floor[1] <= new_load * min_ratio_floor[0]:
+                    continue
+            old_room = room[i]
+            room[i] = cj - 1
+            # load conservation: the work still to land must fit the room
+            short = sum(loads) + size + rest_min - sum(room)
+            if short > 0:
+                for k in range(m):
+                    if caps[k] == infinity and k != i and rest_top > load0[k]:
+                        short -= rest_top - load0[k]
+                if short > 0:
+                    room[i] = old_room
                     continue
             loads[i] = new_load
-            caps[i] = new_cap
+            caps[i] = cj
             assign[j] = i
             dfs(t + 1, migrants if stay else migrants + 1)
             loads[i] = new_load - size
             caps[i] = old_cap
+            room[i] = old_room
         assign[j] = oj
         choice[t] = 0
 

@@ -1,3 +1,4 @@
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -5,6 +6,7 @@ from pathlib import Path
 from hypothesis import HealthCheck, settings, strategies as st
 
 from schedgames.core import IdenticalInstance, Schedule, UnrelatedInstance
+from schedgames.schedulers import lpt
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -73,3 +75,67 @@ def twin_heavy_pairs(draw, unrelated, min_m=1, max_m=3, min_n=1, max_n=6, max_en
     else:
         instance = IdenticalInstance(m=m, p=tuple(bases[c] for c in picks))
     return instance, Schedule(assignment)
+
+
+def _best_response_equilibrium(instance, assignment):
+    """Drive `assignment` to an equilibrium: the lowest-index job with an
+    improving move takes its cheapest machine (lowest index on ties)."""
+    assignment = list(assignment)
+    loads = [Fraction(0)] * instance.m
+    for j, i in enumerate(assignment, start=1):
+        loads[i - 1] += instance.processing_time(j, i)
+    moved = True
+    while moved:
+        moved = False
+        for j in range(1, instance.n + 1):
+            here = assignment[j - 1]
+            best = min(
+                range(1, instance.m + 1),
+                key=lambda i: (loads[i - 1] + instance.processing_time(j, i), i),
+            )
+            if best != here and loads[best - 1] + instance.processing_time(j, best) < loads[here - 1]:
+                loads[here - 1] -= instance.processing_time(j, here)
+                loads[best - 1] += instance.processing_time(j, best)
+                assignment[j - 1] = best
+                moved = True
+                break
+    return Schedule(tuple(assignment))
+
+
+@st.composite
+def equilibrium_pairs(draw, unrelated):
+    """(instance, schedule) on 3 machines and 4 to 8 jobs where the
+    schedule is an equilibrium: LPT or best response from a random start
+    on identical machines, best response on unrelated ones (an
+    equilibrium of 3 identical machines and fewer jobs admits no coalition
+    move).  The job count and the sizes (identical: integers up to 20, or
+    rationals with denominators up to 3; unrelated: integers up to 9) come
+    from a drawn seed, since equilibria that admit a coalition move are
+    rare among small or shrunk examples.  Twin-heavy instances repeat a
+    few base sizes or matrix columns."""
+    m = 3
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = rng.randint(4, 8)
+    kind = draw(st.sampled_from(["plain", "plain", "twins", "rational"]))
+    if unrelated:
+        def column():
+            return tuple(rng.randint(1, 9) for _ in range(m))
+    elif kind == "rational":
+        def column():
+            return Fraction(rng.randint(1, 60), rng.randint(1, 3))
+    else:
+        def column():
+            return rng.randint(1, 20)
+    if kind == "twins":
+        bases = [column() for _ in range(rng.randint(2, n // 2))]
+        columns = [rng.choice(bases) for _ in range(n)]
+    else:
+        columns = [column() for _ in range(n)]
+    if unrelated:
+        instance = UnrelatedInstance(m=m, p=tuple(tuple(c[i] for c in columns) for i in range(m)))
+    else:
+        instance = IdenticalInstance(m=m, p=tuple(columns))
+        if draw(st.integers(0, 2)) == 0:
+            return instance, lpt(instance)
+    start = [rng.randint(1, m) for _ in range(n)]
+    return instance, _best_response_equilibrium(instance, start)

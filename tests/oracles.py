@@ -51,13 +51,16 @@ def brute_measures(instance, schedule):
     return tuple(value for value, _ in brute_measure_witnesses(instance, schedule))
 
 
-def brute_measure_witnesses(instance, schedule):
+def brute_measure_witnesses(instance, schedule, deviations=None):
     """For each of (ir_min, ir_max, dr_max): (value, lexicographically
     first deviation attaining it), the deviation None when the value is
-    the default 1."""
+    the default 1.  `deviations` is `brute_deviations(instance,
+    schedule)`, enumerated here unless given."""
     old = load_profile(instance, schedule).loads
     best = [(Fraction(1), None)] * 3
-    for joint in brute_deviations(instance, schedule):
+    if deviations is None:
+        deviations = brute_deviations(instance, schedule)
+    for joint in deviations:
         for k, ratio in enumerate(_brute_ratios(instance, schedule, joint, old)):
             if ratio > best[k][0]:
                 best[k] = (ratio, joint)

@@ -256,6 +256,37 @@ def test_witness_search_rejects_bad_usage(tmp_path, flags):
     assert run(["witness", *flags, "--out", str(tmp_path)]).exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "figure, param",
+    [
+        ("1", "r=3,bogus=1"),
+        ("3", "r=2,eps=1/10"),
+        ("9", "m=4"),
+        ("fn5", "eps=1/10,x=3"),
+        ("ls", "x=10,r=3"),
+    ],
+    ids=["figure-1", "figure-3", "figure-9", "fn5", "ls"],
+)
+def test_witness_figure_rejects_parameters_it_does_not_read(tmp_path, figure, param):
+    out = tmp_path / "w"
+    verdict = run(["witness", "--figure", figure, "--param", param, "--out", str(out)])
+    assert verdict.exit_code == 2
+    assert "does not read" in verdict.payload["error"]
+    assert not out.exists()
+
+
+def test_check_over_the_scan_job_limit_exits_2(tmp_path):
+    # the scan recurses once per job; 1,200 jobs used to overflow the stack
+    ipath, spath = tmp_path / "instance.json", tmp_path / "schedule.json"
+    ipath.write_text(json.dumps({"machines": 2, "jobs": [1] * 1200}))
+    spath.write_text(json.dumps({"assignment": [1] * 600 + [2] * 600}))
+    verdict = run(
+        ["check", "--se", "--budget", "100000", "--in", str(ipath), "--schedule", str(spath)]
+    )
+    assert verdict.exit_code == 2
+    assert "at most 500 jobs" in verdict.payload["error"]
+
+
 def test_reduce_identical(tmp_path):
     out = str(tmp_path / "red")
     verdict = run(["reduce", "--set", "3,3,4,4", "--variant", "identical", "--out", out])
@@ -318,7 +349,7 @@ def test_experiment_reports_budget_capped_trials_as_inconclusive():
     verdict = run(
         [
             "experiment", "--scheduler", "lpt", "--seed", "3", "--trials", "6",
-            "--m", "3", "--n", "9", "--budget", "1000",
+            "--m", "3", "--n", "9", "--budget", "50",
         ]
     )
     assert verdict.exit_code == 0

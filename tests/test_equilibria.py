@@ -254,6 +254,22 @@ def test_search_options_validation():
         is_strong(FIG1, FIG1_NE, node_budget=0)
 
 
+def test_scan_decides_up_to_its_job_limit():
+    # one frame per job free to act: 500 decide, 501 are rejected up front
+    for n in (500, 501):
+        instance = IdenticalInstance(m=2, p=(1,) * n)
+        schedule = Schedule((1,) * (n - n // 2) + (2,) * (n // 2))
+        if n == 500:
+            assert is_strong(instance, schedule, node_budget=10**5).holds
+        else:
+            with pytest.raises(ValidationError, match="at most 500 jobs"):
+                is_strong(instance, schedule, node_budget=10**5)
+    # a coalition scan counts its members only
+    instance = IdenticalInstance(m=2, p=(1,) * 1200)
+    schedule = Schedule((1,) * 600 + (2,) * 600)
+    assert can_coalition_deviate(instance, schedule, [1, 601]) is None
+
+
 # --- deviation construction -------------------------------------------------
 
 

@@ -303,7 +303,7 @@ def test_inconclusive_trials_are_counted_not_judged():
     # 3^9 joint actions exceed the budget, yet the sweep runs: trials whose
     # measures run out of budget are counted, not judged
     config = SweepConfig(
-        seed=3, trials=6, m_range=(3, 3), n_range=(9, 9), p_max=20, scheduler="lpt", budget=1000
+        seed=3, trials=6, m_range=(3, 3), n_range=(9, 9), p_max=20, scheduler="lpt", budget=50
     )
     report = bound_sweep(config)
     assert report.inconclusive == 5

@@ -305,7 +305,7 @@ def test_extremal_search_gives_up_on_impossible_target():
 
 
 @pytest.mark.parametrize(
-    "measure, target, nodes", [("ir_max", "1.55", 566), ("dr_max", "1.40", 728)]
+    "measure, target, nodes", [("ir_max", "1.55", 434), ("dr_max", "1.40", 557)]
 )
 def test_extremal_search_charges_the_nodes_its_scans_visit(measure, target, nodes):
     result = search_extremal_lpt(3, measure, Fraction(target))
@@ -319,6 +319,14 @@ def test_extremal_search_reaches_target_on_four_machines():
     assert result.budget_charged <= 100_000
     stats = deviation_stats(result.instance, result.schedule, result.deviation.after)
     assert stats.max_improvement == result.value
+
+
+def test_extremal_search_charge_on_four_machines_is_pinned():
+    # 5,230 nodes is the smallest budget that reaches 61/39
+    result = search_extremal_lpt(4, "ir_max", Fraction(155, 100), node_budget=100_000)
+    assert result.found and result.budget_charged == 5_230
+    short = search_extremal_lpt(4, "ir_max", Fraction(155, 100), node_budget=5_229)
+    assert not short.found and short.budget_charged == 5_229
 
 
 def test_reduction_artifact_deviation_matches_construction():

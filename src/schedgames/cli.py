@@ -108,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduce", help="Partition reduction artifacts")
     p.add_argument("--set", dest="values", required=True, help="integers, e.g. 3,3,4,4")
     p.add_argument("--variant", required=True, choices=["identical", "unrelated"])
-    p.add_argument("--m", type=int, default=3)
+    p.add_argument("--m", type=int, help="machine count for the identical variant (default 3)")
     p.add_argument("--eps", help="perturbation for the unrelated variant")
     p.add_argument("--out", help="output directory")
 
@@ -239,6 +239,8 @@ def _table_rows(instance, schedule, report) -> list[list[str]]:
 
 
 def _cmd_measures(args) -> Verdict:
+    if not args.table1 and (args.out is not None or args.format == "csv"):
+        raise ValidationError("--out and --format csv apply only with --table1")
     instance = read_instance(args.instance)
     schedule = read_schedule(args.schedule)
     report = measure_report(instance, schedule, node_budget=args.budget)
@@ -363,9 +365,13 @@ def _cmd_witness(args) -> Verdict:
 
 
 def _cmd_reduce(args) -> Verdict:
+    if args.variant == "identical" and args.eps is not None:
+        raise ValidationError("--eps applies only to --variant unrelated")
+    if args.variant == "unrelated" and args.m is not None:
+        raise ValidationError("--m applies only to --variant identical")
     values = [int(x) for x in args.values.split(",")]
     if args.variant == "identical":
-        artifact = witnesses.reduce_partition_identical(values, m=args.m)
+        artifact = witnesses.reduce_partition_identical(values, m=3 if args.m is None else args.m)
     else:
         eps = parse_rational(args.eps) if args.eps else Fraction(1, len(values))
         artifact = witnesses.reduce_partition_unrelated(values, eps)

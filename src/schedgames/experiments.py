@@ -31,13 +31,14 @@ from .core import (
     schedule_to_dict,
     validate_schedule,
 )
-from .equilibria import DEFAULT_SEARCH_BUDGET, improving_moves, is_nash
+from .equilibria import DEFAULT_SEARCH_BUDGET, ScanContext, improving_moves, is_nash
 from .measures import (
     LPT_DAMAGE_LIMIT,
     LPT_MAX_IMPROVEMENT_LIMIT_3,
     NE_DAMAGE_LIMIT,
     MeasureReport,
-    _structural_report,
+    _joint_action,
+    _structure,
     leq_lpt_three_machine_limit,
     lpt_min_improvement_limit,
     measure_report,
@@ -153,9 +154,9 @@ class SweepConfig:
     """One sweep: `trials` random instances with m in m_range, n in
     n_range, integer sizes in [1, p_max], scheduled by `scheduler`.
 
-    Integer sizes keep the exhaustive deviation search exact and fast;
-    `structural` additionally validates the per-deviation structure on
-    every three-machine equilibrium trial.  `budget` caps each search of
+    Integer sizes keep the exhaustive deviation search exact and fast.
+    Every deviation of a three-machine equilibrium trial is also checked
+    against the structural predicates.  `budget` caps each search of
     a trial, whatever m and n are: a trial whose measures run out of it
     is inconclusive, and its `opt` is None once that search runs out.
     """
@@ -168,7 +169,6 @@ class SweepConfig:
     scheduler: str
     eps: Fraction | None = None
     budget: int = DEFAULT_SEARCH_BUDGET
-    structural: bool = True
 
     def __post_init__(self):
         if self.trials < 1:
@@ -376,22 +376,24 @@ def _bound_checks(
     return tuple(checks)
 
 
-def _evaluate(scheduler, eps, instance, schedule, budget, structural):
+def _evaluate(scheduler, eps, instance, schedule, budget):
     """Measure one trial's schedule and check every applicable limit,
     computing equilibrium status once for the checks and for the
-    structural predicates, which run unvalidated on every deviation of a
-    three-machine equilibrium when `structural`.  Returns (measures,
-    makespan, opt, checks, structural_failures): `opt` is None past its
-    budget, `checks` is empty when the measures ran out of budget (the
-    trial is inconclusive), and the failures are (deviation, report)
+    structural predicates, which run unvalidated on one scaled-integer
+    context for every deviation of a three-machine equilibrium.  Returns
+    (measures, makespan, opt, checks, structural_failures): `opt` is None
+    past its budget, `checks` is empty when the measures ran out of budget
+    (the trial is inconclusive), and the failures are (deviation, report)
     pairs."""
     equilibrium = is_nash(instance, schedule).holds
     structural_failures: list[tuple] = []
     on_deviation = None
-    if structural and instance.m == 3 and equilibrium:
+    if instance.m == 3 and equilibrium:
+        ctx = ScanContext(instance, schedule)
+        lpt_origin = scheduler == "lpt"
 
         def on_deviation(dev):
-            sr = _structural_report(instance, schedule, dev.after, scheduler == "lpt")
+            sr = _structure(ctx, _joint_action(dev.after), lpt_origin)
             if not sr.passed:
                 structural_failures.append((dev, sr))
 
@@ -430,7 +432,7 @@ def bound_sweep(config: SweepConfig) -> SweepReport:
         instance = random_instance(instance_seed, m, n, config.p_max)
         schedule = _schedule_for(config, instance, extra_seed)
         measures, makespan, opt, checks, structural_failures = _evaluate(
-            config.scheduler, config.eps, instance, schedule, config.budget, config.structural
+            config.scheduler, config.eps, instance, schedule, config.budget
         )
         inconclusive = not measures.exhaustive
         if inconclusive:
@@ -502,6 +504,6 @@ def replay_violation(payload: dict, node_budget: int = DEFAULT_SEARCH_BUDGET) ->
         after = schedule_from_dict(payload["witness"])
         lpt_origin = scheduler == "lpt"
         return not structural_report(instance, schedule, after, lpt_origin=lpt_origin).passed
-    checks = _evaluate(scheduler, eps, instance, schedule, node_budget, structural=False)[3]
+    checks = _evaluate(scheduler, eps, instance, schedule, node_budget)[3]
     return any(c.name == check and not c.holds for c in checks)
 

@@ -15,11 +15,11 @@ prunes every branch unable to beat the best ratio found so far.  The
 other witness's coalition is its migrants.
 
 `deviation_stats` is the one validated pass over a single given
-deviation: its ratios, migration matrix, flows and loads.  `check_flower`
-and `structural_report` read every per-deviation fact from it; the
-sweep's structural hook reaches the same pass through the unvalidated
-`_structural_report`, since its deviations come from a scan of a known
-equilibrium.
+deviation's ratios.  The structural checks (`check_flower`,
+`structural_report` and the sweep's hook on a scan's own deviations)
+read every fact from one private pass, `_structure`, over a
+`ScanContext`'s scaled integers: ratios of scaled sums are scale-free,
+so they stay exact.
 """
 
 from __future__ import annotations
@@ -81,24 +81,11 @@ def leq_lpt_three_machine_limit(x: Fraction) -> bool:
 
 @dataclass(frozen=True)
 class DeviationStats:
-    """Exact per-job ratios and flow bookkeeping for one deviation.
-
-    migration[i-1][j-1] is 1 iff some job moves machine i -> j;
-    staying_load[i-1] totals the jobs that keep machine i; moved_load
-    carries the per-pair totals (measured on the destination machine for
-    unrelated instances, since that is the load actually added there).
-    `loads_before` and `loads_after` are the machine loads of the two
-    schedules.
-    """
+    """Exact per-job improvement and damage ratios of one deviation."""
 
     mover_improvement: dict[int, Fraction]
     bystander_improvement: dict[int, Fraction]
     damage: dict[int, Fraction]
-    migration: tuple[tuple[int, ...], ...]
-    staying_load: tuple[Fraction, ...]
-    moved_load: tuple[tuple[Fraction, ...], ...]
-    loads_before: tuple[Fraction, ...]
-    loads_after: tuple[Fraction, ...]
 
     @property
     def min_improvement(self) -> Fraction:
@@ -117,45 +104,23 @@ class DeviationStats:
 
 
 def deviation_stats(instance: Instance, before: Schedule, after: Schedule) -> DeviationStats:
-    """Ratios and flows of a profitable deviation, validated first."""
+    """Ratios of a profitable deviation, validated first."""
     profitable_deviation(instance, before, after)
-    return _deviation_stats(instance, before, after)
-
-
-def _deviation_stats(instance, before, after) -> DeviationStats:
-    """`deviation_stats` for a deviation the caller knows is profitable."""
     old = load_profile(instance, before).loads
     new = load_profile(instance, after).loads
-    m = instance.m
     mover: dict[int, Fraction] = {}
     bystander: dict[int, Fraction] = {}
     damage: dict[int, Fraction] = {}
-    migration = [[0] * m for _ in range(m)]
-    staying = [Fraction(0)] * m
-    moved = [[Fraction(0)] * m for _ in range(m)]
     for j in range(1, instance.n + 1):
         src = before.machine_of(j)
         dst = after.machine_of(j)
         if src != dst:
             mover[j] = old[src - 1] / new[dst - 1]
-            migration[src - 1][dst - 1] = 1
-            moved[src - 1][dst - 1] += instance.processing_time(j, dst)
-        else:
-            staying[src - 1] += instance.processing_time(j, src)
-            if new[src - 1] < old[src - 1]:
-                bystander[j] = old[src - 1] / new[src - 1]
-            elif new[src - 1] > old[src - 1]:
-                damage[j] = new[src - 1] / old[src - 1]
-    return DeviationStats(
-        mover_improvement=mover,
-        bystander_improvement=bystander,
-        damage=damage,
-        migration=tuple(tuple(row) for row in migration),
-        staying_load=tuple(staying),
-        moved_load=tuple(tuple(row) for row in moved),
-        loads_before=old,
-        loads_after=new,
-    )
+        elif new[src - 1] < old[src - 1]:
+            bystander[j] = old[src - 1] / new[src - 1]
+        elif new[src - 1] > old[src - 1]:
+            damage[j] = new[src - 1] / old[src - 1]
+    return DeviationStats(mover_improvement=mover, bystander_improvement=bystander, damage=damage)
 
 
 @dataclass(frozen=True)
@@ -365,11 +330,40 @@ def _is_flower(matrix, center) -> bool:
     return True
 
 
+def _flows(ctx, assign):
+    """(migration, loads, moved, staying) of the joint action `assign`,
+    0-based and scaled: migration[i][k] is 1 iff some job moves i -> k,
+    moved[i][k] totals those jobs' sizes on k (the load they add there),
+    staying[i] the jobs that keep machine i, and loads are the loads after
+    the move."""
+    m = ctx.m
+    migration = [[0] * m for _ in range(m)]
+    moved = [[0] * m for _ in range(m)]
+    staying = [0] * m
+    loads = [0] * m
+    for j, k in enumerate(assign):
+        i = ctx.orig[j]
+        size = ctx.sizes[k][j]
+        loads[k] += size
+        if i == k:
+            staying[i] += size
+        else:
+            migration[i][k] = 1
+            moved[i][k] += size
+    return migration, loads, moved, staying
+
+
+def _joint_action(schedule: Schedule) -> list[int]:
+    return [i - 1 for i in schedule.assignment]
+
+
 def check_flower(instance: Instance, before: Schedule, after: Schedule) -> bool:
     """Every migration enters or leaves the most loaded machine, in both
     directions for each of the other machines."""
-    stats = deviation_stats(instance, before, after)
-    return _is_flower(stats.migration, _flower_center(stats.loads_before, stats.migration))
+    profitable_deviation(instance, before, after)
+    ctx = ScanContext(instance, before)
+    migration = _flows(ctx, _joint_action(after))[0]
+    return _is_flower(migration, _flower_center(ctx.load0, migration))
 
 
 @dataclass(frozen=True)
@@ -421,45 +415,46 @@ def structural_report(
     if not is_nash(instance, before).holds:
         raise ValidationError("structural checks require an equilibrium starting schedule")
     profitable_deviation(instance, before, after)
-    return _structural_report(instance, before, after, lpt_origin)
+    return _structure(ScanContext(instance, before), _joint_action(after), lpt_origin)
 
 
-def _structural_report(instance, before, after, lpt_origin) -> StructuralReport:
-    """`structural_report` without its validation, for a caller that
-    already knows `before` is an equilibrium and `after` a profitable
-    deviation from it (the sweep's hook on a scan's own deviations)."""
-    stats = _deviation_stats(instance, before, after)
-    old, new, matrix = stats.loads_before, stats.loads_after, stats.migration
-    m = instance.m
+def _structure(ctx: ScanContext, assign, lpt_origin: bool) -> StructuralReport:
+    """`structural_report` of the move from ctx's schedule to the 0-based
+    joint action `assign`, for a caller that knows the schedule is an
+    equilibrium and the move a profitable deviation from it."""
+    migration, new, moved, staying = _flows(ctx, assign)
+    old = ctx.load0
+    m = ctx.m
 
     receivers_also_lose = all(
-        any(matrix[i]) or not any(row[i] for row in matrix) for i in range(m)
+        any(migration[i]) or not any(row[i] for row in migration) for i in range(m)
     )
-    migrant_count = len(stats.mover_improvement)
+    migrant_count = sum(k != i for k, i in zip(assign, ctx.orig))
 
     flower = outer_up = center_down = None
     center = unit_job = None
-    incoming = staying = None
+    incoming = staying_per_unit = None
     unit_ok = None
     if m == 3:
-        c = _flower_center(old, matrix)
+        c = _flower_center(old, migration)
         center = c + 1
-        flower = _is_flower(matrix, c)
+        flower = _is_flower(migration, c)
         outer = [i for i in range(3) if i != c]
         outer_up = all(new[i] > old[i] for i in outer)
         center_down = new[c] < min(new[i] for i in outer)
         if lpt_origin:
-            if not isinstance(instance, IdenticalInstance):
+            if not isinstance(ctx.instance, IdenticalInstance):
                 raise ValidationError("unit-normalized checks need identical machines")
-            on_center = [j for j in range(1, instance.n + 1) if before.machine_of(j) == c + 1]
-            unit_size = min(instance.p[j - 1] for j in on_center)
+            sizes = ctx.sizes[c]
+            on_center = [j for j in range(ctx.n) if ctx.orig[j] == c]
+            unit = min(sizes[j] for j in on_center)
             # the stable size sort assigns equal jobs by ascending index,
             # so the last-placed lightest job is the highest-index one
-            unit_job = max(j for j in on_center if instance.p[j - 1] == unit_size)
-            incoming = {i + 1: stats.moved_load[i][c] / unit_size for i in outer}
-            staying = {i + 1: stats.staying_load[i] / unit_size for i in outer}
+            unit_job = 1 + max(j for j in on_center if sizes[j] == unit)
+            incoming = {i + 1: Fraction(moved[i][c], unit) for i in outer}
+            staying_per_unit = {i + 1: Fraction(staying[i], unit) for i in outer}
             unit_ok = all(v >= 1 for v in incoming.values()) and all(
-                v >= 1 for v in staying.values()
+                v >= 1 for v in staying_per_unit.values()
             )
 
     return StructuralReport(
@@ -472,6 +467,6 @@ def _structural_report(instance, before, after, lpt_origin) -> StructuralReport:
         center=center,
         unit_job=unit_job,
         incoming_per_unit=incoming,
-        staying_per_unit=staying,
+        staying_per_unit=staying_per_unit,
         unit_quantities_ok=unit_ok,
     )

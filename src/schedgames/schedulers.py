@@ -27,7 +27,6 @@ from .core import (
     Schedule,
     ValidationError,
     canonical_form,
-    load_profile,
     parse_rational,
 )
 
@@ -183,15 +182,13 @@ def lex_min_assignment(
 class PtasConfig:
     """Knobs for the strong-stability approximation scheme.
 
-    epsilon sets the prefix size k = ceil(m / epsilon) unless k_override
-    is given.  `refine` re-runs the scheme on the remaining machines
-    whenever the makespan machine carries prefix jobs only (off by
-    default: the base scheme is the contract, the loop is an optional
-    post-pass).
+    epsilon sets the prefix size k = ceil(m / epsilon).  `refine`
+    re-runs the scheme on the remaining machines whenever the makespan
+    machine carries prefix jobs only (off by default: the base scheme is
+    the contract, the loop is an optional post-pass).
     """
 
     epsilon: Fraction
-    k_override: int | None = None
     refine: bool = False
     node_budget: int = DEFAULT_ENUM_BUDGET
 
@@ -200,14 +197,8 @@ class PtasConfig:
         if eps <= 0:
             raise ValidationError(f"epsilon must be positive, got {eps}")
         object.__setattr__(self, "epsilon", eps)
-        if self.k_override is not None and (
-            not isinstance(self.k_override, int) or self.k_override < 1
-        ):
-            raise ValidationError(f"k_override must be a positive int, got {self.k_override!r}")
 
     def prefix_size(self, m: int, n: int) -> int:
-        if self.k_override is not None:
-            return min(n, self.k_override)
         # ceil(m / epsilon), exactly
         k = -((-m * self.epsilon.denominator) // self.epsilon.numerator)
         return min(n, k)
@@ -278,9 +269,9 @@ def optimal_makespan(
 ) -> OptimalMakespan:
     """Exact minimum makespan via branch and bound over canonical assignments.
 
-    Warm-started from the LPT schedule; prunes machine-permutation
-    symmetry, equal-load duplicates, and branches that cannot beat the
-    incumbent.  Raises BudgetExceededError (carrying the best incumbent)
+    Warm-started from the LPT schedule, built on the sorted scaled sizes;
+    prunes machine-permutation symmetry, equal-load duplicates, and
+    branches that cannot beat the incumbent.  Raises BudgetExceededError (carrying the best incumbent)
     when the node budget runs out.
     """
     _require_identical(instance)
@@ -292,9 +283,13 @@ def optimal_makespan(
     m = instance.m
     n = instance.n
 
-    start = lpt(instance)
-    best_assign = [start.machine_of(j) for j in order]
-    best_val = int(load_profile(instance, start).makespan * scale)
+    loads = [0] * m
+    best_assign = []
+    for size in sizes:
+        i = loads.index(min(loads))
+        best_assign.append(i + 1)
+        loads[i] += size
+    best_val = max(loads)
     total = sum(sizes)
     lower = max(sizes[0], -(-total // m))
     loads = [0] * m

@@ -142,24 +142,35 @@ def greedy_resimulation(instance, order):
 
 def brute_structure(instance, before, after):
     """The structural facts of one deviation, read straight off the two
-    schedules: the migration matrix, the flower centre (most loaded
-    machine before, one touched by a migration first, then the lowest
-    index; 1-based) and whether the migrations form a flower around it.
+    schedules: the flower centre (most loaded machine before, one touched
+    by a migration first, then the lowest index; 1-based) and whether the
+    migrations form a flower around it.
     On identical machines also the unit job (the highest-index smallest
     job on the centre) and the per-unit load each other machine sends to
-    the centre (`incoming`) and keeps (`staying`), keyed by machine."""
+    the centre (`incoming`) and keeps (`staying`), keyed by machine.
+    `receivers_send` says every machine that receives a migrant also sends
+    one; `outer_up` that every other machine ends heavier, and
+    `center_down` that the centre ends lighter than each of them."""
     m, n = instance.m, instance.n
     src = [before.machine_of(j) - 1 for j in range(1, n + 1)]
     dst = [after.machine_of(j) - 1 for j in range(1, n + 1)]
     loads = [Fraction(0)] * m
+    new = [Fraction(0)] * m
     for j in range(n):
         loads[src[j]] += instance.processing_time(j + 1, src[j] + 1)
+        new[dst[j]] += instance.processing_time(j + 1, dst[j] + 1)
     edges = {(s, d) for s, d in zip(src, dst) if s != d}
-    matrix = tuple(tuple(int((s, d) in edges) for d in range(m)) for s in range(m))
     touched = {i for edge in edges for i in edge}
     c = min(range(m), key=lambda i: (-loads[i], i not in touched, i))
     star = {(c, i) for i in range(m) if i != c} | {(i, c) for i in range(m) if i != c}
-    out = {"migration": matrix, "center": c + 1, "flower": edges == star}
+    others = [i for i in range(m) if i != c]
+    out = {
+        "center": c + 1,
+        "flower": edges == star,
+        "receivers_send": {d for _, d in edges} <= {s for s, _ in edges},
+        "outer_up": all(new[i] > loads[i] for i in others),
+        "center_down": all(new[c] < new[i] for i in others),
+    }
     if isinstance(instance, IdenticalInstance):
         on_center = [j for j in range(n) if src[j] == c]
         unit = min(instance.p[j] for j in on_center)

@@ -69,7 +69,6 @@ def table1_sweeps():
                 p_max=20,
                 scheduler=scheduler,
                 budget=10**8,
-                structural=True,
             )
         )
         for scheduler in ("lpt", "random-ne")
@@ -156,7 +155,6 @@ def test_criterion_05_general_machine_counts(capsys):
                 p_max=20,
                 scheduler=scheduler,
                 budget=10**8,
-                structural=False,
             )
         )
         violations += [v for v in report.violations if "min-improvement" in v.check]

@@ -317,6 +317,41 @@ def test_reduce_rejects_odd_total():
     assert verdict.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "variant, flag",
+    [("identical", ["--eps", "1/2"]), ("unrelated", ["--m", "5"])],
+    ids=["identical-eps", "unrelated-m"],
+)
+def test_reduce_rejects_flags_of_the_other_variant(tmp_path, variant, flag):
+    out = tmp_path / "red"
+    verdict = run(["reduce", "--set", "3,3,4,4", "--variant", variant, *flag, "--out", str(out)])
+    assert verdict.exit_code == 2
+    assert flag[0] in verdict.payload["error"]
+    assert not out.exists()
+
+
+def test_reduce_identical_reads_an_explicit_machine_count():
+    default = run(["reduce", "--set", "3,3,4,4", "--variant", "identical"])
+    three = run(["reduce", "--set", "3,3,4,4", "--variant", "identical", "--m", "3"])
+    four = run(["reduce", "--set", "3,3,4,4", "--variant", "identical", "--m", "4"])
+    assert default.exit_code == three.exit_code == four.exit_code == 0
+    assert three.payload == default.payload
+    assert four.payload["jobs"] > three.payload["jobs"]
+
+
+@pytest.mark.parametrize(
+    "flags", [["--out", "table"], ["--format", "csv"]], ids=["out", "format-csv"]
+)
+def test_measures_rejects_table_flags_without_table1(tmp_path, fig1_files, flags):
+    instance, schedule = fig1_files
+    if flags[0] == "--out":
+        flags = ["--out", str(tmp_path / "table")]
+    verdict = run(["measures", *flags, "--in", instance, "--schedule", schedule])
+    assert verdict.exit_code == 2
+    assert "--table1" in verdict.payload["error"]
+    assert not (tmp_path / "table").exists()
+
+
 def test_experiment_preset(tmp_path):
     out = str(tmp_path / "report.csv")
     verdict = run(

@@ -3,8 +3,14 @@ from fractions import Fraction
 import pytest
 
 from schedgames import experiments
-from schedgames.core import ValidationError, canonical_form, load_profile
-from schedgames.equilibria import is_nash
+from schedgames.core import (
+    IdenticalInstance,
+    Schedule,
+    ValidationError,
+    canonical_form,
+    load_profile,
+)
+from schedgames.equilibria import enumerate_profitable_deviations, is_nash
 from schedgames.experiments import (
     CSV_COLUMNS,
     SplitMix64,
@@ -15,6 +21,7 @@ from schedgames.experiments import (
     replay_violation,
     Violation,
 )
+from schedgames.measures import StructuralReport, structural_report
 from schedgames.witnesses import figure1
 
 
@@ -282,6 +289,39 @@ def test_violation_record_carries_scheduler_and_eps():
     record = violation.to_dict()
     assert record["scheduler"] == "ptas" and record["eps"] == "1/10"
     assert replay_violation(record) is True
+
+
+@pytest.mark.parametrize("scheduler", ["lpt", "random-ne"])
+def test_structure_violations_match_the_public_checks(monkeypatch, scheduler):
+    # a stricter predicate than the paper's lemmas, so that some deviations
+    # fail it: at most 5 migrants, and per-unit flows of at least 2
+    lemmas = StructuralReport.passed.fget
+
+    def stricter(sr):
+        unit = sr.incoming_per_unit
+        return lemmas(sr) and sr.migrant_count < 6 and (unit is None or min(unit.values()) >= 2)
+
+    monkeypatch.setattr(StructuralReport, "passed", property(stricter))
+    config = small_config(scheduler, seed=5, trials=40, n_range=(8, 10), p_max=20)
+    report = bound_sweep(config)
+    found = [
+        (v.trial, v.witness, v.observed)
+        for v in report.violations
+        if v.check == "deviation-structure"
+    ]
+    expected = []
+    for r in report.records:
+        instance, schedule = IdenticalInstance(m=3, p=r.jobs), Schedule(r.assignment)
+        if not is_nash(instance, schedule).holds:
+            continue
+        for dev in enumerate_profitable_deviations(instance, schedule):
+            sr = structural_report(instance, schedule, dev.after, lpt_origin=scheduler == "lpt")
+            if not sr.passed:
+                expected.append((r.trial, dev.to_dict(), repr(sr)))
+    assert found and found == expected
+    for v in report.violations:
+        if v.check == "deviation-structure":
+            assert replay_violation(v.to_dict()) is True
 
 
 def test_violation_record_carries_trial_seed(monkeypatch):

@@ -32,9 +32,11 @@ def test_stats_of_benchmark_deviation():
     assert stats.mover_improvement == {j: Fraction(5, 4) for j in (1, 2, 4, 6)}
     assert stats.damage == {3: Fraction(8, 5), 5: Fraction(8, 5)}
     assert stats.bystander_improvement == {}
-    assert stats.migration[0][1] and stats.migration[0][2]
-    assert stats.migration[1][0] and stats.migration[2][0]
-    assert not stats.migration[1][2] and not stats.migration[2][1]
+    # machine 1 trades jobs with 2 and with 3, and 2 and 3 trade nothing:
+    # a flower around machine 1
+    assert check_flower(FIG1.instance, FIG1.schedule, FIG1.deviation.after)
+    report = structural_report(FIG1.instance, FIG1.schedule, FIG1.deviation.after)
+    assert report.flower and report.center == 1 and report.receivers_also_lose
 
 
 def test_stats_of_swap_without_bystanders():
@@ -221,19 +223,17 @@ def test_rounded_instance_unit_normalized_quantities():
     ]
 
 
-# n >= 8 because smaller three-machine equilibria rarely admit a deviation
-@given(
-    instance=identical_instances(3, 3, 8, 10, sizes=rationals(max_value=100, max_denominator=1)),
-    seed=st.integers(0, 2**32),
-)
-def test_structural_report_matches_oracle(instance, seed):
+# n >= 8 because smaller three-machine equilibria rarely admit a deviation;
+# rational sizes make the scan's scale exceed 1, so every per-unit quantity
+# must divide it out
+@given(data=st.data(), seed=st.integers(0, 2**32))
+def test_structural_report_matches_oracle(data, seed):
+    denominator = data.draw(st.sampled_from([1, 6]))
+    sizes = rationals(max_value=100, max_denominator=denominator)
+    instance = data.draw(identical_instances(3, 3, 8, 10, sizes=sizes))
     for schedule in (lpt(instance), random_ne(instance, seed)):
         for dev in enumerate_profitable_deviations(instance, schedule):
             ref = brute_structure(instance, schedule, dev.after)
-            stats = deviation_stats(instance, schedule, dev.after)
-            assert stats.migration == ref["migration"]
-            assert stats.loads_before == load_profile(instance, schedule).loads
-            assert stats.loads_after == load_profile(instance, dev.after).loads
             assert check_flower(instance, schedule, dev.after) == ref["flower"]
             plain = structural_report(instance, schedule, dev.after)
             unit = structural_report(instance, schedule, dev.after, lpt_origin=True)
@@ -241,6 +241,9 @@ def test_structural_report_matches_oracle(instance, seed):
                 assert report.center == ref["center"]
                 assert report.flower == ref["flower"]
                 assert report.migrant_count == len(dev.migrants)
+                assert report.receivers_also_lose == ref["receivers_send"]
+                assert report.outer_loads_increase == ref["outer_up"]
+                assert report.center_becomes_least_loaded == ref["center_down"]
             assert plain.unit_job is plain.incoming_per_unit is plain.staying_per_unit is None
             assert unit.unit_job == ref["unit_job"]
             assert unit.incoming_per_unit == ref["incoming"]
@@ -256,11 +259,7 @@ def test_structural_report_matches_oracle(instance, seed):
 def test_check_flower_matches_oracle_from_any_start(pair):
     instance, schedule = pair
     for dev in enumerate_profitable_deviations(instance, schedule):
-        stats = deviation_stats(instance, schedule, dev.after)
-        assert stats.loads_before == load_profile(instance, schedule).loads
-        assert stats.loads_after == load_profile(instance, dev.after).loads
         ref = brute_structure(instance, schedule, dev.after)
-        assert stats.migration == ref["migration"]
         assert check_flower(instance, schedule, dev.after) == ref["flower"]
 
 

@@ -249,7 +249,6 @@ def test_ptas_prefix_size():
     config = PtasConfig(epsilon=Fraction(1, 2))
     assert config.prefix_size(m=3, n=100) == 6
     assert config.prefix_size(m=3, n=4) == 4
-    assert PtasConfig(epsilon=Fraction(1), k_override=2).prefix_size(m=3, n=100) == 2
 
 
 @given(
@@ -310,6 +309,21 @@ def test_optimal_makespan_budget_error_carries_best():
     best = info.value.best
     assert best is not None
     assert load_profile(instance, best.schedule).makespan == best.value
+    assert best.schedule == lpt(instance) and best.value == 9
+
+
+@given(identical_instances(min_m=1, max_m=3, min_n=1, max_n=7))
+def test_optimal_makespan_warm_start_is_lpt(instance):
+    # one node is too few for any leaf, so a budget stop hands back the
+    # warm start; without a stop, LPT already met the lower bound
+    greedy = lpt(instance)
+    try:
+        result = optimal_makespan(instance, node_budget=1)
+    except BudgetExceededError as exc:
+        assert exc.best.schedule == greedy
+        assert exc.best.value == load_profile(instance, greedy).makespan
+    else:
+        assert result.value == load_profile(instance, greedy).makespan
 
 
 @given(identical_instances(min_m=1, max_m=3, max_n=6))

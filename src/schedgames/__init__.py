@@ -10,7 +10,6 @@ from .core import (
     ValidationError,
     canonical_form,
     induced_instance,
-    job_cost,
     load_profile,
     parse_rational,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "ir_min",
     "is_nash",
     "is_strong",
-    "job_cost",
     "lex_min_assignment",
     "list_schedule",
     "load_profile",

@@ -221,12 +221,6 @@ def load_profile(instance: Instance, schedule: Schedule) -> LoadProfile:
     return LoadProfile(loads=loads, makespan=max(loads) if loads else Fraction(0))
 
 
-def job_cost(instance: Instance, schedule: Schedule, job: int) -> Fraction:
-    """Cost of a job: the total load on the machine it occupies."""
-    instance._check_job(job)
-    return load_profile(instance, schedule).load(schedule.machine_of(job))
-
-
 @dataclass(frozen=True)
 class InducedInstance:
     """Restriction of an instance to the jobs sitting on a machine subset.

@@ -22,6 +22,12 @@ approximately) when it runs out.
 over it; the measures that maximize a ratio over deviations live in
 `measures`.  Each `Deviation` a scan finds is built by
 `ScanContext.deviation` and written out by `Deviation.to_dict`.
+
+Every internal load is a scaled integer read off a `ScanContext`: the
+scan, `improving_moves`, `is_nash` and `profitable_deviation`'s check all
+derive loads and costs from it, and turn a value into a `Fraction` only
+to hand it back.  `core.load_profile` is the public `Fraction` view of
+the same loads.
 """
 
 from __future__ import annotations
@@ -38,7 +44,6 @@ from .core import (
     Instance,
     Schedule,
     ValidationError,
-    load_profile,
     validate_schedule,
 )
 
@@ -90,17 +95,9 @@ class StrongResult:
 def improving_moves(instance: Instance, schedule: Schedule) -> Iterator[tuple[int, int, Fraction]]:
     """All strictly improving unilateral moves as (job, machine, new cost),
     in ascending job then machine order."""
-    validate_schedule(instance, schedule)
-    loads = load_profile(instance, schedule).loads
-    for j in range(1, instance.n + 1):
-        here = schedule.machine_of(j)
-        cost = loads[here - 1]
-        for i in range(1, instance.m + 1):
-            if i == here:
-                continue
-            moved = loads[i - 1] + instance.processing_time(j, i)
-            if moved < cost:
-                yield j, i, moved
+    ctx = ScanContext(instance, schedule)
+    for j, i, cost in ctx.improving_moves():
+        yield j + 1, i + 1, Fraction(cost, ctx.scale)
 
 
 def is_nash(instance: Instance, schedule: Schedule) -> NashResult:
@@ -116,26 +113,18 @@ def profitable_deviation(
 ) -> Deviation:
     """Validated constructor: checks the joint move is a profitable
     deviation and raises ValidationError naming the first violator."""
-    validate_schedule(instance, before)
-    validate_schedule(instance, after)
-    migrants = frozenset(
-        j for j in range(1, instance.n + 1) if before.machine_of(j) != after.machine_of(j)
-    )
-    if not migrants:
-        raise ValidationError("the two schedules are identical; a deviation must move someone")
-    members = frozenset(coalition) if coalition is not None else migrants
-    if not migrants <= members:
-        stranded = min(migrants - members)
-        raise ValidationError(f"job {stranded} migrates but is not in the coalition")
-    old = load_profile(instance, before).loads
-    new = load_profile(instance, after).loads
-    for j in sorted(members):
-        if not (new[after.machine_of(j) - 1] < old[before.machine_of(j) - 1]):
-            raise ValidationError(
-                f"job {j} does not strictly improve "
-                f"({old[before.machine_of(j) - 1]} -> {new[after.machine_of(j) - 1]})"
-            )
-    return Deviation(before=before, after=after, migrants=migrants, coalition=members)
+    ctx = ScanContext(instance, before)
+    assign, members = ctx.check_move(after, coalition)
+    return ctx.deviation(assign, members)
+
+
+def _members(coalition, n: int) -> frozenset[int]:
+    """The coalition as a set of job indices, each checked to be in 1..n."""
+    members = list(coalition)
+    for j in members:
+        if not isinstance(j, int) or isinstance(j, bool) or not 1 <= j <= n:
+            raise ValidationError(f"coalition member {j!r} is not a job index in 1..{n}")
+    return frozenset(members)
 
 
 class _StopScan(Exception):
@@ -143,7 +132,11 @@ class _StopScan(Exception):
 
 
 class ScanContext:
-    """Read-only scaled-integer view of (instance, schedule) shared by a scan.
+    """Read-only scaled-integer view of (instance, schedule), validated on
+    construction: every load, cost and unilateral or joint move of the
+    schedule is derived from it.  `sizes[i][j]` is job j's size on machine
+    i times `scale`, `orig[j]` job j's machine, `load0` the machine loads
+    and `cost0[j]` job j's cost, all 0-based.
 
     `twins` lists the twin classes among the `free` jobs (0-based, all
     jobs by default): jobs with the same start machine and the same
@@ -199,13 +192,51 @@ class ScanContext:
             coalition=migrants if coalition is None else frozenset(coalition),
         )
 
+    def loads_of(self, assign) -> list[int]:
+        """The machine loads under the joint action `assign`."""
+        loads = [0] * self.m
+        for j, i in enumerate(assign):
+            loads[i] += self.sizes[i][j]
+        return loads
+
+    def improving_moves(self) -> Iterator[tuple[int, int, int]]:
+        """Every strictly improving unilateral move as (job, machine, new
+        cost), in ascending job then machine order."""
+        for j, here in enumerate(self.orig):
+            for i in range(self.m):
+                cost = self.load0[i] + self.sizes[i][j]
+                if i != here and cost < self.cost0[j]:
+                    yield j, i, cost
+
+    def check_move(self, after: Schedule, coalition=None) -> tuple[list[int], frozenset[int]]:
+        """The joint action to `after` and its coalition (the migrants
+        unless given), checked to be a profitable deviation: every member
+        strictly improves.  Raises ValidationError naming the first
+        violator."""
+        validate_schedule(self.instance, after)
+        assign = [i - 1 for i in after.assignment]
+        migrants = self.migrants_of(assign)
+        if not migrants:
+            raise ValidationError("the two schedules are identical; a deviation must move someone")
+        members = migrants if coalition is None else _members(coalition, self.n)
+        if not migrants <= members:
+            stranded = min(migrants - members)
+            raise ValidationError(f"job {stranded} migrates but is not in the coalition")
+        loads = self.loads_of(assign)
+        for j in sorted(members):
+            old, new = self.cost0[j - 1], loads[assign[j - 1]]
+            if not new < old:
+                raise ValidationError(
+                    f"job {j} does not strictly improve "
+                    f"({Fraction(old, self.scale)} -> {Fraction(new, self.scale)})"
+                )
+        return assign, members
+
     def bystanders(self, assign) -> frozenset[int]:
         """Jobs that keep their machine while its load strictly drops under
         the joint action `assign`; they can join the coalition of the move
         without violating profitability."""
-        loads = [0] * self.m
-        for j, i in enumerate(assign):
-            loads[i] += self.sizes[i][j]
+        loads = self.loads_of(assign)
         return frozenset(
             j + 1
             for j, i in enumerate(assign)
@@ -373,11 +404,7 @@ def scan_deviations(
     if coalition is None:
         free = list(range(n))
     else:
-        seen = set()
-        for j in coalition:
-            if not isinstance(j, int) or isinstance(j, bool) or not 1 <= j <= n:
-                raise ValidationError(f"coalition member {j!r} is not a job index in 1..{n}")
-            seen.add(j - 1)
+        seen = {j - 1 for j in _members(coalition, n)}
         free = sorted(seen)
     if len(free) > _MAX_SCAN_JOBS:
         raise ValidationError(

@@ -25,19 +25,17 @@ from .core import (
     format_rational,
     instance_from_dict,
     instance_to_dict,
-    load_profile,
     parse_rational,
     schedule_from_dict,
     schedule_to_dict,
     validate_schedule,
 )
-from .equilibria import DEFAULT_SEARCH_BUDGET, ScanContext, improving_moves, is_nash
+from .equilibria import DEFAULT_SEARCH_BUDGET, ScanContext
 from .measures import (
     LPT_DAMAGE_LIMIT,
     LPT_MAX_IMPROVEMENT_LIMIT_3,
     NE_DAMAGE_LIMIT,
     MeasureReport,
-    _joint_action,
     _structure,
     leq_lpt_three_machine_limit,
     lpt_min_improvement_limit,
@@ -314,12 +312,11 @@ def _schedule_for(config: SweepConfig, instance: IdenticalInstance, extra_seed: 
     return random_ne(instance, extra_seed)
 
 
-def _bound_checks(
-    scheduler, eps, equilibrium, instance, schedule, report: MeasureReport, makespan, opt
-):
-    """Every limit applicable to this scheduler and machine count;
-    `equilibrium` says whether the schedule is a Nash equilibrium."""
-    m = instance.m
+def _bound_checks(scheduler, eps, equilibrium, ctx, report: MeasureReport, makespan, opt):
+    """Every limit applicable to this scheduler and machine count on the
+    schedule of `ctx`; `equilibrium` says whether it is a Nash
+    equilibrium."""
+    m = ctx.m
     checks = []
 
     def add(name, holds, observed, bound):
@@ -332,9 +329,8 @@ def _bound_checks(
         add("ne-min-improvement", report.ir_min <= limit, report.ir_min, str(limit))
         add("ne-damage", report.dr_max < NE_DAMAGE_LIMIT, report.dr_max, "< 2")
         if m == 3 and report.deviation_count > 0:
-            top = makespan
-            total = instance.total()
-            add("ne-top-load-at-most-half", 2 * top <= total, top, f"<= {total}/2")
+            total = Fraction(sum(ctx.load0), ctx.scale)
+            add("ne-top-load-at-most-half", 2 * makespan <= total, makespan, f"<= {total}/2")
     if scheduler == "lpt":
         if m == 3:
             add(
@@ -360,12 +356,10 @@ def _bound_checks(
         if opt is not None:
             limit = 2 - Fraction(1, m)
             add("ls-makespan", makespan <= limit * opt, makespan, f"<= ({limit})*opt")
-        loads = load_profile(instance, schedule).loads
         worst = Fraction(1)
-        for j, i, _ in improving_moves(instance, schedule):
-            before = loads[i - 1]
-            if before > 0:
-                worst = max(worst, (before + instance.p[j - 1]) / before)
+        for _, i, cost in ctx.improving_moves():
+            if ctx.load0[i] > 0:
+                worst = max(worst, Fraction(cost, ctx.load0[i]))
         add("ls-single-move-damage", worst <= 2, worst, "<= 2")
     if scheduler == "ptas":
         add("ptas-min-improvement", report.ir_min <= 1 + eps, report.ir_min, f"<= 1 + {eps}")
@@ -377,37 +371,35 @@ def _bound_checks(
 
 
 def _evaluate(scheduler, eps, instance, schedule, budget):
-    """Measure one trial's schedule and check every applicable limit,
-    computing equilibrium status once for the checks and for the
-    structural predicates, which run unvalidated on one scaled-integer
-    context for every deviation of a three-machine equilibrium.  Returns
-    (measures, makespan, opt, checks, structural_failures): `opt` is None
-    past its budget, `checks` is empty when the measures ran out of budget
-    (the trial is inconclusive), and the failures are (deviation, report)
-    pairs."""
-    equilibrium = is_nash(instance, schedule).holds
+    """Measure one trial's schedule and check every applicable limit.
+    One scaled-integer context gives the equilibrium status, the makespan
+    and the single-move damage, and the structural predicates run
+    unvalidated on it for every deviation of a three-machine equilibrium.
+    Returns (measures, makespan, opt, checks, structural_failures): `opt`
+    is None past its budget, `checks` is empty when the measures ran out
+    of budget (the trial is inconclusive), and the failures are
+    (deviation, report) pairs."""
+    ctx = ScanContext(instance, schedule)
+    equilibrium = next(ctx.improving_moves(), None) is None
     structural_failures: list[tuple] = []
     on_deviation = None
     if instance.m == 3 and equilibrium:
-        ctx = ScanContext(instance, schedule)
         lpt_origin = scheduler == "lpt"
 
         def on_deviation(dev):
-            sr = _structure(ctx, _joint_action(dev.after), lpt_origin)
+            sr = _structure(ctx, [i - 1 for i in dev.after.assignment], lpt_origin)
             if not sr.passed:
                 structural_failures.append((dev, sr))
 
     measures = measure_report(instance, schedule, node_budget=budget, on_deviation=on_deviation)
-    makespan = load_profile(instance, schedule).makespan
+    makespan = Fraction(max(ctx.load0), ctx.scale)
     try:
         opt = optimal_makespan(instance, node_budget=budget).value
     except BudgetExceededError:
         opt = None
     checks: tuple[BoundCheck, ...] = ()
     if measures.exhaustive:
-        checks = _bound_checks(
-            scheduler, eps, equilibrium, instance, schedule, measures, makespan, opt
-        )
+        checks = _bound_checks(scheduler, eps, equilibrium, ctx, measures, makespan, opt)
     return measures, makespan, opt, checks, structural_failures
 
 

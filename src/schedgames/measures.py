@@ -14,12 +14,13 @@ prunes every branch unable to beat the best ratio found so far.  The
 `ir_max` witness counts improving bystanders in its coalition; every
 other witness's coalition is its migrants.
 
-`deviation_stats` is the one validated pass over a single given
-deviation's ratios.  The structural checks (`check_flower`,
-`structural_report` and the sweep's hook on a scan's own deviations)
-read every fact from one private pass, `_structure`, over a
-`ScanContext`'s scaled integers: ratios of scaled sums are scale-free,
-so they stay exact.
+`deviation_stats`, `check_flower` and `structural_report` each validate
+the given deviation once, with `ScanContext.check_move`, and read every
+load from that one context.  The structural checks (those two and the
+sweep's hook on a scan's own deviations) share one private pass,
+`_structure`.  Every load here is one of the context's scaled integers,
+and ratios of them are scale-free, so they stay exact; `core.load_profile`
+is the public `Fraction` view of the same loads.
 """
 
 from __future__ import annotations
@@ -33,15 +34,12 @@ from .core import (
     Instance,
     Schedule,
     ValidationError,
-    load_profile,
 )
 from .equilibria import (
     DEFAULT_SEARCH_BUDGET,
     Deviation,
     OrbitMerge,
     ScanContext,
-    is_nash,
-    profitable_deviation,
     scan_deviations,
 )
 
@@ -105,21 +103,19 @@ class DeviationStats:
 
 def deviation_stats(instance: Instance, before: Schedule, after: Schedule) -> DeviationStats:
     """Ratios of a profitable deviation, validated first."""
-    profitable_deviation(instance, before, after)
-    old = load_profile(instance, before).loads
-    new = load_profile(instance, after).loads
+    ctx = ScanContext(instance, before)
+    assign, _ = ctx.check_move(after)
+    old, new = ctx.load0, ctx.loads_of(assign)
     mover: dict[int, Fraction] = {}
     bystander: dict[int, Fraction] = {}
     damage: dict[int, Fraction] = {}
-    for j in range(1, instance.n + 1):
-        src = before.machine_of(j)
-        dst = after.machine_of(j)
+    for j, (src, dst) in enumerate(zip(ctx.orig, assign), start=1):
         if src != dst:
-            mover[j] = old[src - 1] / new[dst - 1]
-        elif new[src - 1] < old[src - 1]:
-            bystander[j] = old[src - 1] / new[src - 1]
-        elif new[src - 1] > old[src - 1]:
-            damage[j] = new[src - 1] / old[src - 1]
+            mover[j] = Fraction(old[src], new[dst])
+        elif new[src] < old[src]:
+            bystander[j] = Fraction(old[src], new[src])
+        elif new[src] > old[src]:
+            damage[j] = Fraction(new[src], old[src])
     return DeviationStats(mover_improvement=mover, bystander_improvement=bystander, damage=damage)
 
 
@@ -167,41 +163,28 @@ def _leaf_min_improvement(ctx, assign, loads):
     return num, den
 
 
-def _stayer_flags(ctx, assign):
-    stayers = [False] * ctx.m
-    for j in range(ctx.n):
-        if assign[j] == ctx.orig[j]:
-            stayers[assign[j]] = True
-    return stayers
-
-
-def _leaf_max_improvement(ctx, assign, loads):
-    """Largest improvement over movers and improving bystanders: (num, den)."""
-    num, den = None, None
-    for j in range(ctx.n):
-        if assign[j] != ctx.orig[j]:
-            c, l = ctx.cost0[j], loads[assign[j]]
-            if num is None or c * den > num * l:
-                num, den = c, l
-    stayers = _stayer_flags(ctx, assign)
-    for i in range(ctx.m):
-        if stayers[i] and loads[i] < ctx.load0[i]:
-            c, l = ctx.load0[i], loads[i]
-            if num is None or c * den > num * l:
-                num, den = c, l
-    return num, den
-
-
-def _leaf_max_damage(ctx, assign, loads):
-    """Largest load growth on a machine keeping at least one job: (num, den)."""
-    num, den = None, None
-    stayers = _stayer_flags(ctx, assign)
-    for i in range(ctx.m):
-        if stayers[i] and loads[i] > ctx.load0[i]:
-            c, l = loads[i], ctx.load0[i]
-            if num is None or c * den > num * l:
-                num, den = c, l
-    return num, den
+def _leaf_max_ratios(ctx, assign, loads):
+    """Largest improvement over movers and improving bystanders, and
+    largest load growth on a machine keeping at least one job: two
+    (num, den) pairs, a pair None when nothing qualifies."""
+    orig, cost0 = ctx.orig, ctx.cost0
+    kept = [False] * ctx.m
+    inum = iden = dnum = dden = None
+    for j, i in enumerate(assign):
+        if i == orig[j]:
+            kept[i] = True
+        elif inum is None or cost0[j] * iden > inum * loads[i]:
+            inum, iden = cost0[j], loads[i]
+    for i, start in enumerate(ctx.load0):
+        if not kept[i]:
+            continue
+        load = loads[i]
+        if load < start:
+            if inum is None or start * iden > inum * load:
+                inum, iden = start, load
+        elif load > start and (dnum is None or load * dden > dnum * start):
+            dnum, dden = load, start
+    return inum, iden, dnum, dden
 
 
 def measure_report(
@@ -227,9 +210,10 @@ def measure_report(
 
     def leaf(ctx, assign, loads):
         count[0] += ctx.orbit_size(assign)
-        _bump(best["min"], *_leaf_min_improvement(ctx, assign, loads), ctx, assign)
-        _bump(best["max"], *_leaf_max_improvement(ctx, assign, loads), ctx, assign)
-        _bump(best["dr"], *_leaf_max_damage(ctx, assign, loads), ctx, assign)
+        inum, iden, dnum, dden = _leaf_max_ratios(ctx, assign, loads)
+        _bump(best["min"], *_leaf_min_improvement(ctx, assign, loads), assign)
+        _bump(best["max"], inum, iden, assign)
+        _bump(best["dr"], dnum, dden, assign)
         if merge is not None:
             merge.add(ctx, assign)
 
@@ -272,7 +256,7 @@ def measure_report(
     )
 
 
-def _bump(slot, num, den, ctx, assign):
+def _bump(slot, num, den, assign):
     if num is not None and num * slot[1] > slot[0] * den:
         slot[0], slot[1], slot[2] = num, den, list(assign)
 
@@ -353,16 +337,11 @@ def _flows(ctx, assign):
     return migration, loads, moved, staying
 
 
-def _joint_action(schedule: Schedule) -> list[int]:
-    return [i - 1 for i in schedule.assignment]
-
-
 def check_flower(instance: Instance, before: Schedule, after: Schedule) -> bool:
     """Every migration enters or leaves the most loaded machine, in both
     directions for each of the other machines."""
-    profitable_deviation(instance, before, after)
     ctx = ScanContext(instance, before)
-    migration = _flows(ctx, _joint_action(after))[0]
+    migration = _flows(ctx, ctx.check_move(after)[0])[0]
     return _is_flower(migration, _flower_center(ctx.load0, migration))
 
 
@@ -412,10 +391,10 @@ def structural_report(
     staying and incoming loads of the other two machines, which must all
     be at least 1.
     """
-    if not is_nash(instance, before).holds:
+    ctx = ScanContext(instance, before)
+    if next(ctx.improving_moves(), None) is not None:
         raise ValidationError("structural checks require an equilibrium starting schedule")
-    profitable_deviation(instance, before, after)
-    return _structure(ScanContext(instance, before), _joint_action(after), lpt_origin)
+    return _structure(ctx, ctx.check_move(after)[0], lpt_origin)
 
 
 def _structure(ctx: ScanContext, assign, lpt_origin: bool) -> StructuralReport:

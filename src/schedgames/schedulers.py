@@ -3,7 +3,11 @@ prefix assignment, the strong-stability PTAS, and an exact makespan oracle.
 
 Deterministic tie-breaks throughout: the job sort orders by
 non-increasing size with ties broken by ascending job index, and greedy
-steps pick the least loaded machine with the lowest index.
+steps pick the least loaded machine with the lowest index.  Loads are
+scaled integers (see `_scaling`): `lpt`, `list_schedule`, the completion
+of each `ptas` round and the warm start of `optimal_makespan` share one
+greedy, `_greedy`.  `core.load_profile` is the `Fraction` view of the
+loads of a schedule returned here.
 
 The lex-min prefix search (`lex_min_assignment`, and each round of
 `ptas`) and `optimal_makespan` both run a DFS over canonical assignments
@@ -43,21 +47,24 @@ def size_ordered_jobs(instance: IdenticalInstance) -> list[int]:
     return sorted(range(1, instance.n + 1), key=lambda j: (-instance.p[j - 1], j))
 
 
-def _greedy_fill(instance, order, loads, assignment):
-    """Assign jobs in `order` to the least loaded machine (lowest index tie)."""
-    for j in order:
-        best = min(range(instance.m), key=lambda i: (loads[i], i))
-        assignment[j - 1] = best + 1
-        loads[best] += instance.p[j - 1]
+def _greedy(sizes, loads) -> list[int]:
+    """Place jobs of the given scaled sizes, in order, each on the least
+    loaded machine (lowest index on ties), adding to `loads` in place;
+    returns their 0-based machines."""
+    machines = []
+    for size in sizes:
+        i = loads.index(min(loads))
+        loads[i] += size
+        machines.append(i)
+    return machines
 
 
 def lpt(instance: IdenticalInstance) -> Schedule:
     """Longest-processing-time rule: sort, then greedy least-loaded."""
     _require_identical(instance)
-    loads = [Fraction(0)] * instance.m
-    assignment = [0] * instance.n
-    _greedy_fill(instance, size_ordered_jobs(instance), loads, assignment)
-    return Schedule(tuple(assignment))
+    order = size_ordered_jobs(instance)
+    row = scaled_sizes(instance)[0][0]
+    return _schedule_from(order, _greedy([row[j - 1] for j in order], [0] * instance.m))
 
 
 def list_schedule(instance: IdenticalInstance, order: Sequence[int]) -> Schedule:
@@ -66,10 +73,8 @@ def list_schedule(instance: IdenticalInstance, order: Sequence[int]) -> Schedule
     order = list(order)
     if sorted(order) != list(range(1, instance.n + 1)):
         raise ValidationError(f"order must be a permutation of 1..{instance.n}")
-    loads = [Fraction(0)] * instance.m
-    assignment = [0] * instance.n
-    _greedy_fill(instance, order, loads, assignment)
-    return Schedule(tuple(assignment))
+    row = scaled_sizes(instance)[0][0]
+    return _schedule_from(order, _greedy([row[j - 1] for j in order], [0] * instance.m))
 
 
 @dataclass(frozen=True)
@@ -84,22 +89,22 @@ class PartialAssignment:
         return dict(zip(self.jobs, self.machines))
 
 
-def _canonical_partial(instance, jobs, labels, machine_ids):
-    """Relabel machine labels so first-use order follows ascending job index."""
+def _canonical_partial(row, jobs, labels, m) -> tuple[list[int], list[int]]:
+    """Relabel the m machines so that first use follows ascending job
+    index; returns each job's 0-based machine and the scaled loads."""
     first: dict[int, int] = {}
-    for j, lab in sorted(zip(jobs, labels)):
-        first.setdefault(lab, j)
-    order = sorted(first, key=first.get)
-    relabel = {lab: machine_ids[pos] for pos, lab in enumerate(order)}
-    machines = tuple(relabel[lab] for lab in labels)
-    loads = [Fraction(0)] * instance.m
+    for _, lab in sorted(zip(jobs, labels)):
+        first.setdefault(lab, len(first))
+    machines = [first[lab] for lab in labels]
+    loads = [0] * m
     for j, i in zip(jobs, machines):
-        loads[i - 1] += instance.p[j - 1]
-    return PartialAssignment(jobs=tuple(jobs), machines=machines, loads=tuple(loads))
+        loads[i] += row[j - 1]
+    return machines, loads
 
 
-def _lex_min_over(instance, jobs, machine_ids, node_budget):
-    """Lex-minimal assignment of `jobs` (sorted non-increasing) to `machine_ids`.
+def _lex_min_over(row, jobs, m, node_budget) -> list[int]:
+    """Labels of the lex-minimal assignment of `jobs` (sorted
+    non-increasing, scaled sizes in `row`) to m machines.
 
     Enumerates machine-relabeling canonical assignments only (a fresh
     machine may be opened only after all previously opened ones), which
@@ -118,9 +123,7 @@ def _lex_min_over(instance, jobs, machine_ids, node_budget):
     returned are those of that first minimal leaf, as in the full
     enumeration.  Every child examined counts as one node.
     """
-    m = len(machine_ids)
     k = len(jobs)
-    row = scaled_sizes(instance)[0][0]
     sizes = [row[j - 1] for j in jobs]
     best_vector: list[int] | None = None
     best_labels: list[int] | None = None
@@ -159,9 +162,7 @@ def _lex_min_over(instance, jobs, machine_ids, node_budget):
             loads[i] = load
 
     dfs(0, 0)
-    if best_labels is None:  # k == 0
-        return [], []
-    return list(jobs), best_labels
+    return best_labels
 
 
 def lex_min_assignment(
@@ -173,9 +174,14 @@ def lex_min_assignment(
     if not isinstance(k, int) or k < 0 or k > instance.n:
         raise ValidationError(f"k must be in 0..{instance.n}, got {k!r}")
     chosen = size_ordered_jobs(instance)[:k]
-    machine_ids = list(range(1, instance.m + 1))
-    jobs, labels = _lex_min_over(instance, chosen, machine_ids, node_budget)
-    return _canonical_partial(instance, jobs, labels, machine_ids)
+    rows, scale = scaled_sizes(instance)
+    labels = _lex_min_over(rows[0], chosen, instance.m, node_budget)
+    machines, loads = _canonical_partial(rows[0], chosen, labels, instance.m)
+    return PartialAssignment(
+        jobs=tuple(chosen),
+        machines=tuple(i + 1 for i in machines),
+        loads=tuple(Fraction(load, scale) for load in loads),
+    )
 
 
 @dataclass(frozen=True)
@@ -204,42 +210,33 @@ class PtasConfig:
         return min(n, k)
 
 
-def _scheme_round(instance, jobs, machine_ids, k, node_budget):
-    """One pass: lex-min prefix on the given machines, greedy completion.
-
-    Returns (assignment dict, prefix job set)."""
-    ordered = sorted(jobs, key=lambda j: (-instance.p[j - 1], j))
-    prefix = ordered[: min(k, len(ordered))]
-    rest = ordered[len(prefix):]
-    pjobs, plabels = _lex_min_over(instance, prefix, machine_ids, node_budget)
-    partial = _canonical_partial(instance, pjobs, plabels, machine_ids)
-    amap = partial.as_mapping()
-    loads = {i: Fraction(0) for i in machine_ids}
-    for j, i in amap.items():
-        loads[i] += instance.p[j - 1]
-    for j in rest:
-        target = min(machine_ids, key=lambda i: (loads[i], i))
-        amap[j] = target
-        loads[target] += instance.p[j - 1]
-    return amap, set(prefix)
+def _scheme_round(row, jobs, m, k, node_budget):
+    """One pass on m machines: lex-min prefix of the k longest `jobs`,
+    greedy completion.  Returns each job's 0-based machine, the prefix
+    job set and the scaled loads."""
+    ordered = sorted(jobs, key=lambda j: (-row[j - 1], j))
+    prefix, rest = ordered[:k], ordered[k:]
+    labels = _lex_min_over(row, prefix, m, node_budget)
+    machines, loads = _canonical_partial(row, prefix, labels, m)
+    machines += _greedy([row[j - 1] for j in rest], loads)
+    return dict(zip(prefix + rest, machines)), set(prefix), loads
 
 
 def ptas(instance: IdenticalInstance, config: PtasConfig) -> Schedule:
     """Lex-minimal assignment of the longest k jobs, then LPT for the rest."""
     _require_identical(instance)
+    row = scaled_sizes(instance)[0][0]
     k = config.prefix_size(instance.m, instance.n)
     jobs = list(range(1, instance.n + 1))
     machine_ids = list(range(1, instance.m + 1))
     frozen: dict[int, int] = {}
     while True:
-        amap, prefix = _scheme_round(instance, jobs, machine_ids, k, config.node_budget)
+        placed, prefix, loads = _scheme_round(row, jobs, len(machine_ids), k, config.node_budget)
+        amap = {j: machine_ids[i] for j, i in placed.items()}
         if not config.refine or len(machine_ids) == 1 or not amap:
             break
-        loads = {i: Fraction(0) for i in machine_ids}
-        for j, i in amap.items():
-            loads[i] += instance.p[j - 1]
-        top = max(loads.values())
-        top_machines = [i for i in machine_ids if loads[i] == top]
+        top = max(loads)
+        top_machines = [machine_ids[i] for i, load in enumerate(loads) if load == top]
         # a completion job on some makespan machine ends the loop
         if any(
             any(j not in prefix for j, i in amap.items() if i == mach)
@@ -284,11 +281,7 @@ def optimal_makespan(
     n = instance.n
 
     loads = [0] * m
-    best_assign = []
-    for size in sizes:
-        i = loads.index(min(loads))
-        best_assign.append(i + 1)
-        loads[i] += size
+    best_assign = _greedy(sizes, loads)
     best_val = max(loads)
     total = sum(sizes)
     lower = max(sizes[0], -(-total // m))
@@ -303,7 +296,7 @@ def optimal_makespan(
         if t == n:
             if cur_max < best_val:
                 best_val = cur_max
-                best_assign = [i + 1 for i in current]
+                best_assign = current.copy()
             return
         seen: set[int] = set()
         for i in range(min(used + 1, m)):
@@ -315,7 +308,7 @@ def optimal_makespan(
                     budget=node_budget,
                     best=OptimalMakespan(
                         value=Fraction(best_val, scale),
-                        schedule=_schedule_from(order, best_assign, n),
+                        schedule=_schedule_from(order, best_assign),
                     ),
                 )
             if loads[i] in seen:
@@ -330,14 +323,16 @@ def optimal_makespan(
             loads[i] = new_load - sizes[t]
 
     dfs(0, 0, 0)
-    schedule = _schedule_from(order, best_assign, n)
+    schedule = _schedule_from(order, best_assign)
     return OptimalMakespan(
         value=Fraction(best_val, scale), schedule=canonical_form(schedule, instance)
     )
 
 
-def _schedule_from(order, machines, n):
-    assignment = [0] * n
+def _schedule_from(order, machines) -> Schedule:
+    """The schedule that puts job order[k] on 0-based machine machines[k];
+    `order` lists every job."""
+    assignment = [0] * len(order)
     for j, i in zip(order, machines):
-        assignment[j - 1] = i
+        assignment[j - 1] = i + 1
     return Schedule(tuple(assignment))

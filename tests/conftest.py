@@ -50,6 +50,16 @@ def instance_with_schedule(draw, min_m=1, max_m=3, min_n=0, max_n=6, sizes=None)
 
 
 @st.composite
+def unrelated_with_schedule(draw, min_m=1, max_m=3, min_n=0, max_n=6):
+    """(instance, schedule) on unrelated machines with rational entries."""
+    m = draw(st.integers(min_m, max_m))
+    n = draw(st.integers(min_n, max_n))
+    rows = draw(st.lists(st.lists(rationals(), min_size=n, max_size=n), min_size=m, max_size=m))
+    assignment = draw(st.lists(st.integers(1, m), min_size=n, max_size=n))
+    return UnrelatedInstance(m=m, p=tuple(map(tuple, rows))), Schedule(tuple(assignment))
+
+
+@st.composite
 def twin_heavy_pairs(draw, unrelated, min_m=1, max_m=3, min_n=1, max_n=6, max_entry=5):
     """(instance, schedule) whose jobs repeat a few base sizes (identical
     machines) or matrix columns (unrelated machines, small integer

@@ -27,22 +27,61 @@ def brute_deviations(instance, schedule):
     return out
 
 
-def _brute_ratios(instance, schedule, joint, old):
-    """(min mover, max mover-or-improver, max damage or 1) of one deviation."""
+def brute_ratio_maps(instance, schedule, joint, old=None):
+    """Per-job ratios of one joint action, keyed by job: (movers' old
+    cost over new, stayers' old over new load where it drops, stayers'
+    new over old load where it grows).  `old` is the start loads,
+    computed here unless given."""
+    if old is None:
+        old = load_profile(instance, schedule).loads
     new = load_profile(instance, Schedule(joint)).loads
-    mover_ratios = []
-    improver_ratios = []
-    damage_ratios = [Fraction(1)]
+    mover, bystander, damage = {}, {}, {}
     for j in range(1, instance.n + 1):
         src = schedule.machine_of(j)
         dst = joint[j - 1]
         if src != dst:
-            mover_ratios.append(old[src - 1] / new[dst - 1])
+            mover[j] = old[src - 1] / new[dst - 1]
         elif new[src - 1] < old[src - 1]:
-            improver_ratios.append(old[src - 1] / new[src - 1])
+            bystander[j] = old[src - 1] / new[src - 1]
         elif new[src - 1] > old[src - 1]:
-            damage_ratios.append(new[src - 1] / old[src - 1])
-    return min(mover_ratios), max(mover_ratios + improver_ratios), max(damage_ratios)
+            damage[j] = new[src - 1] / old[src - 1]
+    return mover, bystander, damage
+
+
+def _brute_ratios(instance, schedule, joint, old):
+    """(min mover, max mover-or-improver, max damage or 1) of one deviation."""
+    mover, bystander, damage = brute_ratio_maps(instance, schedule, joint, old)
+    return (
+        min(mover.values()),
+        max([*mover.values(), *bystander.values()]),
+        max([Fraction(1), *damage.values()]),
+    )
+
+
+def brute_improving_moves(instance, schedule):
+    """Every strictly improving unilateral move as (job, machine, new
+    cost), ascending by job then machine."""
+    loads = load_profile(instance, schedule).loads
+    moves = []
+    for j in range(1, instance.n + 1):
+        here = schedule.machine_of(j)
+        for i in range(1, instance.m + 1):
+            cost = loads[i - 1] + instance.processing_time(j, i)
+            if i != here and cost < loads[here - 1]:
+                moves.append((j, i, cost))
+    return moves
+
+
+def brute_non_improver(instance, before, after, members):
+    """(job, old cost, new cost) of the lowest-index member whose cost
+    does not strictly drop in the move, or None."""
+    old = load_profile(instance, before).loads
+    new = load_profile(instance, after).loads
+    for j in sorted(members):
+        cost = (old[before.machine_of(j) - 1], new[after.machine_of(j) - 1])
+        if not cost[1] < cost[0]:
+            return (j, *cost)
+    return None
 
 
 def brute_measures(instance, schedule):

@@ -15,7 +15,6 @@ from schedgames.core import (
     induced_instance,
     instance_from_dict,
     instance_to_dict,
-    job_cost,
     load_profile,
     parse_rational,
     schedule_from_dict,
@@ -49,18 +48,6 @@ def test_load_profile_rejects_length_mismatch_and_bad_machine():
         load_profile(FIG1, Schedule((1, 1, 2)))
     with pytest.raises(ValidationError):
         load_profile(FIG1, Schedule((1, 1, 2, 2, 3, 4)))
-
-
-def test_job_cost_is_machine_load():
-    assert job_cost(FIG1, FIG1_NE, 4) == 5  # the size-2 job on machine 2
-    assert job_cost(IdenticalInstance(m=3, p=(7,)), Schedule((2,)), 1) == 7
-    unrelated = UnrelatedInstance(m=2, p=((1, Fraction(1, 10)), (Fraction(1, 10), 1)))
-    assert job_cost(unrelated, Schedule((1, 2)), 1) == 1
-
-
-def test_job_cost_rejects_bad_index():
-    with pytest.raises(ValidationError):
-        job_cost(FIG1, FIG1_NE, 7)
 
 
 def test_induced_instance_benchmark_subset():
@@ -122,7 +109,7 @@ def test_canonical_form_idempotent_and_load_preserving(pair):
     after = load_profile(instance, once)
     assert sorted(before.loads) == sorted(after.loads)
     for j in range(1, instance.n + 1):
-        assert job_cost(instance, schedule, j) == job_cost(instance, once, j)
+        assert before.load(schedule.machine_of(j)) == after.load(once.machine_of(j))
 
 
 @given(instance_with_schedule())
@@ -132,7 +119,7 @@ def test_total_load_is_conserved(pair):
     assert sum(profile.loads, Fraction(0)) == instance.total()
     if instance.n:
         assert profile.makespan == max(
-            job_cost(instance, schedule, j) for j in range(1, instance.n + 1)
+            profile.load(schedule.machine_of(j)) for j in range(1, instance.n + 1)
         )
 
 

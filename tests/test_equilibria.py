@@ -1,10 +1,11 @@
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import instance_with_schedule
-from oracles import brute_deviations
+from conftest import instance_with_schedule, twin_heavy_pairs, unrelated_with_schedule
+from oracles import brute_deviations, brute_improving_moves, brute_non_improver, brute_ratio_maps
 from schedgames.core import (
     BudgetExceededError,
     IdenticalInstance,
@@ -23,7 +24,7 @@ from schedgames.equilibria import (
     profitable_deviation,
 )
 from schedgames.experiments import random_instance, random_ne
-from schedgames.measures import ir_min, measure_report
+from schedgames.measures import deviation_stats, ir_min, measure_report
 
 FIG1 = IdenticalInstance(m=3, p=(5, 5, 3, 2, 3, 2))
 FIG1_NE = Schedule((1, 1, 2, 2, 3, 3))
@@ -292,6 +293,51 @@ def test_profitable_deviation_names_non_improver():
 def test_profitable_deviation_rejects_mover_outside_coalition():
     with pytest.raises(ValidationError, match="not in the coalition"):
         profitable_deviation(FIG1, FIG1_NE, FIG1_MOVE, coalition={1, 2, 4})
+
+
+@pytest.mark.parametrize(
+    "coalition",
+    [{1, 2, 4, 6, 0}, {1, 2, 4, 6, 7}, {1, 2, 4, 6, "3"}],
+    ids=["zero", "past-last-job", "string"],
+)
+def test_profitable_deviation_rejects_bad_member(coalition):
+    with pytest.raises(ValidationError, match="is not a job index in 1..6"):
+        profitable_deviation(FIG1, FIG1_NE, FIG1_MOVE, coalition=coalition)
+
+
+# rational sizes make the scale of the scan's integers exceed 1, so every
+# load, cost and ratio read from them must divide it out
+@given(
+    pair=st.one_of(
+        instance_with_schedule(min_n=1, max_n=5),
+        unrelated_with_schedule(min_n=1, max_n=5),
+        twin_heavy_pairs(unrelated=False, max_n=5),
+        twin_heavy_pairs(unrelated=True, max_n=5),
+    ),
+    data=st.data(),
+)
+def test_scaled_loads_match_fraction_oracle(pair, data):
+    instance, schedule = pair
+    moves = brute_improving_moves(instance, schedule)
+    assert list(improving_moves(instance, schedule)) == moves
+    nash = is_nash(instance, schedule)
+    assert nash.holds == (not moves)
+    assert nash.witness == (moves[0][:2] if moves else None)
+    for joint in brute_deviations(instance, schedule):
+        stats = deviation_stats(instance, schedule, Schedule(joint))
+        mover, bystander, damage = brute_ratio_maps(instance, schedule, joint)
+        assert stats.mover_improvement == mover
+        assert stats.bystander_improvement == bystander
+        assert stats.damage == damage
+    m, n = instance.m, instance.n
+    after = Schedule(tuple(data.draw(st.lists(st.integers(1, m), min_size=n, max_size=n))))
+    migrants = {j for j in range(1, n + 1) if after.machine_of(j) != schedule.machine_of(j)}
+    members = migrants | data.draw(st.sets(st.integers(1, n)))
+    culprit = brute_non_improver(instance, schedule, after, members)
+    if migrants and culprit is not None:
+        message = "job {} does not strictly improve ({} -> {})".format(*culprit)
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            profitable_deviation(instance, schedule, after, coalition=members)
 
 
 def test_improving_bystanders_on_benchmark_move():

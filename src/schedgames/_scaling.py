@@ -14,14 +14,8 @@ from .core import IdenticalInstance, Instance
 
 def scaled_sizes(instance: Instance) -> tuple[list[list[int]], int]:
     """Return (sizes, scale): sizes[i][j] = p(machine i+1, job j+1) * scale."""
-    if isinstance(instance, IdenticalInstance):
-        values = instance.p
-    else:
-        values = [q for row in instance.p for q in row]
-    scale = 1
-    for q in values:
-        scale = math.lcm(scale, q.denominator)
-    if isinstance(instance, IdenticalInstance):
-        row = [int(q * scale) for q in instance.p]
-        return [row] * instance.m, scale
-    return [[int(q * scale) for q in row] for row in instance.p], scale
+    identical = isinstance(instance, IdenticalInstance)
+    rows = [instance.p] if identical else instance.p
+    scale = math.lcm(1, *(q.denominator for row in rows for q in row))
+    sizes = [[q.numerator * (scale // q.denominator) for q in row] for row in rows]
+    return (sizes * instance.m if identical else sizes), scale

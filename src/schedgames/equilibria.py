@@ -17,11 +17,14 @@ witness or count.  Deciding strong stability is a hard problem, so
 searches carry an explicit node budget and fail loudly (never
 approximately) when it runs out.
 
-`scan_deviations` is the one search kernel.  Here `is_strong`,
-`can_coalition_deviate` and `enumerate_profitable_deviations` are views
-over it; the measures that maximize a ratio over deviations live in
-`measures`.  Each `Deviation` a scan finds is built by
-`ScanContext.deviation` and written out by `Deviation.to_dict`.
+`scan_deviations` is the one search kernel.  It runs on a `ScanContext`
+its caller builds (with the coalition free to act, if any) and returns
+the nodes it visited, so the caller still holds the context after a
+budget stop.  Here `is_strong`, `can_coalition_deviate` and
+`enumerate_profitable_deviations` are views over it; the measures that
+maximize a ratio over deviations live in `measures`.  Each `Deviation` a
+scan finds is built by `ScanContext.deviation` and written out by
+`Deviation.to_dict`.
 
 Every internal load is a scaled integer read off a `ScanContext`: the
 scan, `improving_moves`, `is_nash` and `profitable_deviation`'s check all
@@ -134,24 +137,26 @@ class _StopScan(Exception):
 class ScanContext:
     """Read-only scaled-integer view of (instance, schedule), validated on
     construction: every load, cost and unilateral or joint move of the
-    schedule is derived from it.  `sizes[i][j]` is job j's size on machine
-    i times `scale`, `orig[j]` job j's machine, `load0` the machine loads
-    and `cost0[j]` job j's cost, all 0-based.
+    schedule is derived from it, and a deviation scan runs on it.
+    `sizes[i][j]` is job j's size on machine i times `scale`, `orig[j]`
+    job j's machine, `load0` the machine loads and `cost0[j]` job j's
+    cost, all 0-based.
 
-    `twins` lists the twin classes among the `free` jobs (0-based, all
-    jobs by default): jobs with the same start machine and the same
-    scaled processing time on every machine, in index order, two or more
-    per class.  `prev_twin[j]` is the twin just before job j, or -1.
-    `nodes` is the number of nodes the scan that returned the context
-    visited (0 until a scan ends).
+    `coalition` is the set of jobs (1-based, checked with `_members`) a
+    scan lets act, or None for any set of movers; `free` lists the jobs
+    free to act, 0-based and ascending.  `twins` lists the twin classes
+    among them: jobs with the same start machine and the same scaled
+    processing time on every machine, in index order, two or more per
+    class.  `prev_twin[j]` is the twin just before job j, or -1.
     """
 
     __slots__ = (
         "instance", "schedule", "m", "n", "sizes", "scale", "orig", "load0", "cost0",
-        "twins", "prev_twin", "nodes",
+        "coalition", "free", "twins", "prev_twin",
     )
 
-    def __init__(self, instance: Instance, schedule: Schedule, free=None):
+    def __init__(self, instance: Instance, schedule: Schedule, coalition=None):
+        self.coalition = None if coalition is None else _members(coalition, instance.n)
         validate_schedule(instance, schedule)
         self.instance = instance
         self.schedule = schedule
@@ -164,16 +169,19 @@ class ScanContext:
             load0[i] += self.sizes[i][j]
         self.load0 = load0
         self.cost0 = [load0[i] for i in self.orig]
+        if self.coalition is None:
+            self.free = tuple(range(self.n))
+        else:
+            self.free = tuple(sorted(j - 1 for j in self.coalition))
         columns = list(zip(*self.sizes))
         classes: dict = {}
-        for j in range(self.n) if free is None else free:
+        for j in self.free:
             classes.setdefault((self.orig[j], columns[j]), []).append(j)
         self.twins = tuple(tuple(c) for c in classes.values() if len(c) > 1)
         self.prev_twin = [-1] * self.n
         for c in self.twins:
             for a, b in zip(c, c[1:]):
                 self.prev_twin[b] = a
-        self.nodes = 0
 
     def to_schedule(self, assign) -> Schedule:
         return Schedule(tuple(i + 1 for i in assign))
@@ -346,23 +354,26 @@ class OrbitMerge:
             raise _StopScan
 
 
-def scan_deviations(
-    instance: Instance,
-    schedule: Schedule,
-    *,
-    budget: int,
-    on_leaf: Callable,
-    coalition=None,
-    min_ratio_floor=None,
-) -> ScanContext:
-    """Depth-first search over joint actions, calling on_leaf(ctx, assign,
-    loads) once per symmetry orbit of profitable candidates, in
-    lexicographic order.
+def _check_budget(budget) -> None:
+    """Reject a node budget that is not a positive int (bools included)."""
+    if not isinstance(budget, int) or isinstance(budget, bool) or budget < 1:
+        raise ValidationError(f"node budget must be positive, got {budget!r}")
 
-    Without `coalition`, any set of jobs may move and a candidate is
-    profitable iff every mover strictly improves.  With `coalition`, only
-    those jobs may act and every member (moving or staying) must strictly
-    improve.  A branch is cut as soon as some machine's partial load
+
+def scan_deviations(
+    ctx: ScanContext, *, budget: int, on_leaf: Callable, min_ratio_floor=None
+) -> int:
+    """Depth-first search over the joint actions of the schedule of `ctx`,
+    calling on_leaf(ctx, assign, loads) once per symmetry orbit of
+    profitable candidates, in lexicographic order.  Returns the nodes
+    visited, the count that `budget` (a positive int, which the public
+    entry points check) caps.
+
+    Without `ctx.coalition`, any set of jobs may move and a candidate is
+    profitable iff every mover strictly improves.  With it, only those
+    jobs may act and every member (moving or staying) must strictly
+    improve; an empty coalition gives a scan of no jobs, which finds
+    nothing.  A branch is cut as soon as some machine's partial load
     reaches the smallest original cost among the movers bound to it.
     `min_ratio_floor`, a mutable [num, den] pair, further prunes branches
     whose smallest member improvement ratio cannot exceed num/den.
@@ -394,24 +405,15 @@ def scan_deviations(
     representatives come earlier in lexicographic order; cut branches
     count as resolved too.
 
-    The returned context's `nodes` is the number of nodes the scan
-    visited, the count that `budget` caps.  The search recurses once per
-    job free to act, so more than 500 of them raise ValidationError.
+    The search recurses once per job free to act, so more than 500 of
+    them raise ValidationError.
     """
-    if not isinstance(budget, int) or budget < 1:
-        raise ValidationError(f"node budget must be positive, got {budget!r}")
-    n = instance.n
-    if coalition is None:
-        free = list(range(n))
-    else:
-        seen = {j - 1 for j in _members(coalition, n)}
-        free = sorted(seen)
+    free = ctx.free
     if len(free) > _MAX_SCAN_JOBS:
         raise ValidationError(
             f"a deviation scan handles at most {_MAX_SCAN_JOBS} jobs free to act, got {len(free)}"
         )
-    ctx = ScanContext(instance, schedule, free)
-    m = ctx.m
+    m, n = ctx.m, ctx.n
     sizes, orig = ctx.sizes, ctx.orig
     cost0, load0 = ctx.cost0, ctx.load0
     # per depth: the job, its start machine and cost, its previous twin,
@@ -426,11 +428,10 @@ def scan_deviations(
     plan.reverse()
 
     loads = [0] * m
-    members_fixed = coalition is not None
+    members_fixed = ctx.coalition is not None
     if members_fixed:
-        for j in range(n):
-            if j not in seen:
-                loads[orig[j]] += sizes[orig[j]][j]
+        for j in set(range(n)).difference(free):
+            loads[orig[j]] += sizes[orig[j]][j]
 
     depth = len(free)
     infinity = sum(max(sizes[i][j] for i in range(m)) for j in range(n)) + 1
@@ -515,19 +516,19 @@ def scan_deviations(
         dfs(0, 0)
     except _StopScan:
         pass
-    ctx.nodes = nodes
-    return ctx
+    return nodes
 
 
 def _first_deviation(instance, schedule, budget, coalition=None) -> Deviation | None:
     """The lexicographically first profitable deviation, or None."""
+    _check_budget(budget)
     hit: list = []
 
     def grab(ctx, assign, loads):
-        hit.append(ctx.deviation(assign, coalition))
+        hit.append(ctx.deviation(assign, ctx.coalition))
         raise _StopScan
 
-    scan_deviations(instance, schedule, budget=budget, on_leaf=grab, coalition=coalition)
+    scan_deviations(ScanContext(instance, schedule, coalition), budget=budget, on_leaf=grab)
     return hit[0] if hit else None
 
 
@@ -550,10 +551,7 @@ def can_coalition_deviate(
 ) -> Deviation | None:
     """Joint move of exactly the given jobs in which every one of them
     (moving or staying put) strictly improves; None if impossible."""
-    members = frozenset(coalition)
-    if not members:
-        return None
-    return _first_deviation(instance, schedule, node_budget, members)
+    return _first_deviation(instance, schedule, node_budget, coalition)
 
 
 @dataclass(frozen=True)
@@ -582,11 +580,13 @@ def enumerate_profitable_deviations(
     A budget stop keeps the lexicographic prefix found so far."""
     if limit is not None and (not isinstance(limit, int) or limit < 1):
         raise ValidationError(f"limit must be a positive int or None, got {limit!r}")
+    _check_budget(node_budget)
+    ctx = ScanContext(instance, schedule)
     found: list[Deviation] = []
     merge = OrbitMerge(lambda ctx, assign: found.append(ctx.deviation(assign)), limit)
     complete = True
     try:
-        scan_deviations(instance, schedule, budget=node_budget, on_leaf=merge.add)
+        scan_deviations(ctx, budget=node_budget, on_leaf=merge.add)
         merge.flush()
     except BudgetExceededError:
         complete = False

@@ -30,7 +30,8 @@ from .core import (
     schedule_to_dict,
     validate_schedule,
 )
-from .equilibria import DEFAULT_SEARCH_BUDGET, ScanContext
+from ._scaling import scaled_sizes
+from .equilibria import DEFAULT_SEARCH_BUDGET, ScanContext, _check_budget
 from .measures import (
     LPT_DAMAGE_LIMIT,
     LPT_MAX_IMPROVEMENT_LIMIT_3,
@@ -91,47 +92,36 @@ def random_instance(seed: int, m: int, n: int, p_max: int) -> IdenticalInstance:
     return IdenticalInstance(m=m, p=tuple(1 + rng.below(p_max) for _ in range(n)))
 
 
-def random_ne(instance: IdenticalInstance, seed: int, on_move=None) -> Schedule:
+def random_ne(instance: IdenticalInstance, seed: int) -> Schedule:
     """Random assignment driven to equilibrium by best-response moves.
 
     Repeatedly the lowest-index improving job moves to its best machine
     (smallest resulting cost, lowest index on ties).  Each move strictly
     lexicographically decreases the sorted load vector, so this stops.
-    `on_move(job, source, target, loads_before, loads_after)` observes
-    every step.
+    Loads are scaled integers (see `_scaling`).  On identical machines a
+    job's best machine is the least loaded one, and a job improves by
+    moving there iff its machine's load less its own size exceeds that
+    machine's load.
     """
     if not isinstance(instance, IdenticalInstance):
         raise ValidationError("random equilibria are defined for identical machines only")
     rng = SplitMix64(seed)
-    assignment = [1 + rng.below(instance.m) for _ in range(instance.n)]
-    loads = [Fraction(0)] * instance.m
+    assignment = [rng.below(instance.m) for _ in range(instance.n)]
+    sizes = scaled_sizes(instance)[0][0]
+    loads = [0] * instance.m
     for j, i in enumerate(assignment):
-        loads[i - 1] += instance.p[j]
+        loads[i] += sizes[j]
     while True:
-        moved = False
-        for j in range(1, instance.n + 1):
-            here = assignment[j - 1]
-            cost = loads[here - 1]
-            size = instance.p[j - 1]
-            best = None
-            for i in range(1, instance.m + 1):
-                if i == here:
-                    continue
-                new = loads[i - 1] + size
-                if new < cost and (best is None or new < best[0]):
-                    best = (new, i)
-            if best is not None:
-                before = tuple(loads)
-                target = best[1]
-                assignment[j - 1] = target
-                loads[here - 1] -= size
-                loads[target - 1] += size
-                if on_move is not None:
-                    on_move(j, here, target, before, tuple(loads))
-                moved = True
+        low = min(loads)
+        target = loads.index(low)
+        for j, here in enumerate(assignment):
+            if loads[here] - sizes[j] > low:
+                loads[here] -= sizes[j]
+                loads[target] += sizes[j]
+                assignment[j] = target
                 break
-        if not moved:
-            return Schedule(tuple(assignment))
+        else:
+            return Schedule(tuple(i + 1 for i in assignment))
 
 
 def _check_scheduler(scheduler, eps) -> None:
@@ -154,9 +144,11 @@ class SweepConfig:
 
     Integer sizes keep the exhaustive deviation search exact and fast.
     Every deviation of a three-machine equilibrium trial is also checked
-    against the structural predicates.  `budget` caps each search of
-    a trial, whatever m and n are: a trial whose measures run out of it
-    is inconclusive, and its `opt` is None once that search runs out.
+    against the structural predicates.  `budget`, a positive int, caps
+    each search of a trial, whatever m and n are: a trial whose measures
+    run out of it is inconclusive, and its `opt` is None once that search
+    runs out.  It also caps the ptas prefix search, which fails loudly
+    with `BudgetExceededError` instead, ending the sweep.
     """
 
     seed: int
@@ -179,6 +171,7 @@ class SweepConfig:
         if self.eps is not None:
             object.__setattr__(self, "eps", parse_rational(self.eps))
         _check_scheduler(self.scheduler, self.eps)
+        _check_budget(self.budget)
 
 
 @dataclass(frozen=True)
@@ -308,7 +301,7 @@ def _schedule_for(config: SweepConfig, instance: IdenticalInstance, extra_seed: 
     if config.scheduler == "ls":
         return list_schedule(instance, range(1, instance.n + 1))
     if config.scheduler == "ptas":
-        return ptas(instance, PtasConfig(epsilon=config.eps))
+        return ptas(instance, PtasConfig(epsilon=config.eps, node_budget=config.budget))
     return random_ne(instance, extra_seed)
 
 

@@ -40,6 +40,7 @@ from .equilibria import (
     Deviation,
     OrbitMerge,
     ScanContext,
+    _check_budget,
     scan_deviations,
 )
 
@@ -130,8 +131,8 @@ class MeasureValue:
 class MeasureReport:
     """The three measures with witnesses.  `exhaustive` is False when the
     node budget truncated the search, making the values lower bounds.
-    `nodes` is what the scan visited, or after a budget stop the count
-    carried by its `BudgetExceededError`."""
+    `nodes` is the count `scan_deviations` returns, or after a budget stop
+    the one carried by its `BudgetExceededError`."""
 
     ir_min: Fraction
     ir_max: Fraction
@@ -198,6 +199,8 @@ def measure_report(
     `on_deviation(deviation)` is invoked for every profitable deviation
     found (movers-only coalition), in lexicographic order.
     """
+    _check_budget(node_budget)
+    ctx = ScanContext(instance, schedule)
     best = {
         "min": [1, 1, None],
         "max": [1, 1, None],
@@ -219,14 +222,12 @@ def measure_report(
 
     exhaustive = True
     try:
-        ctx = scan_deviations(instance, schedule, budget=node_budget, on_leaf=leaf)
-        nodes = ctx.nodes
+        nodes = scan_deviations(ctx, budget=node_budget, on_leaf=leaf)
         if merge is not None:
             merge.flush()
     except BudgetExceededError as exc:
         exhaustive = False
         nodes = exc.nodes
-        ctx = None
 
     def finish(slot, with_bystanders=False):
         num, den, assign = slot
@@ -237,9 +238,6 @@ def measure_report(
             coalition = ctx.migrants_of(assign) | ctx.bystanders(assign)
         return Fraction(num, den), ctx.deviation(assign, coalition)
 
-    # witnesses need the context; on budget exhaustion rebuild it
-    if ctx is None:
-        ctx = ScanContext(instance, schedule)
     ir_min, w_min = finish(best["min"])
     ir_max, w_max = finish(best["max"], with_bystanders=True)
     dr_max, w_dr = finish(best["dr"])
@@ -267,6 +265,8 @@ def ir_min(
     """Largest factor by which some coalition improves every mover; 1 when
     the schedule is strong.  Uses ratio-floor pruning, so it is faster
     than a full report."""
+    _check_budget(node_budget)
+    ctx = ScanContext(instance, schedule)
     floor = [1, 1]
     slot = [1, 1, None]
 
@@ -278,12 +278,9 @@ def ir_min(
 
     exhaustive = True
     try:
-        ctx = scan_deviations(
-            instance, schedule, budget=node_budget, on_leaf=leaf, min_ratio_floor=floor
-        )
+        scan_deviations(ctx, budget=node_budget, on_leaf=leaf, min_ratio_floor=floor)
     except BudgetExceededError:
         exhaustive = False
-        ctx = ScanContext(instance, schedule)
     witness = None if slot[2] is None else ctx.deviation(slot[2])
     return MeasureValue(value=Fraction(slot[0], slot[1]), witness=witness, exhaustive=exhaustive)
 

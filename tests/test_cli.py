@@ -391,6 +391,32 @@ def test_experiment_reports_budget_capped_trials_as_inconclusive():
     assert verdict.payload["trials"] == 6 and verdict.payload["inconclusive"] == 5
 
 
+def test_experiment_budget_caps_the_ptas_prefix_search():
+    # eps = 1/2 on 3 machines puts the 6 longest of 8 jobs in the prefix,
+    # whose lex-min search needs more than 10 nodes
+    verdict = run(
+        [
+            "experiment", "--scheduler", "ptas", "--eps", "1/2", "--seed", "1",
+            "--trials", "1", "--m", "3", "--n", "8", "--budget", "10",
+        ]
+    )
+    assert verdict.exit_code == 3
+    assert verdict.payload["error"] == "budget-exceeded"
+    assert verdict.payload["budget"] == 10
+
+
+def test_experiment_rejects_non_positive_budget_before_ptas_runs():
+    # a budget stop of the ptas search would exit 3 instead
+    verdict = run(
+        [
+            "experiment", "--scheduler", "ptas", "--eps", "1/2", "--seed", "1",
+            "--trials", "1", "--m", "3", "--n", "8", "--budget", "0",
+        ]
+    )
+    assert verdict.exit_code == 2
+    assert verdict.payload["error"] == "node budget must be positive, got 0"
+
+
 def test_experiment_needs_preset_or_scheduler():
     verdict = run(["experiment", "--seed", "1", "--trials", "2", "--m", "3", "--n", "4"])
     assert verdict.exit_code == 2

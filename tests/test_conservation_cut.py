@@ -13,6 +13,7 @@ from conftest import equilibrium_pairs
 from oracles import brute_coalition_deviation, brute_deviations, brute_measure_witnesses
 from schedgames.core import BudgetExceededError
 from schedgames.equilibria import (
+    ScanContext,
     can_coalition_deviate,
     enumerate_profitable_deviations,
     is_nash,
@@ -94,7 +95,9 @@ def test_cut_branches_count_as_resolved():
     fractions = []
     for budget in (1_000, 3_000, 7_000):
         with pytest.raises(BudgetExceededError) as info:
-            scan_deviations(instance, lpt(instance), budget=budget, on_leaf=lambda *args: None)
+            scan_deviations(
+                ScanContext(instance, lpt(instance)), budget=budget, on_leaf=lambda *args: None
+            )
         fractions.append(info.value.explored_fraction)
     assert 0 < fractions[0] <= fractions[1] <= fractions[2] < 1
     # 7,000 of the 7,424 nodes resolve nearly all 3^16 joint actions

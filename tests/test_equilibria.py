@@ -238,7 +238,7 @@ def test_budget_is_honored_within_factor_two():
     for budget in (10, 100, 1000):
         with pytest.raises(BudgetExceededError) as info:
             scan_deviations(
-                instance, schedule, budget=budget, on_leaf=lambda *args: None
+                ScanContext(instance, schedule), budget=budget, on_leaf=lambda *args: None
             )
         assert budget < info.value.nodes <= 2 * budget
 

@@ -62,15 +62,12 @@ def test_orbit_lists_every_relabelling_once():
 def test_scan_visits_sorted_representatives_only():
     instance = IdenticalInstance(m=3, p=(1, 1, 1, 1))
     leaves = []
+    ctx = ScanContext(instance, Schedule((1, 1, 1, 1)))
     scan_deviations(
-        instance,
-        Schedule((1, 1, 1, 1)),
-        budget=10**6,
-        on_leaf=lambda ctx, assign, loads: leaves.append(tuple(assign)),
+        ctx, budget=10**6, on_leaf=lambda ctx, assign, loads: leaves.append(tuple(assign))
     )
     assert leaves == sorted(leaves)
     assert all(list(leaf) == sorted(leaf) for leaf in leaves)
-    ctx = ScanContext(instance, Schedule((1, 1, 1, 1)))
     assert sum(ctx.orbit_size(leaf) for leaf in leaves) == len(
         brute_deviations(instance, Schedule((1, 1, 1, 1)))
     )
@@ -82,7 +79,9 @@ def test_budget_fraction_stays_a_share_under_twin_bound():
     for budget in (5, 50, 200):
         with pytest.raises(BudgetExceededError) as info:
             scan_deviations(
-                instance, Schedule((1,) * 12), budget=budget, on_leaf=lambda *args: None
+                ScanContext(instance, Schedule((1,) * 12)),
+                budget=budget,
+                on_leaf=lambda *args: None,
             )
         fractions.append(info.value.explored_fraction)
     assert 0 <= fractions[0] <= fractions[1] <= fractions[2] < 1

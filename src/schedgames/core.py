@@ -37,6 +37,12 @@ class BudgetExceededError(RuntimeError):
         self.best = best
 
 
+def _check_budget(budget) -> None:
+    """Reject a node budget that is not a positive int (bools included)."""
+    if not isinstance(budget, int) or isinstance(budget, bool) or budget < 1:
+        raise ValidationError(f"node budget must be positive, got {budget!r}")
+
+
 # Largest decimal exponent magnitude a string may carry: "1e20000" would
 # otherwise become a 66,439-bit numerator that every later scan works on.
 MAX_DECIMAL_EXPONENT = 100

@@ -47,6 +47,7 @@ from .core import (
     Instance,
     Schedule,
     ValidationError,
+    _check_budget,
     validate_schedule,
 )
 
@@ -308,58 +309,6 @@ def _distinct_orders(values: list) -> list[tuple]:
         out.append(tuple(values))
 
 
-class OrbitMerge:
-    """Expand the orbit representatives of a scan into every labelled
-    joint action and pass them to `emit(ctx, assign)` in global
-    lexicographic order, stopping the scan after `limit` (positive or
-    None) of them; `count` is the number passed on.
-
-    A member of a later orbit is never below that orbit's representative,
-    which comes after the current one; so once a representative is seen,
-    every pending member below it, and then the representative, is final.
-    Call `add` per leaf and `flush` after the scan ends; after a budget
-    stop, skip `flush` to keep what was emitted a lexicographic prefix.
-    """
-
-    def __init__(self, emit: Callable, limit: int | None = None):
-        self.emit = emit
-        self.limit = limit
-        self.count = 0
-        self.pending: list = []
-        self.ctx = None
-
-    def add(self, ctx, assign, _loads=None):
-        """Take one representative; usable as `on_leaf` itself."""
-        self.ctx = ctx
-        pending = self.pending
-        rep = assign
-        if ctx.twins:  # else every orbit is trivial and nothing is pending
-            members = ctx.orbit(assign)
-            rep = members[0]
-            for member in members[1:]:
-                heapq.heappush(pending, member)
-            while pending and pending[0] < rep:
-                self._emit(heapq.heappop(pending))
-        self._emit(rep)
-
-    def flush(self):
-        while self.pending and self.count != self.limit:
-            self.emit(self.ctx, heapq.heappop(self.pending))
-            self.count += 1
-
-    def _emit(self, assign):
-        self.emit(self.ctx, assign)
-        self.count += 1
-        if self.count == self.limit:
-            raise _StopScan
-
-
-def _check_budget(budget) -> None:
-    """Reject a node budget that is not a positive int (bools included)."""
-    if not isinstance(budget, int) or isinstance(budget, bool) or budget < 1:
-        raise ValidationError(f"node budget must be positive, got {budget!r}")
-
-
 def scan_deviations(
     ctx: ScanContext, *, budget: int, on_leaf: Callable, min_ratio_floor=None
 ) -> int:
@@ -399,11 +348,11 @@ def scan_deviations(
     leaf value, is the same as in a scan of every labelled candidate.
     `on_leaf` sees representatives only: a caller that counts labelled
     deviations adds `ctx.orbit_size(assign)`, and one that needs each of
-    them expands `ctx.orbit(assign)` (`OrbitMerge` restores the global
-    lexicographic order).  Branches skipped by the twin bound count as
-    resolved in `BudgetExceededError.explored_fraction`, since their
-    representatives come earlier in lexicographic order; cut branches
-    count as resolved too.
+    them expands `ctx.orbit(assign)` (`enumerate_profitable_deviations`
+    restores the global lexicographic order).  Branches skipped by the
+    twin bound count as resolved in `BudgetExceededError.explored_fraction`,
+    since their representatives come earlier in lexicographic order; cut
+    branches count as resolved too.
 
     The search recurses once per job free to act, so more than 500 of
     them raise ValidationError.
@@ -577,17 +526,41 @@ def enumerate_profitable_deviations(
 ) -> DeviationSweep:
     """Every profitable deviation (movers-only coalitions), lexicographic
     in the joint action; complete iff it finished under budget and limit.
-    A budget stop keeps the lexicographic prefix found so far."""
-    if limit is not None and (not isinstance(limit, int) or limit < 1):
+    A budget stop keeps the lexicographic prefix found so far.
+
+    The scan yields orbit representatives; the other members of each
+    orbit wait on a heap.  A member of a later orbit is never below that
+    orbit's representative, which comes after the current one; so once a
+    representative is seen, every pending member below it, and then the
+    representative, is final."""
+    if limit is not None and (
+        not isinstance(limit, int) or isinstance(limit, bool) or limit < 1
+    ):
         raise ValidationError(f"limit must be a positive int or None, got {limit!r}")
     _check_budget(node_budget)
     ctx = ScanContext(instance, schedule)
     found: list[Deviation] = []
-    merge = OrbitMerge(lambda ctx, assign: found.append(ctx.deviation(assign)), limit)
+    pending: list = []
+
+    def emit(assign):
+        found.append(ctx.deviation(assign))
+        if len(found) == limit:
+            raise _StopScan
+
+    def leaf(ctx, assign, loads):
+        if ctx.twins:  # else every orbit is trivial and nothing is pending
+            members = ctx.orbit(assign)
+            for member in members[1:]:
+                heapq.heappush(pending, member)
+            while pending and pending[0] < members[0]:
+                emit(heapq.heappop(pending))
+        emit(assign)
+
     complete = True
     try:
-        scan_deviations(ctx, budget=node_budget, on_leaf=merge.add)
-        merge.flush()
+        scan_deviations(ctx, budget=node_budget, on_leaf=leaf)
+        while pending and len(found) != limit:
+            found.append(ctx.deviation(heapq.heappop(pending)))
     except BudgetExceededError:
         complete = False
-    return DeviationSweep(deviations=tuple(found), complete=complete and merge.count != limit)
+    return DeviationSweep(deviations=tuple(found), complete=complete and len(found) != limit)

@@ -22,6 +22,7 @@ from .core import (
     IdenticalInstance,
     Schedule,
     ValidationError,
+    _check_budget,
     format_rational,
     instance_from_dict,
     instance_to_dict,
@@ -31,16 +32,16 @@ from .core import (
     validate_schedule,
 )
 from ._scaling import scaled_sizes
-from .equilibria import DEFAULT_SEARCH_BUDGET, ScanContext, _check_budget
+from .equilibria import DEFAULT_SEARCH_BUDGET, ScanContext
 from .measures import (
     LPT_DAMAGE_LIMIT,
     LPT_MAX_IMPROVEMENT_LIMIT_3,
     NE_DAMAGE_LIMIT,
     MeasureReport,
+    _measure,
     _structure,
     leq_lpt_three_machine_limit,
     lpt_min_improvement_limit,
-    measure_report,
     ne_min_improvement_limit,
     structural_report,
 )
@@ -364,27 +365,43 @@ def _bound_checks(scheduler, eps, equilibrium, ctx, report: MeasureReport, makes
 
 
 def _evaluate(scheduler, eps, instance, schedule, budget):
-    """Measure one trial's schedule and check every applicable limit.
-    One scaled-integer context gives the equilibrium status, the makespan
-    and the single-move damage, and the structural predicates run
-    unvalidated on it for every deviation of a three-machine equilibrium.
+    """Measure one trial's schedule and check every applicable limit on
+    one scaled-integer context: it gives the equilibrium status, the
+    makespan and the single-move damage, and the measure scan runs on it.
+    The caller checks `budget`.
+
+    On a three-machine equilibrium the structural predicates run once per
+    orbit representative.  Twins share a start machine and every size, so
+    each member of an orbit has the representative's report, and a
+    failing orbit is expanded whole.  After a budget stop only members up
+    to the last representative are kept, the lexicographic prefix that
+    enumeration finds on the same budget.
+
     Returns (measures, makespan, opt, checks, structural_failures): `opt`
     is None past its budget, `checks` is empty when the measures ran out
     of budget (the trial is inconclusive), and the failures are
-    (deviation, report) pairs."""
+    (deviation, report) pairs in lexicographic order."""
     ctx = ScanContext(instance, schedule)
     equilibrium = next(ctx.improving_moves(), None) is None
-    structural_failures: list[tuple] = []
-    on_deviation = None
-    if instance.m == 3 and equilibrium:
+    failed: list[tuple] = []
+    last = None
+    on_leaf = None
+    if ctx.m == 3 and equilibrium:
         lpt_origin = scheduler == "lpt"
 
-        def on_deviation(dev):
-            sr = _structure(ctx, [i - 1 for i in dev.after.assignment], lpt_origin)
+        def on_leaf(ctx, assign, loads):
+            nonlocal last
+            last = tuple(assign)
+            sr = _structure(ctx, assign, lpt_origin)
             if not sr.passed:
-                structural_failures.append((dev, sr))
+                failed.extend((member, sr) for member in ctx.orbit(assign))
 
-    measures = measure_report(instance, schedule, node_budget=budget, on_deviation=on_deviation)
+    measures = _measure(ctx, budget, on_leaf)
+    structural_failures = [
+        (ctx.deviation(assign), sr)
+        for assign, sr in sorted(failed, key=lambda f: f[0])
+        if measures.exhaustive or assign <= last
+    ]
     makespan = Fraction(max(ctx.load0), ctx.scale)
     try:
         opt = optimal_makespan(instance, node_budget=budget).value
@@ -474,7 +491,9 @@ def replay_violation(payload: dict, node_budget: int = DEFAULT_SEARCH_BUDGET) ->
     The record's own `scheduler` (required) and `eps` select the checks,
     and must name a scheduler the sweep can run.  A `deviation-structure`
     record is replayed on its witness alone; any other check reproduces
-    only when the trial's measures finish within `node_budget`."""
+    only when the trial's measures finish within `node_budget`, which is
+    checked first whatever the record."""
+    _check_budget(node_budget)
     instance = instance_from_dict(payload["instance"])
     schedule = schedule_from_dict(payload["schedule"])
     validate_schedule(instance, schedule)

@@ -8,7 +8,8 @@ maximize these over every profitable deviation; by convention all three
 are exactly 1 when no deviation exists.
 
 `measure_report` computes all three, with witnesses, from one scan of
-`equilibria.scan_deviations`; read `ir_max` and `dr_max` from it.
+`equilibria.scan_deviations`; read `ir_max` and `dr_max` from it.  It
+wraps `_measure`, which runs that scan on a caller's `ScanContext`.
 `ir_min` answers the min-improvement measure alone with a scan that
 prunes every branch unable to beat the best ratio found so far.  The
 `ir_max` witness counts improving bystanders in its coalition; every
@@ -16,11 +17,12 @@ other witness's coalition is its migrants.
 
 `deviation_stats`, `check_flower` and `structural_report` each validate
 the given deviation once, with `ScanContext.check_move`, and read every
-load from that one context.  The structural checks (those two and the
-sweep's hook on a scan's own deviations) share one private pass,
-`_structure`.  Every load here is one of the context's scaled integers,
-and ratios of them are scale-free, so they stay exact; `core.load_profile`
-is the public `Fraction` view of the same loads.
+load from that one context.  The structural checks (those two, and the
+sweep's check of each orbit representative its `_measure` scan finds)
+share one private pass, `_structure`.  Every load here is one of the
+context's scaled integers, and ratios of them are scale-free, so they
+stay exact; `core.load_profile` is the public `Fraction` view of the
+same loads.
 """
 
 from __future__ import annotations
@@ -34,15 +36,9 @@ from .core import (
     Instance,
     Schedule,
     ValidationError,
-)
-from .equilibria import (
-    DEFAULT_SEARCH_BUDGET,
-    Deviation,
-    OrbitMerge,
-    ScanContext,
     _check_budget,
-    scan_deviations,
 )
+from .equilibria import DEFAULT_SEARCH_BUDGET, Deviation, ScanContext, scan_deviations
 
 # Exact limits quantified over deviations (strict where marked).
 NE_MIN_IMPROVEMENT_LIMIT_3 = Fraction(5, 4)
@@ -192,24 +188,23 @@ def measure_report(
     instance: Instance,
     schedule: Schedule,
     node_budget: int = DEFAULT_SEARCH_BUDGET,
-    on_deviation=None,
 ) -> MeasureReport:
-    """All three measures from one exhaustive scan.
-
-    `on_deviation(deviation)` is invoked for every profitable deviation
-    found (movers-only coalition), in lexicographic order.
-    """
+    """All three measures from one exhaustive scan."""
     _check_budget(node_budget)
-    ctx = ScanContext(instance, schedule)
+    return _measure(ScanContext(instance, schedule), node_budget)
+
+
+def _measure(ctx: ScanContext, node_budget: int, on_leaf=None) -> MeasureReport:
+    """`measure_report` of the schedule of `ctx`, for a caller that has
+    checked the budget.  `on_leaf(ctx, assign, loads)`, when given, also
+    sees every orbit representative the scan finds, in lexicographic
+    order."""
     best = {
         "min": [1, 1, None],
         "max": [1, 1, None],
         "dr": [1, 1, None],
     }
     count = [0]
-    merge = None
-    if on_deviation is not None:
-        merge = OrbitMerge(lambda ctx, assign: on_deviation(ctx.deviation(assign)))
 
     def leaf(ctx, assign, loads):
         count[0] += ctx.orbit_size(assign)
@@ -217,14 +212,12 @@ def measure_report(
         _bump(best["min"], *_leaf_min_improvement(ctx, assign, loads), assign)
         _bump(best["max"], inum, iden, assign)
         _bump(best["dr"], dnum, dden, assign)
-        if merge is not None:
-            merge.add(ctx, assign)
+        if on_leaf is not None:
+            on_leaf(ctx, assign, loads)
 
     exhaustive = True
     try:
         nodes = scan_deviations(ctx, budget=node_budget, on_leaf=leaf)
-        if merge is not None:
-            merge.flush()
     except BudgetExceededError as exc:
         exhaustive = False
         nodes = exc.nodes

@@ -30,6 +30,7 @@ from .core import (
     IdenticalInstance,
     Schedule,
     ValidationError,
+    _check_budget,
     canonical_form,
     parse_rational,
 )
@@ -173,6 +174,7 @@ def lex_min_assignment(
     _require_identical(instance)
     if not isinstance(k, int) or k < 0 or k > instance.n:
         raise ValidationError(f"k must be in 0..{instance.n}, got {k!r}")
+    _check_budget(node_budget)
     chosen = size_ordered_jobs(instance)[:k]
     rows, scale = scaled_sizes(instance)
     labels = _lex_min_over(rows[0], chosen, instance.m, node_budget)
@@ -191,7 +193,8 @@ class PtasConfig:
     epsilon sets the prefix size k = ceil(m / epsilon).  `refine`
     re-runs the scheme on the remaining machines whenever the makespan
     machine carries prefix jobs only (off by default: the base scheme is
-    the contract, the loop is an optional post-pass).
+    the contract, the loop is an optional post-pass).  `node_budget`, a
+    positive int, caps each round's lex-min prefix search.
     """
 
     epsilon: Fraction
@@ -203,6 +206,7 @@ class PtasConfig:
         if eps <= 0:
             raise ValidationError(f"epsilon must be positive, got {eps}")
         object.__setattr__(self, "epsilon", eps)
+        _check_budget(self.node_budget)
 
     def prefix_size(self, m: int, n: int) -> int:
         # ceil(m / epsilon), exactly
@@ -272,6 +276,7 @@ def optimal_makespan(
     when the node budget runs out.
     """
     _require_identical(instance)
+    _check_budget(node_budget)
     if instance.n == 0:
         return OptimalMakespan(value=Fraction(0), schedule=Schedule(()))
     sizes_rows, scale = scaled_sizes(instance)

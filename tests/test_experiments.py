@@ -12,9 +12,10 @@ from schedgames.core import (
     canonical_form,
     load_profile,
 )
-from schedgames.equilibria import enumerate_profitable_deviations, is_nash
+from schedgames.equilibria import ScanContext, enumerate_profitable_deviations, is_nash
 from schedgames.experiments import (
     CSV_COLUMNS,
+    SCHEDULERS,
     SplitMix64,
     SweepConfig,
     bound_sweep,
@@ -301,10 +302,23 @@ def test_violation_record_carries_scheduler_and_eps():
     assert replay_violation(record) is True
 
 
-@pytest.mark.parametrize("scheduler", ["lpt", "random-ne"])
-def test_structure_violations_match_the_public_checks(monkeypatch, scheduler):
+@pytest.mark.parametrize(
+    "scheduler, budget, p_max",
+    [
+        pytest.param("lpt", 10**6, 20, id="lpt"),
+        pytest.param("random-ne", 10**6, 20, id="random-ne"),
+        pytest.param("lpt", 200, 20, id="lpt-budget-200"),
+        pytest.param("random-ne", 200, 20, id="random-ne-budget-200"),
+        pytest.param("lpt", 10**6, 8, id="lpt-twins"),
+        pytest.param("random-ne", 10**6, 10, id="random-ne-twins"),
+        pytest.param("random-ne", 200, 10, id="random-ne-twins-budget-200"),
+    ],
+)
+def test_structure_violations_match_the_public_checks(monkeypatch, scheduler, budget, p_max):
     # a stricter predicate than the paper's lemmas, so that some deviations
-    # fail it: at most 5 migrants, and per-unit flows of at least 2
+    # fail it: at most 5 migrants, and per-unit flows of at least 2.  A
+    # budget-stopped trial keeps the lexicographic prefix that enumeration
+    # finds on the same budget; small sizes give failing twin orbits.
     lemmas = StructuralReport.passed.fget
 
     def stricter(sr):
@@ -312,7 +326,9 @@ def test_structure_violations_match_the_public_checks(monkeypatch, scheduler):
         return lemmas(sr) and sr.migrant_count < 6 and (unit is None or min(unit.values()) >= 2)
 
     monkeypatch.setattr(StructuralReport, "passed", property(stricter))
-    config = small_config(scheduler, seed=5, trials=40, n_range=(8, 10), p_max=20)
+    config = small_config(
+        scheduler, seed=5, trials=40, n_range=(8, 10), p_max=p_max, budget=budget
+    )
     report = bound_sweep(config)
     found = [
         (v.trial, v.witness, v.observed)
@@ -324,7 +340,7 @@ def test_structure_violations_match_the_public_checks(monkeypatch, scheduler):
         instance, schedule = IdenticalInstance(m=3, p=r.jobs), Schedule(r.assignment)
         if not is_nash(instance, schedule).holds:
             continue
-        for dev in enumerate_profitable_deviations(instance, schedule):
+        for dev in enumerate_profitable_deviations(instance, schedule, node_budget=budget):
             sr = structural_report(instance, schedule, dev.after, lpt_origin=scheduler == "lpt")
             if not sr.passed:
                 expected.append((r.trial, dev.to_dict(), repr(sr)))
@@ -332,6 +348,34 @@ def test_structure_violations_match_the_public_checks(monkeypatch, scheduler):
     for v in report.violations:
         if v.check == "deviation-structure":
             assert replay_violation(v.to_dict()) is True
+
+
+@pytest.mark.parametrize("scheduler", SCHEDULERS)
+def test_each_sweep_trial_builds_one_scan_context(monkeypatch, scheduler):
+    built = []
+    init = ScanContext.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ScanContext, "__init__", counted)
+    eps = Fraction(1, 2) if scheduler == "ptas" else None
+    config = small_config(scheduler, seed=5, trials=10, n_range=(8, 10), p_max=20, eps=eps)
+    report = bound_sweep(config)
+    assert len(built) == len(report.records) == 10
+
+
+@pytest.mark.parametrize("budget", [0, True])
+@pytest.mark.parametrize("check", ["deviation-structure", "ne-min-improvement"])
+def test_replay_checks_the_budget_for_every_record(budget, check):
+    # the benchmark deviation of the benchmark equilibrium, which keeps
+    # both the structural lemmas and the min-improvement limit
+    witness = {"assignment": [2, 3, 2, 1, 3, 1]}
+    payload = dict(FIG1_RECORD, eps=None, check=check, witness=witness)
+    assert replay_violation(payload) is False
+    with pytest.raises(ValidationError, match="node budget must be positive"):
+        replay_violation(payload, node_budget=budget)
 
 
 def test_violation_record_carries_trial_seed(monkeypatch):

@@ -245,6 +245,23 @@ def test_ptas_budget_error():
         ptas(instance, PtasConfig(epsilon=Fraction(1, 3), node_budget=20))
 
 
+@pytest.mark.parametrize("budget", [0, -5, True])
+@pytest.mark.parametrize(
+    "search",
+    [
+        lambda instance, b: ptas(instance, PtasConfig(epsilon=1, node_budget=b)),
+        lambda instance, b: optimal_makespan(instance, node_budget=b),
+        lambda instance, b: lex_min_assignment(instance, 4, node_budget=b),
+    ],
+    ids=["ptas", "optimal_makespan", "lex_min_assignment"],
+)
+def test_searches_reject_a_budget_that_is_not_a_positive_int(search, budget):
+    # a bad budget is bad input, not a search that ran out of nodes
+    instance = IdenticalInstance(m=3, p=(7, 5, 4, 4, 3, 2, 2, 1))
+    with pytest.raises(ValidationError, match="node budget must be positive"):
+        search(instance, budget)
+
+
 def test_ptas_prefix_size():
     config = PtasConfig(epsilon=Fraction(1, 2))
     assert config.prefix_size(m=3, n=100) == 6

@@ -3,14 +3,17 @@ against the brute-force oracles on instances built to contain twins:
 jobs with the same start machine and the same size (identical machines)
 or matrix column (unrelated machines)."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import twin_heavy_pairs
+from conftest import _best_response_equilibrium, twin_heavy_pairs
 from oracles import (
     brute_coalition_deviation,
     brute_deviations,
     brute_measure_witnesses,
+    brute_structure,
 )
 from schedgames.core import (
     BudgetExceededError,
@@ -26,7 +29,8 @@ from schedgames.equilibria import (
     is_strong,
     scan_deviations,
 )
-from schedgames.measures import ir_min, measure_report
+from schedgames.measures import ir_min, measure_report, structural_report
+from schedgames.schedulers import lpt
 from schedgames.witnesses import reduce_partition_identical
 
 PAIRS = st.one_of(twin_heavy_pairs(unrelated=False), twin_heavy_pairs(unrelated=True))
@@ -131,12 +135,10 @@ def test_enumeration_limit_is_oracle_prefix(pair, limit):
 @given(PAIRS)
 def test_measure_report_matches_oracle(pair):
     instance, schedule = pair
-    emitted = []
-    report = measure_report(instance, schedule, on_deviation=emitted.append)
+    report = measure_report(instance, schedule)
     expected = brute_deviations(instance, schedule)
     assert report.exhaustive
     assert report.deviation_count == len(expected)
-    assert [d.after.assignment for d in emitted] == expected
     witnesses = brute_measure_witnesses(instance, schedule)
     got = [
         (report.ir_min, report.ir_min_witness),
@@ -179,3 +181,50 @@ def test_coalition_deviation_matches_oracle(pair, data):
     deviation = can_coalition_deviate(instance, schedule, coalition)
     expected = brute_coalition_deviation(instance, schedule, coalition)
     assert (None if deviation is None else deviation.after.assignment) == expected
+
+
+def _twin_equilibria(count):
+    """Three-machine equilibria of 9 to 12 jobs drawn from a few base
+    sizes: LPT schedules and best-response ones from a random start, in
+    turn.  About one in eight admits a deviation with twins among its
+    movers."""
+    for seed in range(count):
+        rng = random.Random(seed)
+        n = rng.randint(9, 12)
+        bases = [rng.randint(1, 30) for _ in range(rng.randint(4, 6))]
+        instance = IdenticalInstance(m=3, p=tuple(rng.choice(bases) for _ in range(n)))
+        if seed % 2:
+            yield instance, lpt(instance)
+        else:
+            start = [rng.randint(1, 3) for _ in range(n)]
+            yield instance, _best_response_equilibrium(instance, start)
+
+
+def test_structure_is_constant_on_twin_orbits():
+    # the sweep checks the structural lemmas on orbit representatives only
+    relabelled = 0
+    for instance, schedule in _twin_equilibria(120):
+        ctx = ScanContext(instance, schedule)
+        reps = []
+        scan_deviations(
+            ctx, budget=10**6, on_leaf=lambda ctx, assign, loads: reps.append(tuple(assign))
+        )
+        for rep in reps:
+            plain, unit = (
+                structural_report(instance, schedule, ctx.to_schedule(rep), lpt_origin=origin)
+                for origin in (False, True)
+            )
+            for member in ctx.orbit(rep):
+                after = ctx.to_schedule(member)
+                assert structural_report(instance, schedule, after) == plain
+                assert structural_report(instance, schedule, after, lpt_origin=True) == unit
+                ref = brute_structure(instance, schedule, after)
+                assert unit.center == ref["center"] and unit.flower == ref["flower"]
+                assert unit.receivers_also_lose == ref["receivers_send"]
+                assert unit.outer_loads_increase == ref["outer_up"]
+                assert unit.center_becomes_least_loaded == ref["center_down"]
+                assert unit.unit_job == ref["unit_job"]
+                assert unit.incoming_per_unit == ref["incoming"]
+                assert unit.staying_per_unit == ref["staying"]
+                relabelled += member != rep
+    assert relabelled > 100

@@ -38,15 +38,7 @@ from .equilibria import (
     is_nash,
     is_strong,
 )
-from .measures import (
-    LPT_DAMAGE_LIMIT,
-    LPT_MAX_IMPROVEMENT_LIMIT_3,
-    NE_DAMAGE_LIMIT,
-    deviation_stats,
-    lpt_min_improvement_limit,
-    measure_report,
-    ne_min_improvement_limit,
-)
+from .measures import _paper_limits, deviation_stats, measure_report
 from .schedulers import PtasConfig, list_schedule, lpt, ptas
 from .experiments import SweepConfig, bound_sweep
 from . import witnesses
@@ -135,6 +127,15 @@ def _parse_span(text: str) -> tuple[int, int]:
     return v, v
 
 
+def _parse_ints(text: str, flag: str) -> list[int]:
+    """A comma-separated list of integers; an empty value is bad input,
+    not an absent flag."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise ValidationError(f"{flag} takes comma-separated integers, got {text!r}") from None
+
+
 def _parse_params(text: str | None) -> dict[str, str]:
     if not text:
         return {}
@@ -156,10 +157,10 @@ def _cmd_schedule(args) -> Verdict:
     if args.alg == "lpt":
         schedule = lpt(instance)
     elif args.alg == "ls":
-        if args.order:
-            order = [int(x) for x in args.order.split(",")]
-        else:
+        if args.order is None:
             order = list(range(1, instance.n + 1))
+        else:
+            order = _parse_ints(args.order, "--order")
         schedule = list_schedule(instance, order)
     else:
         if args.eps is None:
@@ -180,10 +181,15 @@ def _cmd_schedule(args) -> Verdict:
 
 
 def _cmd_check(args) -> Verdict:
+    members = None
+    if args.coalition is not None:
+        members = _parse_ints(args.coalition, "--coalition")
+        if len(set(members)) != len(members):
+            raise ValidationError(f"--coalition names a job twice: {args.coalition}")
     instance = read_instance(args.instance)
     schedule = read_schedule(args.schedule)
     want_ne, want_se = args.ne, args.se
-    if not want_ne and not want_se and not args.coalition:
+    if not want_ne and not want_se and members is None:
         want_ne = want_se = True
     payload: dict = {}
     all_hold = True
@@ -200,10 +206,7 @@ def _cmd_check(args) -> Verdict:
             "witness": None if result.witness is None else result.witness.to_dict(),
         }
         all_hold &= result.holds
-    if args.coalition:
-        members = [int(x) for x in args.coalition.split(",")]
-        if len(set(members)) != len(members):
-            raise ValidationError(f"--coalition names a job twice: {args.coalition}")
+    if members is not None:
         deviation = can_coalition_deviate(instance, schedule, members, node_budget=args.budget)
         payload["coalition"] = {
             "members": members,
@@ -216,26 +219,19 @@ def _cmd_check(args) -> Verdict:
 
 def _table_rows(instance, schedule, report) -> list[list[str]]:
     """measure, bound, observed max, witness file (filled in by caller)."""
-    m = instance.m
+    limits = None
     if isinstance(instance, IdenticalInstance) and schedule.assignment == lpt(instance).assignment:
-        if m == 3:
-            ir_min_bound = "1/2 + sqrt(6)/4"
-        else:
-            ir_min_bound = str(lpt_min_improvement_limit(m))
-        ir_max_bound = str(LPT_MAX_IMPROVEMENT_LIMIT_3) if m == 3 else "unbounded"
-        dr_bound = f"< {LPT_DAMAGE_LIMIT}"
+        limits = _paper_limits(instance.m, lpt_schedule=True)
     elif is_nash(instance, schedule).holds:
-        ir_min_bound = str(ne_min_improvement_limit(m))
-        ir_max_bound = "unbounded"
-        dr_bound = f"< {NE_DAMAGE_LIMIT}"
-    else:
-        ir_min_bound = ir_max_bound = dr_bound = "-"
-    return [
-        ["measure", "bound", "observed", "witness_file"],
-        ["ir_min", ir_min_bound, _fmt(report.ir_min), ""],
-        ["ir_max", ir_max_bound, _fmt(report.ir_max), ""],
-        ["dr_max", dr_bound, _fmt(report.dr_max), ""],
-    ]
+        limits = _paper_limits(instance.m, lpt_schedule=False)
+    rows = [["measure", "bound", "observed", "witness_file"]]
+    for measure in ("ir_min", "ir_max", "dr_max"):
+        if limits is None:
+            bound = "-"
+        else:
+            bound = "unbounded" if limits[measure] is None else limits[measure][0]
+        rows.append([measure, bound, _fmt(getattr(report, measure)), ""])
+    return rows
 
 
 def _cmd_measures(args) -> Verdict:
@@ -369,7 +365,7 @@ def _cmd_reduce(args) -> Verdict:
         raise ValidationError("--eps applies only to --variant unrelated")
     if args.variant == "unrelated" and args.m is not None:
         raise ValidationError("--m applies only to --variant identical")
-    values = [int(x) for x in args.values.split(",")]
+    values = _parse_ints(args.values, "--set")
     if args.variant == "identical":
         artifact = witnesses.reduce_partition_identical(values, m=3 if args.m is None else args.m)
     else:

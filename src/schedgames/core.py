@@ -5,13 +5,22 @@ including file formats and witness output.  All processing times, loads
 and ratios are `fractions.Fraction`; equilibrium checks rely on strict
 inequalities, so nothing is ever rounded.  Every type is an immutable
 value and every operation is a pure function.
+
+Search code works in ints: an instance scales its sizes by their common
+denominator once, on first use, and keeps them and the scale as its
+private `_scaled`.  Ratios of scaled quantities are scale-free, so every
+result stays exact.  The form is all tuples, so no reader can change
+what the next one sees, and it is not a dataclass field, so equality,
+hashing and repr ignore it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable
 
@@ -101,6 +110,15 @@ def _as_positive_rationals(values, what: str) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
+def _scaled_form(instance) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(sizes, scale): sizes[i][j] = p(machine i+1, job j+1) * scale."""
+    identical = isinstance(instance, IdenticalInstance)
+    rows = (instance.p,) if identical else instance.p
+    scale = math.lcm(1, *(q.denominator for row in rows for q in row))
+    sizes = tuple(tuple(q.numerator * (scale // q.denominator) for q in row) for row in rows)
+    return (sizes * instance.m if identical else sizes), scale
+
+
 @dataclass(frozen=True)
 class IdenticalInstance:
     """m identical machines and an ordered list of job processing times.
@@ -127,6 +145,10 @@ class IdenticalInstance:
 
     def total(self) -> Fraction:
         return sum(self.p, Fraction(0))
+
+    @cached_property
+    def _scaled(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        return _scaled_form(self)
 
     def _check_job(self, job: int):
         if not 1 <= job <= self.n:
@@ -167,6 +189,10 @@ class UnrelatedInstance:
         if not 1 <= machine <= self.m:
             raise ValidationError(f"machine index {machine} out of range 1..{self.m}")
         return self.p[machine - 1][job - 1]
+
+    @cached_property
+    def _scaled(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        return _scaled_form(self)
 
     def _check_job(self, job: int):
         if not 1 <= job <= self.n:
@@ -239,9 +265,6 @@ class InducedInstance:
     instance: Instance
     jobs: tuple[int, ...]
     machines: tuple[int, ...]
-
-    def to_original_job(self, job: int) -> int:
-        return self.jobs[job - 1]
 
     def induced_schedule(self, schedule: Schedule) -> Schedule:
         """Translate an assignment of the original jobs into sub-instance labels."""

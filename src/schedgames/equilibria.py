@@ -1,7 +1,7 @@
 """Exact equilibrium checking: unilateral moves, coalition deviations,
 and pruned exhaustive search over joint actions.
 
-The search works in common-denominator integers (see `_scaling`) and
+The search works in the instance's `_scaled` integers (see `core`) and
 visits candidate joint actions in lexicographic order of the assignment
 vector.  Jobs that are interchangeable (twins: same start machine, same
 processing time on every machine) are explored once per symmetry orbit,
@@ -41,7 +41,6 @@ from fractions import Fraction
 from math import comb
 from typing import Callable, Iterator
 
-from ._scaling import scaled_sizes
 from .core import (
     BudgetExceededError,
     Instance,
@@ -139,9 +138,9 @@ class ScanContext:
     """Read-only scaled-integer view of (instance, schedule), validated on
     construction: every load, cost and unilateral or joint move of the
     schedule is derived from it, and a deviation scan runs on it.
-    `sizes[i][j]` is job j's size on machine i times `scale`, `orig[j]`
-    job j's machine, `load0` the machine loads and `cost0[j]` job j's
-    cost, all 0-based.
+    `sizes[i][j]` is job j's size on machine i times `scale` (both from
+    the instance's `_scaled` form), `orig[j]` job j's machine, `load0`
+    the machine loads and `cost0[j]` job j's cost, all 0-based.
 
     `coalition` is the set of jobs (1-based, checked with `_members`) a
     scan lets act, or None for any set of movers; `free` lists the jobs
@@ -163,7 +162,7 @@ class ScanContext:
         self.schedule = schedule
         self.m = instance.m
         self.n = instance.n
-        self.sizes, self.scale = scaled_sizes(instance)
+        self.sizes, self.scale = instance._scaled
         self.orig = [i - 1 for i in schedule.assignment]
         load0 = [0] * self.m
         for j, i in enumerate(self.orig):

@@ -12,7 +12,6 @@ private `_evaluate`, so a replay runs the checks the sweep ran.
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -31,20 +30,8 @@ from .core import (
     schedule_to_dict,
     validate_schedule,
 )
-from ._scaling import scaled_sizes
 from .equilibria import DEFAULT_SEARCH_BUDGET, ScanContext
-from .measures import (
-    LPT_DAMAGE_LIMIT,
-    LPT_MAX_IMPROVEMENT_LIMIT_3,
-    NE_DAMAGE_LIMIT,
-    MeasureReport,
-    _measure,
-    _structure,
-    leq_lpt_three_machine_limit,
-    lpt_min_improvement_limit,
-    ne_min_improvement_limit,
-    structural_report,
-)
+from .measures import MeasureReport, _measure, _paper_limits, _structure, structural_report
 from .schedulers import PtasConfig, list_schedule, lpt, optimal_makespan, ptas
 
 SCHEDULERS = ("lpt", "ls", "ptas", "random-ne")
@@ -99,16 +86,16 @@ def random_ne(instance: IdenticalInstance, seed: int) -> Schedule:
     Repeatedly the lowest-index improving job moves to its best machine
     (smallest resulting cost, lowest index on ties).  Each move strictly
     lexicographically decreases the sorted load vector, so this stops.
-    Loads are scaled integers (see `_scaling`).  On identical machines a
-    job's best machine is the least loaded one, and a job improves by
-    moving there iff its machine's load less its own size exceeds that
-    machine's load.
+    Loads are sums of the instance's scaled integers (see `core`).  On
+    identical machines a job's best machine is the least loaded one, and
+    a job improves by moving there iff its machine's load less its own
+    size exceeds that machine's load.
     """
     if not isinstance(instance, IdenticalInstance):
         raise ValidationError("random equilibria are defined for identical machines only")
     rng = SplitMix64(seed)
     assignment = [rng.below(instance.m) for _ in range(instance.n)]
-    sizes = scaled_sizes(instance)[0][0]
+    sizes = instance._scaled[0][0]
     loads = [0] * instance.m
     for j, i in enumerate(assignment):
         loads[i] += sizes[j]
@@ -162,8 +149,9 @@ class SweepConfig:
     budget: int = DEFAULT_SEARCH_BUDGET
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValidationError("trials must be at least 1")
+        trials = self.trials
+        if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
+            raise ValidationError(f"trials must be a positive int, got {trials!r}")
         for name, (lo, hi) in (("m_range", self.m_range), ("n_range", self.n_range)):
             if lo < 1 or hi < lo:
                 raise ValidationError(f"{name} must be an ordered positive interval, got {lo}..{hi}")
@@ -281,20 +269,6 @@ class SweepReport:
             )
         return rows
 
-    def write_csv(self, path):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerows(self.csv_rows())
-
-    def to_dict(self) -> dict:
-        """Machine-readable summary; `elapsed_seconds` is the only field
-        that varies between identical replays."""
-        return {
-            "trials": len(self.records),
-            "inconclusive": self.inconclusive,
-            "violations": [v.to_dict() for v in self.violations],
-            "elapsed_seconds": self.elapsed,
-        }
-
 
 def _schedule_for(config: SweepConfig, instance: IdenticalInstance, extra_seed: int) -> Schedule:
     if config.scheduler == "lpt":
@@ -304,6 +278,10 @@ def _schedule_for(config: SweepConfig, instance: IdenticalInstance, extra_seed: 
     if config.scheduler == "ptas":
         return ptas(instance, PtasConfig(epsilon=config.eps, node_budget=config.budget))
     return random_ne(instance, extra_seed)
+
+
+# the check name, after its "ne-" or "lpt-" prefix, of each measure's limit
+_LIMIT_CHECKS = {"ir_min": "min-improvement", "ir_max": "max-improvement", "dr_max": "damage"}
 
 
 def _bound_checks(scheduler, eps, equilibrium, ctx, report: MeasureReport, makespan, opt):
@@ -316,33 +294,22 @@ def _bound_checks(scheduler, eps, equilibrium, ctx, report: MeasureReport, makes
     def add(name, holds, observed, bound):
         checks.append(BoundCheck(name=name, holds=holds, observed=str(observed), bound=bound))
 
+    def add_paper_limits(prefix, lpt_schedule):
+        for measure, limit in _paper_limits(m, lpt_schedule).items():
+            if limit is not None:
+                text, holds = limit
+                observed = getattr(report, measure)
+                add(f"{prefix}-{_LIMIT_CHECKS[measure]}", holds(observed), observed, text)
+
     if scheduler in ("lpt", "ptas", "random-ne"):
         add("schedule-is-equilibrium", equilibrium, equilibrium, "true")
     if equilibrium:
-        limit = ne_min_improvement_limit(m)
-        add("ne-min-improvement", report.ir_min <= limit, report.ir_min, str(limit))
-        add("ne-damage", report.dr_max < NE_DAMAGE_LIMIT, report.dr_max, "< 2")
+        add_paper_limits("ne", lpt_schedule=False)
         if m == 3 and report.deviation_count > 0:
             total = Fraction(sum(ctx.load0), ctx.scale)
             add("ne-top-load-at-most-half", 2 * makespan <= total, makespan, f"<= {total}/2")
     if scheduler == "lpt":
-        if m == 3:
-            add(
-                "lpt-min-improvement",
-                leq_lpt_three_machine_limit(report.ir_min),
-                report.ir_min,
-                "1/2 + sqrt(6)/4",
-            )
-            add(
-                "lpt-max-improvement",
-                report.ir_max <= LPT_MAX_IMPROVEMENT_LIMIT_3,
-                report.ir_max,
-                str(LPT_MAX_IMPROVEMENT_LIMIT_3),
-            )
-        else:
-            limit = lpt_min_improvement_limit(m)
-            add("lpt-min-improvement", report.ir_min <= limit, report.ir_min, str(limit))
-        add("lpt-damage", report.dr_max < LPT_DAMAGE_LIMIT, report.dr_max, "< 3/2")
+        add_paper_limits("lpt", lpt_schedule=True)
         if opt is not None:
             limit = Fraction(4, 3) - Fraction(1, 3 * m)
             add("lpt-makespan", makespan <= limit * opt, makespan, f"<= ({limit})*opt")
@@ -488,17 +455,23 @@ def bound_sweep(config: SweepConfig) -> SweepReport:
 def replay_violation(payload: dict, node_budget: int = DEFAULT_SEARCH_BUDGET) -> bool:
     """Re-evaluate a violation record from scratch; True iff it reproduces.
 
-    The record's own `scheduler` (required) and `eps` select the checks,
-    and must name a scheduler the sweep can run.  A `deviation-structure`
-    record is replayed on its witness alone; any other check reproduces
-    only when the trial's measures finish within `node_budget`, which is
-    checked first whatever the record."""
+    The record needs its `scheduler`, `check`, `instance` and `schedule`
+    fields, and a `deviation-structure` record its `witness`; a missing
+    one is a ValidationError.  The record's own `scheduler` and `eps`
+    select the checks, and must name a scheduler the sweep can run.  A
+    `deviation-structure` record is replayed on its witness alone; any
+    other check reproduces only when the trial's measures finish within
+    `node_budget`, which is checked first whatever the record."""
     _check_budget(node_budget)
+    required = ["scheduler", "check", "instance", "schedule"]
+    if payload.get("check") == "deviation-structure":
+        required.append("witness")
+    for key in required:
+        if key not in payload:
+            raise ValidationError(f"the violation record has no {key!r} field")
     instance = instance_from_dict(payload["instance"])
     schedule = schedule_from_dict(payload["schedule"])
     validate_schedule(instance, schedule)
-    if "scheduler" not in payload:
-        raise ValidationError("the violation record has no 'scheduler' field")
     scheduler = payload["scheduler"]
     eps = payload.get("eps")
     eps = None if eps is None else parse_rational(eps)

@@ -7,6 +7,9 @@ a heavier machine is the new load over the old.  A schedule's measures
 maximize these over every profitable deviation; by convention all three
 are exactly 1 when no deviation exists.
 
+`_paper_limits` picks the paper's Table-1 limits on the three measures,
+and their text; the sweep's checks and the CLI's table both read it.
+
 `measure_report` computes all three, with witnesses, from one scan of
 `equilibria.scan_deviations`; read `ir_max` and `dr_max` from it.  It
 wraps `_measure`, which runs that scan on a caller's `ScanContext`.
@@ -72,6 +75,30 @@ def leq_lpt_three_machine_limit(x: Fraction) -> bool:
     if x <= Fraction(1, 2):
         return True
     return (2 * x - 1) ** 2 <= Fraction(3, 2)
+
+
+def _paper_limits(m: int, lpt_schedule: bool) -> dict:
+    """The Table-1 limit on each of `ir_min`, `ir_max` and `dr_max`, in
+    that order, of an LPT schedule (`lpt_schedule`) or of any other
+    equilibrium on m machines: a pair (text as reports print it, exact
+    test of a value), or None where the measure is unbounded.  The limit
+    constants above are read at each call."""
+
+    def at_most(limit):
+        return str(limit), lambda x: x <= limit
+
+    def below(limit):
+        return f"< {limit}", lambda x: x < limit
+
+    if not lpt_schedule:
+        ir_min, ir_max, dr_max = at_most(ne_min_improvement_limit(m)), None, below(NE_DAMAGE_LIMIT)
+    elif m == 3:
+        ir_min = "1/2 + sqrt(6)/4", leq_lpt_three_machine_limit
+        ir_max, dr_max = at_most(LPT_MAX_IMPROVEMENT_LIMIT_3), below(LPT_DAMAGE_LIMIT)
+    else:
+        ir_min = at_most(lpt_min_improvement_limit(m))
+        ir_max, dr_max = None, below(LPT_DAMAGE_LIMIT)
+    return {"ir_min": ir_min, "ir_max": ir_max, "dr_max": dr_max}
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,14 @@
 """Assignment methods: LPT, list scheduling, lexicographically minimal
 prefix assignment, the strong-stability PTAS, and an exact makespan oracle.
 
-Deterministic tie-breaks throughout: the job sort orders by
-non-increasing size with ties broken by ascending job index, and greedy
-steps pick the least loaded machine with the lowest index.  Loads are
-scaled integers (see `_scaling`): `lpt`, `list_schedule`, the completion
-of each `ptas` round and the warm start of `optimal_makespan` share one
-greedy, `_greedy`.  `core.load_profile` is the `Fraction` view of the
-loads of a schedule returned here.
+Deterministic tie-breaks throughout: the one job sort,
+`size_ordered_jobs`, orders by non-increasing size with ties broken by
+ascending job index, and greedy steps pick the least loaded machine with
+the lowest index.  Loads are sums of the instance's `_scaled` integers
+(see `core`).  `list_schedule`, hence `lpt`, the completion of each
+`ptas` round and the warm start of `optimal_makespan` share one greedy,
+`_greedy`.  `core.load_profile` is the `Fraction` view of the loads of
+a schedule returned here.
 
 The lex-min prefix search (`lex_min_assignment`, and each round of
 `ptas`) and `optimal_makespan` both run a DFS over canonical assignments
@@ -24,7 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from ._scaling import scaled_sizes
 from .core import (
     BudgetExceededError,
     IdenticalInstance,
@@ -45,7 +45,9 @@ def _require_identical(instance):
 
 def size_ordered_jobs(instance: IdenticalInstance) -> list[int]:
     """Job indices sorted by non-increasing size, ties by ascending index."""
-    return sorted(range(1, instance.n + 1), key=lambda j: (-instance.p[j - 1], j))
+    _require_identical(instance)
+    row = instance._scaled[0][0]
+    return sorted(range(1, instance.n + 1), key=lambda j: (-row[j - 1], j))
 
 
 def _greedy(sizes, loads) -> list[int]:
@@ -61,20 +63,19 @@ def _greedy(sizes, loads) -> list[int]:
 
 
 def lpt(instance: IdenticalInstance) -> Schedule:
-    """Longest-processing-time rule: sort, then greedy least-loaded."""
-    _require_identical(instance)
-    order = size_ordered_jobs(instance)
-    row = scaled_sizes(instance)[0][0]
-    return _schedule_from(order, _greedy([row[j - 1] for j in order], [0] * instance.m))
+    """Longest-processing-time rule: list scheduling in size order."""
+    return list_schedule(instance, size_ordered_jobs(instance))
 
 
 def list_schedule(instance: IdenticalInstance, order: Sequence[int]) -> Schedule:
-    """Greedy least-loaded assignment in the given job order."""
+    """Greedy least-loaded assignment in the given job order, a
+    permutation of the job indices (ints, not bools)."""
     _require_identical(instance)
     order = list(order)
-    if sorted(order) != list(range(1, instance.n + 1)):
+    not_ints = any(not isinstance(j, int) or isinstance(j, bool) for j in order)
+    if not_ints or sorted(order) != list(range(1, instance.n + 1)):
         raise ValidationError(f"order must be a permutation of 1..{instance.n}")
-    row = scaled_sizes(instance)[0][0]
+    row = instance._scaled[0][0]
     return _schedule_from(order, _greedy([row[j - 1] for j in order], [0] * instance.m))
 
 
@@ -176,7 +177,7 @@ def lex_min_assignment(
         raise ValidationError(f"k must be in 0..{instance.n}, got {k!r}")
     _check_budget(node_budget)
     chosen = size_ordered_jobs(instance)[:k]
-    rows, scale = scaled_sizes(instance)
+    rows, scale = instance._scaled
     labels = _lex_min_over(rows[0], chosen, instance.m, node_budget)
     machines, loads = _canonical_partial(rows[0], chosen, labels, instance.m)
     return PartialAssignment(
@@ -215,23 +216,23 @@ class PtasConfig:
 
 
 def _scheme_round(row, jobs, m, k, node_budget):
-    """One pass on m machines: lex-min prefix of the k longest `jobs`,
-    greedy completion.  Returns each job's 0-based machine, the prefix
-    job set and the scaled loads."""
-    ordered = sorted(jobs, key=lambda j: (-row[j - 1], j))
-    prefix, rest = ordered[:k], ordered[k:]
+    """One pass on m machines: lex-min prefix of the first k of `jobs`
+    (in size order), greedy completion.  Returns each job's 0-based
+    machine, the prefix job set and the scaled loads."""
+    prefix, rest = jobs[:k], jobs[k:]
     labels = _lex_min_over(row, prefix, m, node_budget)
     machines, loads = _canonical_partial(row, prefix, labels, m)
     machines += _greedy([row[j - 1] for j in rest], loads)
-    return dict(zip(prefix + rest, machines)), set(prefix), loads
+    return dict(zip(jobs, machines)), set(prefix), loads
 
 
 def ptas(instance: IdenticalInstance, config: PtasConfig) -> Schedule:
     """Lex-minimal assignment of the longest k jobs, then LPT for the rest."""
     _require_identical(instance)
-    row = scaled_sizes(instance)[0][0]
+    row = instance._scaled[0][0]
     k = config.prefix_size(instance.m, instance.n)
-    jobs = list(range(1, instance.n + 1))
+    # the live jobs, kept in size order as rounds freeze some of them
+    jobs = size_ordered_jobs(instance)
     machine_ids = list(range(1, instance.m + 1))
     frozen: dict[int, int] = {}
     while True:
@@ -272,16 +273,16 @@ def optimal_makespan(
 
     Warm-started from the LPT schedule, built on the sorted scaled sizes;
     prunes machine-permutation symmetry, equal-load duplicates, and
-    branches that cannot beat the incumbent.  Raises BudgetExceededError (carrying the best incumbent)
-    when the node budget runs out.
+    branches that cannot beat the incumbent.  Raises BudgetExceededError
+    (carrying the best incumbent) when the node budget runs out.
     """
     _require_identical(instance)
     _check_budget(node_budget)
     if instance.n == 0:
         return OptimalMakespan(value=Fraction(0), schedule=Schedule(()))
-    sizes_rows, scale = scaled_sizes(instance)
+    rows, scale = instance._scaled
     order = size_ordered_jobs(instance)
-    sizes = [sizes_rows[0][j - 1] for j in order]
+    sizes = [rows[0][j - 1] for j in order]
     m = instance.m
     n = instance.n
 

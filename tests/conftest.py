@@ -3,8 +3,10 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
+from schedgames import core
 from schedgames.core import IdenticalInstance, Schedule, UnrelatedInstance
 from schedgames.schedulers import lpt
 
@@ -17,6 +19,20 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+
+@pytest.fixture
+def scalings(monkeypatch) -> list:
+    """One entry for every instance integer form computed in the test."""
+    scaled = []
+    scale = core._scaled_form
+
+    def counted(instance):
+        scaled.append(instance)
+        return scale(instance)
+
+    monkeypatch.setattr(core, "_scaled_form", counted)
+    return scaled
 
 
 def rationals(max_value=8, max_denominator=12):

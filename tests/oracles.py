@@ -168,6 +168,12 @@ def brute_lex_min_assignment(instance, k):
     return tuple(first[label] for label in best[1])
 
 
+def fraction_size_order(instance):
+    """Reference size order: job indices by non-increasing `Fraction`
+    size, ties by ascending index."""
+    return sorted(range(1, instance.n + 1), key=lambda j: (-instance.p[j - 1], j))
+
+
 def greedy_resimulation(instance, order):
     """Reference least-loaded greedy: lowest-index tie-break."""
     loads = [Fraction(0)] * instance.m

@@ -8,7 +8,7 @@ import pytest
 
 from fractions import Fraction
 
-from schedgames import experiments
+from schedgames import experiments, measures
 from schedgames.cli import run
 from schedgames.core import (
     parse_rational,
@@ -74,6 +74,22 @@ def test_check_coalition_rejects_duplicate_members(fig1_files):
     verdict = run(["check", "--coalition", "1,1,2", "--in", instance, "--schedule", schedule])
     assert verdict.exit_code == 2
     assert "twice" in verdict.payload["error"]
+
+
+def test_check_rejects_an_empty_coalition(fig1_files):
+    # an empty value is bad input, not an absent flag that runs --ne and --se
+    instance, schedule = fig1_files
+    verdict = run(["check", "--coalition", "", "--in", instance, "--schedule", schedule])
+    assert verdict.exit_code == 2
+    assert "--coalition" in verdict.payload["error"]
+
+
+def test_schedule_rejects_an_empty_order(fig1_files):
+    # an empty value is bad input, not an absent flag that keeps arrival order
+    instance, _ = fig1_files
+    verdict = run(["schedule", "--alg", "ls", "--order", "", "--in", instance])
+    assert verdict.exit_code == 2
+    assert "--order" in verdict.payload["error"]
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -485,7 +501,7 @@ def test_fig1_deviation_serializes_alike_everywhere(tmp_path, fig1_files, monkey
     # equilibrium fails, so the trial records its ir_min witness
     monkeypatch.setattr(experiments, "random_instance", lambda *args: art.instance)
     monkeypatch.setattr(experiments, "random_ne", lambda *args: art.schedule)
-    monkeypatch.setattr(experiments, "NE_DAMAGE_LIMIT", Fraction(1))
+    monkeypatch.setattr(measures, "NE_DAMAGE_LIMIT", Fraction(1))
     config = SweepConfig(
         seed=1, trials=1, m_range=(3, 3), n_range=(6, 6), p_max=5, scheduler="random-ne"
     )

@@ -164,6 +164,25 @@ def test_unrelated_instance_json_round_trip_is_bit_exact(m, n, data):
     assert again.p == instance.p
 
 
+@pytest.mark.parametrize(
+    "instance",
+    [
+        IdenticalInstance(m=3, p=("1/2", 3, "2/3")),
+        UnrelatedInstance(m=2, p=(("1/2", 3), (1, "4/3"))),
+    ],
+)
+def test_scaled_form_is_cached_tuples_outside_equality(instance):
+    sizes, scale = instance._scaled
+    assert scale == 6
+    assert type(sizes) is tuple and all(type(row) is tuple for row in sizes)
+    rows = (instance.p,) * instance.m if isinstance(instance, IdenticalInstance) else instance.p
+    assert [[Fraction(s, scale) for s in row] for row in sizes] == [list(row) for row in rows]
+    assert instance._scaled is instance._scaled
+    # the cache is no field: a fresh copy without it is equal, hashes and prints alike
+    fresh = type(instance)(m=instance.m, p=instance.p)
+    assert fresh == instance and hash(fresh) == hash(instance) and repr(fresh) == repr(instance)
+
+
 def test_schedule_round_trip():
     schedule = Schedule((1, 3, 2, 2))
     assert schedule_from_dict(schedule_to_dict(schedule)).assignment == schedule.assignment

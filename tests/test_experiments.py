@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import _best_response_equilibrium
-from schedgames import experiments
+from schedgames import experiments, measures
 from schedgames.core import (
     IdenticalInstance,
     Schedule,
@@ -172,8 +172,9 @@ def test_sweep_csv_schema():
 
 
 def test_sweep_config_validation():
-    with pytest.raises(ValidationError):
-        small_config("lpt", trials=0)
+    for trials in (0, True, 1.5, "3"):
+        with pytest.raises(ValidationError, match="trials must be a positive int"):
+            small_config("lpt", trials=trials)
     with pytest.raises(ValidationError):
         small_config("quantum")
     with pytest.raises(ValidationError):
@@ -366,6 +367,32 @@ def test_each_sweep_trial_builds_one_scan_context(monkeypatch, scheduler):
     assert len(built) == len(report.records) == 10
 
 
+@pytest.mark.parametrize("scheduler", SCHEDULERS)
+def test_each_sweep_trial_scales_its_instance_once(scalings, scheduler):
+    # the scheduler, the trial's scan context and optimal_makespan share it
+    eps = Fraction(1, 2) if scheduler == "ptas" else None
+    config = small_config(scheduler, seed=5, trials=10, n_range=(8, 10), p_max=20, eps=eps)
+    report = bound_sweep(config)
+    assert len(scalings) == len(report.records) == 10
+
+
+@pytest.mark.parametrize(
+    "check, missing",
+    [
+        ("ne-min-improvement", "check"),
+        ("ne-min-improvement", "instance"),
+        ("ne-min-improvement", "schedule"),
+        ("ne-min-improvement", "scheduler"),
+        ("deviation-structure", "witness"),
+    ],
+)
+def test_replay_rejects_a_record_without_a_required_field(check, missing):
+    payload = dict(FIG1_RECORD, eps=None, check=check, witness={"assignment": [2, 3, 2, 1, 3, 1]})
+    del payload[missing]
+    with pytest.raises(ValidationError, match=f"no '{missing}' field"):
+        replay_violation(payload)
+
+
 @pytest.mark.parametrize("budget", [0, True])
 @pytest.mark.parametrize("check", ["deviation-structure", "ne-min-improvement"])
 def test_replay_checks_the_budget_for_every_record(budget, check):
@@ -380,7 +407,7 @@ def test_replay_checks_the_budget_for_every_record(budget, check):
 
 def test_violation_record_carries_trial_seed(monkeypatch):
     # a damage limit of 1 fails on every equilibrium trial
-    monkeypatch.setattr(experiments, "NE_DAMAGE_LIMIT", Fraction(1))
+    monkeypatch.setattr(measures, "NE_DAMAGE_LIMIT", Fraction(1))
     report = bound_sweep(small_config("random-ne", trials=5))
     assert report.violations
     for violation in report.violations:

@@ -83,6 +83,20 @@ def test_strong_schedule_measures_are_one():
     assert value.value == 1 and value.witness is None
 
 
+def test_a_measure_item_scales_its_instance_once(scalings):
+    # the benchmark's measure item: three scans of one non-equilibrium
+    # start, then each witness's ratios checked, all on one instance
+    instance = IdenticalInstance(m=3, p=(7, "13/2", 5, 4, "7/2", 3, 2, 2))
+    start = Schedule((1, 1, 1, 2, 2, 3, 3, 1))
+    report = measure_report(instance, start)
+    best = ir_min(instance, start)
+    deviations = enumerate_profitable_deviations(instance, start)
+    assert report.deviation_count == len(deviations) > 0 and best.value == report.ir_min
+    deviation_stats(instance, start, report.ir_max_witness.after)
+    deviation_stats(instance, start, report.dr_max_witness.after)
+    assert len(scalings) == 1
+
+
 def test_rounded_lpt_instance_min_improvement_bracket():
     art = figure9()
     value = ir_min(art.instance, art.schedule)

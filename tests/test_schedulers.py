@@ -3,11 +3,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import identical_instances
+from conftest import identical_instances, rationals
 from oracles import (
     brute_lex_min_assignment,
     brute_lex_min_vector,
     brute_optimal_makespan,
+    fraction_size_order,
     greedy_resimulation,
 )
 from schedgames.core import (
@@ -110,10 +111,26 @@ def test_list_schedule_arrival_order_trace():
 
 def test_list_schedule_rejects_non_permutation():
     instance = IdenticalInstance(m=2, p=(1, 2, 3))
-    with pytest.raises(ValidationError):
-        list_schedule(instance, (1, 2, 2))
-    with pytest.raises(ValidationError):
-        list_schedule(instance, (1, 2))
+    # 1.0 and True compare equal to job 1, so a permutation check alone lets them in
+    for order in ((1, 2, 2), (1, 2), (1.0, 2, 3), (True, 2, 3), ("1", 2, 3), (None, 2, 3)):
+        with pytest.raises(ValidationError, match="permutation"):
+            list_schedule(instance, order)
+
+
+# sizes with many ties, several of them equal only as rationals
+TIED_SIZES = st.sampled_from(
+    [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1), Fraction(3, 2), Fraction(2)]
+)
+
+
+@given(
+    st.one_of(
+        identical_instances(max_n=10, sizes=TIED_SIZES),
+        identical_instances(max_n=10, sizes=rationals(max_value=3, max_denominator=4)),
+    )
+)
+def test_size_order_matches_a_fraction_sort(instance):
+    assert size_ordered_jobs(instance) == fraction_size_order(instance)
 
 
 @given(identical_instances(min_m=1, max_m=3, max_n=6), st.randoms(use_true_random=False))

@@ -23,8 +23,8 @@ the nodes it visited, so the caller still holds the context after a
 budget stop.  Here `is_strong`, `can_coalition_deviate` and
 `enumerate_profitable_deviations` are views over it; the measures that
 maximize a ratio over deviations live in `measures`.  Each `Deviation` a
-scan finds is built by `ScanContext.deviation` and written out by
-`Deviation.to_dict`.
+scan finds is built by `ScanContext.deviation`, past the dataclass
+constructors, and written out by `Deviation.to_dict`.
 
 Every internal load is a scaled integer read off a `ScanContext`: the
 scan, `improving_moves`, `is_nash` and `profitable_deviation`'s check all
@@ -38,7 +38,9 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import comb
+from operator import ne
 from typing import Callable, Iterator
 
 from .core import (
@@ -134,6 +136,16 @@ class _StopScan(Exception):
     pass
 
 
+class _OutOfBudget(Exception):
+    """A scan's node budget ran out; `args[0]` collects the machine chosen
+    at each depth, deepest first, as the stop unwinds."""
+
+
+# the trusted constructors' path past a frozen dataclass's __init__; field
+# by field, so that an instance keeps its compact attribute layout
+_new, _set = object.__new__, object.__setattr__
+
+
 class ScanContext:
     """Read-only scaled-integer view of (instance, schedule), validated on
     construction: every load, cost and unilateral or joint move of the
@@ -148,11 +160,19 @@ class ScanContext:
     among them: jobs with the same start machine and the same scaled
     processing time on every machine, in index order, two or more per
     class.  `prev_twin[j]` is the twin just before job j, or -1.
+    `uncapped` exceeds every load a joint action can give a machine; a
+    scan caps machines at it until a mover or member lands there.
+
+    `to_schedule`, `migrants_of` and `deviation` trust the joint action
+    they are given (one machine index in 0..m-1 per job, as a scan or
+    `check_move` produces it) and build their results past the dataclass
+    constructors; the results equal, hash like and print like the ones
+    those constructors build.
     """
 
     __slots__ = (
         "instance", "schedule", "m", "n", "sizes", "scale", "orig", "load0", "cost0",
-        "coalition", "free", "twins", "prev_twin",
+        "coalition", "free", "twins", "prev_twin", "uncapped",
     )
 
     def __init__(self, instance: Instance, schedule: Schedule, coalition=None):
@@ -174,6 +194,7 @@ class ScanContext:
         else:
             self.free = tuple(sorted(j - 1 for j in self.coalition))
         columns = list(zip(*self.sizes))
+        self.uncapped = sum(map(max, columns)) + 1
         classes: dict = {}
         for j in self.free:
             classes.setdefault((self.orig[j], columns[j]), []).append(j)
@@ -184,21 +205,23 @@ class ScanContext:
                 self.prev_twin[b] = a
 
     def to_schedule(self, assign) -> Schedule:
-        return Schedule(tuple(i + 1 for i in assign))
+        schedule = _new(Schedule)
+        _set(schedule, "assignment", tuple([i + 1 for i in assign]))
+        return schedule
 
     def migrants_of(self, assign) -> frozenset[int]:
-        return frozenset(j + 1 for j in range(self.n) if assign[j] != self.orig[j])
+        return frozenset(compress(range(1, self.n + 1), map(ne, assign, self.orig)))
 
     def deviation(self, assign, coalition=None) -> Deviation:
         """The deviation to the joint action `assign`; its coalition is the
         migrants unless given."""
         migrants = self.migrants_of(assign)
-        return Deviation(
-            before=self.schedule,
-            after=self.to_schedule(assign),
-            migrants=migrants,
-            coalition=migrants if coalition is None else frozenset(coalition),
-        )
+        deviation = _new(Deviation)
+        _set(deviation, "before", self.schedule)
+        _set(deviation, "after", self.to_schedule(assign))
+        _set(deviation, "migrants", migrants)
+        _set(deviation, "coalition", migrants if coalition is None else frozenset(coalition))
+        return deviation
 
     def loads_of(self, assign) -> list[int]:
         """The machine loads under the joint action `assign`."""
@@ -312,19 +335,23 @@ def scan_deviations(
     ctx: ScanContext, *, budget: int, on_leaf: Callable, min_ratio_floor=None
 ) -> int:
     """Depth-first search over the joint actions of the schedule of `ctx`,
-    calling on_leaf(ctx, assign, loads) once per symmetry orbit of
-    profitable candidates, in lexicographic order.  Returns the nodes
-    visited, the count that `budget` (a positive int, which the public
-    entry points check) caps.
+    calling on_leaf(ctx, assign, loads, caps) once per symmetry orbit of
+    profitable candidates, in lexicographic order: the 0-based joint
+    action, its machine loads, and per machine the smallest start cost
+    among the jobs bound to it (movers, and with a coalition also the
+    members that stay), or `ctx.uncapped`.  So without a coalition
+    `caps[i]` is the cheapest old cost among the movers into machine i.
+    The three are the scan's own lists, valid during the call only.
+    Returns the nodes visited, the count that `budget` (a positive int,
+    which the public entry points check) caps.
 
     Without `ctx.coalition`, any set of jobs may move and a candidate is
     profitable iff every mover strictly improves.  With it, only those
     jobs may act and every member (moving or staying) must strictly
     improve; an empty coalition gives a scan of no jobs, which finds
-    nothing.  A branch is cut as soon as some machine's partial load
-    reaches the smallest original cost among the movers bound to it.
-    `min_ratio_floor`, a mutable [num, den] pair, further prunes branches
-    whose smallest member improvement ratio cannot exceed num/den.
+    nothing.  A branch is cut as soon as some machine's load reaches its
+    cap.  `min_ratio_floor`, a mutable [num, den] pair, further prunes
+    branches whose smallest member improvement ratio cannot exceed num/den.
 
     Load conservation cuts more.  At a profitable leaf a capped machine
     ends at most at its cap less one (scaled integers), and an uncapped
@@ -332,11 +359,12 @@ def scan_deviations(
     cost among jobs at later depths less one, since a later mover caps it
     no higher than that.  The final loads still add up to at least the
     placed load plus each unplaced job's smallest size (the total work on
-    identical machines).  So when these room bounds sum to less, no
-    profitable leaf lies below and the branch is cut.  The check runs
-    only on a child whose cap drops, where the room shrinks most, so the
-    other children pay nothing for it.  Like the cap cut, it keeps every
-    profitable leaf, hence every verdict, witness, count and orbit.
+    identical machines), so when these room bounds sum to less, no
+    profitable leaf lies below and the branch is cut.  The placed load
+    and the room total travel down the recursion, updated in O(1) per
+    child, and the check runs only on a child whose cap drops, where the
+    room shrinks most.  Like the cap cut, it keeps every profitable leaf,
+    hence every verdict, witness, count and orbit.
 
     Two jobs free to act are twins when they share a start machine and
     have the same processing time on every machine (`ctx.twins`).
@@ -349,9 +377,8 @@ def scan_deviations(
     deviations adds `ctx.orbit_size(assign)`, and one that needs each of
     them expands `ctx.orbit(assign)` (`enumerate_profitable_deviations`
     restores the global lexicographic order).  Branches skipped by the
-    twin bound count as resolved in `BudgetExceededError.explored_fraction`,
-    since their representatives come earlier in lexicographic order; cut
-    branches count as resolved too.
+    twin bound (their representatives come earlier) and cut branches
+    count as resolved in `BudgetExceededError.explored_fraction`.
 
     The search recurses once per job free to act, so more than 500 of
     them raise ValidationError.
@@ -364,106 +391,107 @@ def scan_deviations(
     m, n = ctx.m, ctx.n
     sizes, orig = ctx.sizes, ctx.orig
     cost0, load0 = ctx.cost0, ctx.load0
-    # per depth: the job, its start machine and cost, its previous twin,
-    # and for the jobs at later depths the sum of their smallest sizes and
-    # the largest of their start costs less one (-1 past the last depth)
+    members_fixed = ctx.coalition is not None
+    # per depth: the job, its sizes on each machine, its start machine, the
+    # machine it keeps without setting a cap (its start machine, or -1 when
+    # members are fixed), its start cost, its previous twin, and for the
+    # jobs at later depths the sum of their smallest sizes and the largest
+    # of their start costs less one (-1 past the last depth)
     plan = []
     rest_min, rest_top = 0, -1
     for j in reversed(free):
-        plan.append((j, orig[j], cost0[j], ctx.prev_twin[j], rest_min, rest_top))
-        rest_min += min(sizes[i][j] for i in range(m))
+        column = tuple(sizes[i][j] for i in range(m))
+        keep = -1 if members_fixed else orig[j]
+        plan.append((j, column, orig[j], keep, cost0[j], ctx.prev_twin[j], rest_min, rest_top))
+        rest_min += min(column)
         rest_top = max(rest_top, cost0[j] - 1)
     plan.reverse()
 
     loads = [0] * m
-    members_fixed = ctx.coalition is not None
     if members_fixed:
         for j in set(range(n)).difference(free):
             loads[orig[j]] += sizes[orig[j]][j]
 
     depth = len(free)
-    infinity = sum(max(sizes[i][j] for i in range(m)) for j in range(n)) + 1
+    infinity = ctx.uncapped
     caps = [infinity] * m
-    # a machine's largest final load at a profitable leaf, as far as its
-    # cap tells: cap - 1 once capped, its start load while uncapped
-    room = list(load0)
     assign = list(orig)
-    choice = [0] * depth
     nodes = 0
 
-    def resolved_fraction() -> Fraction:
-        if depth == 0:
-            return Fraction(1)
-        covered = 0
-        for d in range(depth):
-            covered += choice[d] * m ** (depth - d - 1)
-        return Fraction(covered, m**depth)
-
-    def dfs(t: int, migrants: int):
+    # `placed` is sum(loads); `room` sums each machine's largest final load
+    # at a profitable leaf as far as its cap tells: cap - 1 once capped,
+    # its start load while uncapped.  A budget stop unwinds through every
+    # frame, and each adds its machine to the path the stop carries.
+    def dfs(t: int, placed: int, room: int):
         nonlocal nodes
         if t == depth:
-            if migrants:
-                on_leaf(ctx, assign, loads)
+            if assign != orig:
+                on_leaf(ctx, assign, loads, caps)
             return
-        j, oj, cj, twin, rest_min, rest_top = plan[t]
-        for i in range(0 if twin < 0 else assign[twin], m):
-            choice[t] = i
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceededError(
-                    f"deviation search exceeded {budget} nodes",
-                    nodes=nodes,
-                    budget=budget,
-                    explored_fraction=resolved_fraction(),
-                )
-            stay = i == oj
-            size = sizes[i][j]
-            if not stay and size >= cj:
-                continue
-            new_load = loads[i] + size
-            old_cap = caps[i]
-            if (stay and not members_fixed) or cj >= old_cap:
-                # no cap drops: nothing but the load changes
-                if new_load >= old_cap:
+        j, column, oj, keep, cj, twin, rest_min, rest_top = plan[t]
+        try:
+            for i in range(0 if twin < 0 else assign[twin], m):
+                nodes += 1
+                if nodes > budget:
+                    raise _OutOfBudget([])
+                size = column[i]
+                if size >= cj and i != oj:
                     continue
-                if min_ratio_floor is not None and old_cap != infinity:
-                    if old_cap * min_ratio_floor[1] <= new_load * min_ratio_floor[0]:
+                load = loads[i]
+                new_load = load + size
+                old_cap = caps[i]
+                if i == keep or cj >= old_cap:
+                    # no cap drops: nothing but the load changes
+                    if new_load >= old_cap:
+                        continue
+                    if min_ratio_floor is not None and old_cap != infinity:
+                        if old_cap * min_ratio_floor[1] <= new_load * min_ratio_floor[0]:
+                            continue
+                    loads[i] = new_load
+                    assign[j] = i
+                    dfs(t + 1, placed + size, room)
+                    loads[i] = load
+                    continue
+                if new_load >= cj:
+                    continue
+                if min_ratio_floor is not None:
+                    if cj * min_ratio_floor[1] <= new_load * min_ratio_floor[0]:
+                        continue
+                new_room = room + cj - 1 - (load0[i] if old_cap == infinity else old_cap - 1)
+                # load conservation: the work still to land must fit the room
+                short = placed + size + rest_min - new_room
+                if short > 0:
+                    for k in range(m):
+                        if caps[k] == infinity and k != i and rest_top > load0[k]:
+                            short -= rest_top - load0[k]
+                    if short > 0:
                         continue
                 loads[i] = new_load
+                caps[i] = cj
                 assign[j] = i
-                dfs(t + 1, migrants if stay else migrants + 1)
-                loads[i] = new_load - size
-                continue
-            if new_load >= cj:
-                continue
-            if min_ratio_floor is not None:
-                if cj * min_ratio_floor[1] <= new_load * min_ratio_floor[0]:
-                    continue
-            old_room = room[i]
-            room[i] = cj - 1
-            # load conservation: the work still to land must fit the room
-            short = sum(loads) + size + rest_min - sum(room)
-            if short > 0:
-                for k in range(m):
-                    if caps[k] == infinity and k != i and rest_top > load0[k]:
-                        short -= rest_top - load0[k]
-                if short > 0:
-                    room[i] = old_room
-                    continue
-            loads[i] = new_load
-            caps[i] = cj
-            assign[j] = i
-            dfs(t + 1, migrants if stay else migrants + 1)
-            loads[i] = new_load - size
-            caps[i] = old_cap
-            room[i] = old_room
+                dfs(t + 1, placed + size, new_room)
+                loads[i] = load
+                caps[i] = old_cap
+        except _OutOfBudget as stop:
+            stop.args[0].append(i)
+            raise
         assign[j] = oj
-        choice[t] = 0
 
     try:
-        dfs(0, 0)
+        dfs(0, sum(loads), sum(load0))
     except _StopScan:
         pass
+    except _OutOfBudget as stop:
+        # the machines chosen at depths 0..t, where the budget ran out
+        covered = 0
+        for d, i in enumerate(reversed(stop.args[0])):
+            covered += i * m ** (depth - d - 1)
+        raise BudgetExceededError(
+            f"deviation search exceeded {budget} nodes",
+            nodes=nodes,
+            budget=budget,
+            explored_fraction=Fraction(covered, m**depth),
+        ) from None
     return nodes
 
 
@@ -472,7 +500,7 @@ def _first_deviation(instance, schedule, budget, coalition=None) -> Deviation | 
     _check_budget(budget)
     hit: list = []
 
-    def grab(ctx, assign, loads):
+    def grab(ctx, assign, loads, caps):
         hit.append(ctx.deviation(assign, ctx.coalition))
         raise _StopScan
 
@@ -546,7 +574,7 @@ def enumerate_profitable_deviations(
         if len(found) == limit:
             raise _StopScan
 
-    def leaf(ctx, assign, loads):
+    def leaf(ctx, assign, loads, caps):
         if ctx.twins:  # else every orbit is trivial and nothing is pending
             members = ctx.orbit(assign)
             for member in members[1:]:

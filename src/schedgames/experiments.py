@@ -13,7 +13,7 @@ private `_evaluate`, so a replay runs the checks the sweep ran.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from .core import (
@@ -112,6 +112,11 @@ def random_ne(instance: IdenticalInstance, seed: int) -> Schedule:
             return Schedule(tuple(i + 1 for i in assignment))
 
 
+def _is_int(x) -> bool:
+    """An int, and not a bool."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _check_scheduler(scheduler, eps) -> None:
     """Reject a scheduler the sweep cannot run: an unknown name, ptas
     without a positive eps, or an eps that the scheduler would not read."""
@@ -149,14 +154,15 @@ class SweepConfig:
     budget: int = DEFAULT_SEARCH_BUDGET
 
     def __post_init__(self):
-        trials = self.trials
-        if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
-            raise ValidationError(f"trials must be a positive int, got {trials!r}")
+        if not _is_int(self.trials) or self.trials < 1:
+            raise ValidationError(f"trials must be a positive int, got {self.trials!r}")
         for name, (lo, hi) in (("m_range", self.m_range), ("n_range", self.n_range)):
-            if lo < 1 or hi < lo:
-                raise ValidationError(f"{name} must be an ordered positive interval, got {lo}..{hi}")
-        if self.p_max < 1:
-            raise ValidationError("p_max must be positive")
+            if not (_is_int(lo) and _is_int(hi)) or lo < 1 or hi < lo:
+                raise ValidationError(
+                    f"{name} must be an ordered interval of positive ints, got {lo!r}..{hi!r}"
+                )
+        if not _is_int(self.p_max) or self.p_max < 1:
+            raise ValidationError(f"p_max must be a positive int, got {self.p_max!r}")
         if self.eps is not None:
             object.__setattr__(self, "eps", parse_rational(self.eps))
         _check_scheduler(self.scheduler, self.eps)
@@ -212,32 +218,14 @@ class Violation:
     witness: dict | None
 
     def to_dict(self) -> dict:
-        return {
-            "trial": self.trial,
-            "seed": self.seed,
-            "scheduler": self.scheduler,
-            "eps": None if self.eps is None else format_rational(self.eps),
-            "check": self.check,
-            "observed": self.observed,
-            "bound": self.bound,
-            "instance": self.instance,
-            "schedule": self.schedule,
-            "witness": self.witness,
-        }
+        record = {f.name: getattr(self, f.name) for f in fields(self)}
+        record["eps"] = None if self.eps is None else format_rational(self.eps)
+        return record
 
 
 CSV_COLUMNS = [
-    "trial",
-    "scheduler",
-    "m",
-    "n",
-    "makespan",
-    "opt",
-    "ir_min",
-    "ir_max",
-    "dr_max",
-    "bounds_ok",
-    "exhaustive",
+    "trial", "scheduler", "m", "n", "makespan", "opt",
+    "ir_min", "ir_max", "dr_max", "bounds_ok", "exhaustive",
 ]
 
 
@@ -250,22 +238,15 @@ class SweepReport:
     elapsed: float = 0.0
 
     def csv_rows(self) -> list[list[str]]:
+        """The CSV_COLUMNS header, then one row per trial; a value that
+        was not computed is an empty cell."""
         rows = [CSV_COLUMNS]
         for r in self.records:
+            values = (r.makespan, r.opt, r.ir_min, r.ir_max, r.dr_max)
             rows.append(
-                [
-                    str(r.trial),
-                    r.scheduler,
-                    str(r.m),
-                    str(r.n),
-                    str(format_rational(r.makespan)),
-                    "" if r.opt is None else str(format_rational(r.opt)),
-                    "" if r.ir_min is None else str(format_rational(r.ir_min)),
-                    "" if r.ir_max is None else str(format_rational(r.ir_max)),
-                    "" if r.dr_max is None else str(format_rational(r.dr_max)),
-                    "" if r.inconclusive else str(r.bounds_ok).lower(),
-                    str(r.exhaustive).lower(),
-                ]
+                [str(r.trial), r.scheduler, str(r.m), str(r.n)]
+                + ["" if q is None else str(format_rational(q)) for q in values]
+                + ["" if r.inconclusive else str(r.bounds_ok).lower(), str(r.exhaustive).lower()]
             )
         return rows
 
@@ -356,7 +337,7 @@ def _evaluate(scheduler, eps, instance, schedule, budget):
     if ctx.m == 3 and equilibrium:
         lpt_origin = scheduler == "lpt"
 
-        def on_leaf(ctx, assign, loads):
+        def on_leaf(ctx, assign, loads, caps):
             nonlocal last
             last = tuple(assign)
             sr = _structure(ctx, assign, lpt_origin)

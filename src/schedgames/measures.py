@@ -14,9 +14,10 @@ and their text; the sweep's checks and the CLI's table both read it.
 `equilibria.scan_deviations`; read `ir_max` and `dr_max` from it.  It
 wraps `_measure`, which runs that scan on a caller's `ScanContext`.
 `ir_min` answers the min-improvement measure alone with a scan that
-prunes every branch unable to beat the best ratio found so far.  The
-`ir_max` witness counts improving bystanders in its coalition; every
-other witness's coalition is its migrants.
+prunes every branch unable to beat the best ratio found so far.  Both
+read a leaf's smallest mover improvement off the scan's per-machine
+caps, in O(m).  The `ir_max` witness counts improving bystanders in its
+coalition; every other witness's coalition is its migrants.
 
 `deviation_stats`, `check_flower` and `structural_report` each validate
 the given deviation once, with `ScanContext.check_move`, and read every
@@ -176,14 +177,19 @@ class MeasureReport:
         return self.ir_min <= Fraction(alpha)
 
 
-def _leaf_min_improvement(ctx, assign, loads):
-    """Smallest improvement ratio among the movers of a leaf: (num, den)."""
+def _leaf_min_improvement(ctx, loads, caps):
+    """Smallest improvement ratio among the movers of a leaf: (num, den).
+
+    In a scan without a coalition only movers set caps, so `caps[i]` is
+    the smallest start cost among the movers into machine i, or
+    `ctx.uncapped` if none: the ratio is the least `caps[i] / loads[i]`,
+    O(m) rather than O(n).  With a coalition, members that stay set caps
+    too, so this shortcut holds for coalition-free scans only."""
     num, den = None, None
-    for j in range(ctx.n):
-        if assign[j] != ctx.orig[j]:
-            c, l = ctx.cost0[j], loads[assign[j]]
-            if num is None or c * den < num * l:
-                num, den = c, l
+    uncapped = ctx.uncapped
+    for cap, load in zip(caps, loads):
+        if cap != uncapped and (num is None or cap * den < num * load):
+            num, den = cap, load
     return num, den
 
 
@@ -222,25 +228,21 @@ def measure_report(
 
 
 def _measure(ctx: ScanContext, node_budget: int, on_leaf=None) -> MeasureReport:
-    """`measure_report` of the schedule of `ctx`, for a caller that has
-    checked the budget.  `on_leaf(ctx, assign, loads)`, when given, also
-    sees every orbit representative the scan finds, in lexicographic
-    order."""
-    best = {
-        "min": [1, 1, None],
-        "max": [1, 1, None],
-        "dr": [1, 1, None],
-    }
+    """`measure_report` of the schedule of `ctx`, a context without a
+    coalition, for a caller that has checked the budget.
+    `on_leaf(ctx, assign, loads, caps)`, when given, also sees every orbit
+    representative the scan finds, in lexicographic order."""
+    best = {"min": [1, 1, None], "max": [1, 1, None], "dr": [1, 1, None]}
     count = [0]
 
-    def leaf(ctx, assign, loads):
+    def leaf(ctx, assign, loads, caps):
         count[0] += ctx.orbit_size(assign)
         inum, iden, dnum, dden = _leaf_max_ratios(ctx, assign, loads)
-        _bump(best["min"], *_leaf_min_improvement(ctx, assign, loads), assign)
+        _bump(best["min"], *_leaf_min_improvement(ctx, loads, caps), assign)
         _bump(best["max"], inum, iden, assign)
         _bump(best["dr"], dnum, dden, assign)
         if on_leaf is not None:
-            on_leaf(ctx, assign, loads)
+            on_leaf(ctx, assign, loads, caps)
 
     exhaustive = True
     try:
@@ -290,8 +292,8 @@ def ir_min(
     floor = [1, 1]
     slot = [1, 1, None]
 
-    def leaf(ctx, assign, loads):
-        num, den = _leaf_min_improvement(ctx, assign, loads)
+    def leaf(ctx, assign, loads, caps):
+        num, den = _leaf_min_improvement(ctx, loads, caps)
         if num is not None and num * floor[1] > floor[0] * den:
             floor[0], floor[1] = num, den
             slot[0], slot[1], slot[2] = num, den, list(assign)

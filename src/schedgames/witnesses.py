@@ -42,17 +42,18 @@ class FigureArtifact:
     deviation: Deviation | None = None
 
 
+def _figure(instance, before, after) -> FigureArtifact:
+    """The artifact of the deviation from `before` to `after`, validated."""
+    return FigureArtifact(instance, before, profitable_deviation(instance, before, after))
+
+
 def figure1() -> FigureArtifact:
     """Three machines, jobs (5,5,3,2,3,2): an equilibrium where the four
     jobs of sizes 5 and 2 jointly migrate and each improves by 5/4."""
     instance = IdenticalInstance(m=3, p=(5, 5, 3, 2, 3, 2))
     before = Schedule((1, 1, 2, 2, 3, 3))
     after = Schedule((2, 3, 2, 1, 3, 1))
-    return FigureArtifact(
-        instance=instance,
-        schedule=before,
-        deviation=profitable_deviation(instance, before, after),
-    )
+    return _figure(instance, before, after)
 
 
 def figure3(r, m: int = 3) -> FigureArtifact:
@@ -72,11 +73,7 @@ def figure3(r, m: int = 3) -> FigureArtifact:
     before = Schedule((1, 1, 2, 2, 3, 3) + dummies)
     after = Schedule((2, 3, 2, 1, 3, 1) + dummies)
     instance = IdenticalInstance(m=m, p=p)
-    return FigureArtifact(
-        instance=instance,
-        schedule=before,
-        deviation=profitable_deviation(instance, before, after),
-    )
+    return _figure(instance, before, after)
 
 
 def figure9() -> FigureArtifact:
@@ -88,11 +85,7 @@ def figure9() -> FigureArtifact:
     )
     before = lpt(instance)
     after = Schedule((2, 2, 1, 3, 3, 1, 3))
-    return FigureArtifact(
-        instance=instance,
-        schedule=before,
-        deviation=profitable_deviation(instance, before, after),
-    )
+    return _figure(instance, before, after)
 
 
 def footnote5(eps) -> FigureArtifact:
@@ -104,11 +97,7 @@ def footnote5(eps) -> FigureArtifact:
     instance = UnrelatedInstance(m=2, p=((Fraction(1), eps), (eps, Fraction(1))))
     before = Schedule((1, 2))
     after = Schedule((2, 1))
-    return FigureArtifact(
-        instance=instance,
-        schedule=before,
-        deviation=profitable_deviation(instance, before, after),
-    )
+    return _figure(instance, before, after)
 
 
 @dataclass(frozen=True)

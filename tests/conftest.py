@@ -18,6 +18,8 @@ settings.register_profile(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# a slower, deeper run of the oracle cross-checks: --hypothesis-profile=deep
+settings.register_profile("deep", parent=settings.get_profile("suite"), max_examples=400)
 settings.load_profile("suite")
 
 

@@ -15,6 +15,7 @@ from schedgames.core import (
     load_profile,
 )
 from schedgames.equilibria import (
+    Deviation,
     ScanContext,
     can_coalition_deviate,
     enumerate_profitable_deviations,
@@ -22,6 +23,7 @@ from schedgames.equilibria import (
     is_nash,
     is_strong,
     profitable_deviation,
+    scan_deviations,
 )
 from schedgames.experiments import random_instance, random_ne
 from schedgames.measures import deviation_stats, ir_min, measure_report
@@ -367,3 +369,40 @@ def test_objective_plus_improvers_mode_attaches_bystanders():
     deviation = measure_report(instance, Schedule((1, 1))).ir_max_witness
     assert deviation.migrants == frozenset({2})
     assert deviation.coalition == frozenset({1, 2})
+
+
+@given(
+    st.one_of(
+        instance_with_schedule(min_n=1),
+        unrelated_with_schedule(min_n=1),
+        twin_heavy_pairs(unrelated=False),
+        twin_heavy_pairs(unrelated=True),
+    )
+)
+def test_context_deviations_match_public_constructors(pair):
+    # ScanContext builds its Deviation and Schedule past the dataclass
+    # constructors; they must be indistinguishable from publicly built ones
+    instance, schedule = pair
+    ctx = ScanContext(instance, schedule)
+    moves = []
+
+    def leaf(ctx, assign, loads, caps):
+        # the scan's own live list, then each orbit member as a tuple
+        moves.append((list(assign), ctx.deviation(assign)))
+        moves.extend((member, ctx.deviation(member)) for member in ctx.orbit(assign))
+
+    scan_deviations(ctx, budget=10**6, on_leaf=leaf)
+    for joint, got in moves:
+        after = Schedule(tuple(i + 1 for i in joint))
+        migrants = frozenset(
+            j for j in range(1, instance.n + 1) if after.machine_of(j) != schedule.machine_of(j)
+        )
+        public = Deviation(before=schedule, after=after, migrants=migrants, coalition=migrants)
+        for built in (public, profitable_deviation(instance, schedule, after)):
+            assert got == built and hash(got) == hash(built) and repr(got) == repr(built)
+        assert type(got) is Deviation and type(got.after) is Schedule
+        assert got.after == after and hash(got.after) == hash(after)
+        assert repr(got.after) == repr(after) and ctx.to_schedule(joint) == after
+        assert ctx.migrants_of(joint) == migrants
+        wider = migrants | ctx.bystanders(joint)
+        assert ctx.deviation(joint, wider) == profitable_deviation(instance, schedule, after, wider)

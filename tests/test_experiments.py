@@ -181,6 +181,12 @@ def test_sweep_config_validation():
         small_config("ptas")  # missing eps
     with pytest.raises(ValidationError):
         small_config("lpt", m_range=(3, 2))
+    # bools and floats were taken for ints: p_max=True swept all-ones sizes
+    for field, value in (
+        ("p_max", True), ("m_range", (True, 3)), ("p_max", 2.5), ("n_range", (4, 6.0)),
+    ):
+        with pytest.raises(ValidationError, match=field):
+            small_config("lpt", **{field: value})
     for budget in (0, -1, True, 1.5):
         with pytest.raises(ValidationError, match="node budget must be positive"):
             small_config("ptas", eps="1/2", budget=budget)

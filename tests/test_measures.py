@@ -3,12 +3,20 @@ from fractions import Fraction
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from conftest import identical_instances, instance_with_schedule, rationals, twin_heavy_pairs
-from oracles import brute_measures, brute_structure
+from conftest import (
+    equilibrium_pairs,
+    identical_instances,
+    instance_with_schedule,
+    rationals,
+    twin_heavy_pairs,
+    unrelated_with_schedule,
+)
+from oracles import brute_measure_witnesses, brute_measures, brute_structure
 from schedgames.core import IdenticalInstance, Schedule, ValidationError, load_profile
-from schedgames.equilibria import enumerate_profitable_deviations
+from schedgames.equilibria import ScanContext, enumerate_profitable_deviations, scan_deviations
 from schedgames.experiments import random_ne
 from schedgames.measures import (
+    _leaf_min_improvement,
     check_flower,
     deviation_stats,
     ir_min,
@@ -19,7 +27,14 @@ from schedgames.measures import (
     structural_report,
 )
 from schedgames.schedulers import lpt
-from schedgames.witnesses import figure1, figure3, figure9, footnote5
+from schedgames.witnesses import (
+    figure1,
+    figure3,
+    figure9,
+    footnote5,
+    reduce_partition_identical,
+    reduce_partition_unrelated,
+)
 
 FIG1 = figure1()
 
@@ -148,6 +163,58 @@ def test_measures_match_brute_force_oracle(pair):
     )
     fast = ir_min(instance, schedule)
     assert fast.value == report.ir_min and fast.exhaustive
+
+
+@given(
+    st.one_of(
+        instance_with_schedule(min_n=1),
+        unrelated_with_schedule(min_n=1),
+        twin_heavy_pairs(unrelated=False),
+        twin_heavy_pairs(unrelated=True),
+        equilibrium_pairs(unrelated=False),
+        equilibrium_pairs(unrelated=True),
+    )
+)
+def test_min_improvement_read_off_caps_matches_movers_and_oracle(pair):
+    # a leaf reads its smallest mover improvement off the m caps; it must
+    # equal the minimum over the n movers, and both measures the oracle's
+    instance, schedule = pair
+    ctx = ScanContext(instance, schedule)
+
+    def leaf(ctx, assign, loads, caps):
+        movers = [
+            Fraction(ctx.cost0[j], loads[i]) for j, i in enumerate(assign) if i != ctx.orig[j]
+        ]
+        assert Fraction(*_leaf_min_improvement(ctx, loads, caps)) == min(movers)
+
+    scan_deviations(ctx, budget=10**6, on_leaf=leaf)
+    (want, joint), _, _ = brute_measure_witnesses(instance, schedule)
+    report = measure_report(instance, schedule)
+    fast = ir_min(instance, schedule)
+    assert fast.exhaustive and report.ir_min == fast.value == want
+    for witness in (report.ir_min_witness, fast.witness):
+        assert (None if witness is None else witness.after.assignment) == joint
+
+
+@pytest.mark.parametrize(
+    "art, nodes, count",
+    [
+        (reduce_partition_identical((3, 6, 3, 9, 4, 5, 6), m=3), 19_452, 10),
+        (
+            reduce_partition_unrelated((3, 5, 4, 6, 9, 7, 8, 4, 6, 3, 5, 6), Fraction(1, 12)),
+            3_007,
+            162,
+        ),
+    ],
+    ids=["identical-m3", "unrelated-m2"],
+)
+def test_partition_reduction_measure_nodes_are_pinned(art, nodes, count):
+    # Partition reductions with a half-sum split, built as the benchmark's
+    # decide workload builds them: a cheaper scan must visit exactly these
+    # nodes and count exactly these deviations
+    report = measure_report(art.instance, art.start_schedule)
+    assert report.exhaustive and not art.expected_se
+    assert (report.nodes, report.deviation_count) == (nodes, count)
 
 
 @given(instance_with_schedule(min_m=2, max_m=3, min_n=1, max_n=6))

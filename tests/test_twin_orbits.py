@@ -68,7 +68,7 @@ def test_scan_visits_sorted_representatives_only():
     leaves = []
     ctx = ScanContext(instance, Schedule((1, 1, 1, 1)))
     scan_deviations(
-        ctx, budget=10**6, on_leaf=lambda ctx, assign, loads: leaves.append(tuple(assign))
+        ctx, budget=10**6, on_leaf=lambda ctx, assign, loads, caps: leaves.append(tuple(assign))
     )
     assert leaves == sorted(leaves)
     assert all(list(leaf) == sorted(leaf) for leaf in leaves)
@@ -207,7 +207,7 @@ def test_structure_is_constant_on_twin_orbits():
         ctx = ScanContext(instance, schedule)
         reps = []
         scan_deviations(
-            ctx, budget=10**6, on_leaf=lambda ctx, assign, loads: reps.append(tuple(assign))
+            ctx, budget=10**6, on_leaf=lambda ctx, assign, loads, caps: reps.append(tuple(assign))
         )
         for rep in reps:
             plain, unit = (

@@ -46,9 +46,14 @@ class BudgetExceededError(RuntimeError):
         self.best = best
 
 
+def _is_int(x) -> bool:
+    """An int, and not a bool."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _check_budget(budget) -> None:
     """Reject a node budget that is not a positive int (bools included)."""
-    if not isinstance(budget, int) or isinstance(budget, bool) or budget < 1:
+    if not _is_int(budget) or budget < 1:
         raise ValidationError(f"node budget must be positive, got {budget!r}")
 
 
@@ -131,7 +136,7 @@ class IdenticalInstance:
     p: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if not isinstance(self.m, int) or self.m < 1:
+        if not _is_int(self.m) or self.m < 1:
             raise ValidationError(f"machine count must be a positive int, got {self.m!r}")
         object.__setattr__(self, "p", _as_positive_rationals(self.p, "processing time of job"))
 
@@ -167,7 +172,7 @@ class UnrelatedInstance:
     p: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        if not isinstance(self.m, int) or self.m < 1:
+        if not _is_int(self.m) or self.m < 1:
             raise ValidationError(f"machine count must be a positive int, got {self.m!r}")
         rows = tuple(
             _as_positive_rationals(row, f"processing time on machine {i}")
@@ -228,7 +233,7 @@ def validate_schedule(instance: Instance, schedule: Schedule):
             f"schedule covers {schedule.n} jobs but the instance has {instance.n}"
         )
     for j, i in enumerate(schedule.assignment, start=1):
-        if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= instance.m:
+        if not _is_int(i) or not 1 <= i <= instance.m:
             raise ValidationError(f"job {j} assigned to invalid machine {i!r}")
 
 
@@ -345,7 +350,7 @@ def instance_from_dict(data: dict) -> Instance:
     if not isinstance(data, dict) or "machines" not in data:
         raise ValidationError("instance file must be an object with a 'machines' field")
     m = data["machines"]
-    if not isinstance(m, int) or isinstance(m, bool):
+    if not _is_int(m):
         raise ValidationError(f"'machines' must be an integer, got {m!r}")
     if "jobs" in data:
         return IdenticalInstance(m=m, p=tuple(_as_list(data["jobs"], "'jobs'")))

@@ -11,11 +11,11 @@ lexicographically smallest one of its kind, and runs are reproducible.
 The search also cuts every branch that cannot conserve load: at a
 profitable leaf each machine that receives a migrant ends strictly below
 that migrant's old cost and every other machine at or below its start
-load, yet the final loads add up to the work placed.  Both cuts only
-skip branches holding no profitable leaf, so they change no verdict,
-witness or count.  Deciding strong stability is a hard problem, so
-searches carry an explicit node budget and fail loudly (never
-approximately) when it runs out.
+load less the work that left it, yet the final loads add up to the work
+placed.  Both cuts only skip branches holding no profitable leaf, so
+they change no verdict, witness or count.  Deciding strong stability is
+a hard problem, so searches carry an explicit node budget and fail
+loudly (never approximately) when it runs out.
 
 `scan_deviations` is the one search kernel.  It runs on a `ScanContext`
 its caller builds (with the coalition free to act, if any) and returns
@@ -49,6 +49,7 @@ from .core import (
     Schedule,
     ValidationError,
     _check_budget,
+    _is_int,
     validate_schedule,
 )
 
@@ -127,7 +128,7 @@ def _members(coalition, n: int) -> frozenset[int]:
     """The coalition as a set of job indices, each checked to be in 1..n."""
     members = list(coalition)
     for j in members:
-        if not isinstance(j, int) or isinstance(j, bool) or not 1 <= j <= n:
+        if not _is_int(j) or not 1 <= j <= n:
             raise ValidationError(f"coalition member {j!r} is not a job index in 1..{n}")
     return frozenset(members)
 
@@ -354,15 +355,21 @@ def scan_deviations(
     branches whose smallest member improvement ratio cannot exceed num/den.
 
     Load conservation cuts more.  At a profitable leaf a capped machine
-    ends at most at its cap less one (scaled integers), and an uncapped
-    one at most at the larger of its start load and the largest start
-    cost among jobs at later depths less one, since a later mover caps it
-    no higher than that.  The final loads still add up to at least the
-    placed load plus each unplaced job's smallest size (the total work on
-    identical machines), so when these room bounds sum to less, no
-    profitable leaf lies below and the branch is cut.  The placed load
-    and the room total travel down the recursion, updated in O(1) per
-    child, and the check runs only on a child whose cap drops, where the
+    ends at most at its cap less one (scaled integers).  An uncapped
+    machine k that no later mover lands on ends at most at its start load
+    less the work of the placed jobs that left it; one that a later mover
+    lands on ends below that mover's start cost.  So k's bound is the
+    larger of its start load less departures and `tops[k]`: the largest
+    start cost less one among the jobs at later depths that can gain by
+    moving to k (not starting there, and smaller on k than their start
+    cost).  The final loads still add up to at least the placed load plus
+    each unplaced job's smallest size (the total work on identical
+    machines), so when these bounds sum to less, no profitable leaf lies
+    below and the branch is cut.  The placed load and the room total
+    travel down the recursion, updated in O(1) per child.  An uncapped
+    machine's start load less departures is its load plus the work still
+    to be placed that starts on it, so departures need no bookkeeping of
+    their own.  The check runs only on a child whose cap drops, where the
     room shrinks most.  Like the cap cut, it keeps every profitable leaf,
     hence every verdict, witness, count and orbit.
 
@@ -395,16 +402,23 @@ def scan_deviations(
     # per depth: the job, its sizes on each machine, its start machine, the
     # machine it keeps without setting a cap (its start machine, or -1 when
     # members are fixed), its start cost, its previous twin, and for the
-    # jobs at later depths the sum of their smallest sizes and the largest
-    # of their start costs less one (-1 past the last depth)
+    # jobs at later depths the sum of their smallest sizes and, per machine
+    # k, the work of those that start on k and the largest start cost less
+    # one among those that can gain by moving to k (-1 if none)
     plan = []
-    rest_min, rest_top = 0, -1
+    rest_min, pend, tops = 0, [0] * m, [-1] * m
     for j in reversed(free):
         column = tuple(sizes[i][j] for i in range(m))
-        keep = -1 if members_fixed else orig[j]
-        plan.append((j, column, orig[j], keep, cost0[j], ctx.prev_twin[j], rest_min, rest_top))
+        oj, cj = orig[j], cost0[j]
+        keep = -1 if members_fixed else oj
+        plan.append((j, column, oj, keep, cj, ctx.prev_twin[j], rest_min, pend, tops))
         rest_min += min(column)
-        rest_top = max(rest_top, cost0[j] - 1)
+        pend = pend.copy()
+        pend[oj] += column[oj]
+        tops = tops.copy()
+        for i, size in enumerate(column):
+            if size < cj and tops[i] < cj - 1 and i != oj:
+                tops[i] = cj - 1
     plan.reverse()
 
     loads = [0] * m
@@ -413,22 +427,23 @@ def scan_deviations(
             loads[orig[j]] += sizes[orig[j]][j]
 
     depth = len(free)
+    last = depth - 1
     infinity = ctx.uncapped
     caps = [infinity] * m
     assign = list(orig)
     nodes = 0
 
-    # `placed` is sum(loads); `room` sums each machine's largest final load
-    # at a profitable leaf as far as its cap tells: cap - 1 once capped,
-    # its start load while uncapped.  A budget stop unwinds through every
-    # frame, and each adds its machine to the path the stop carries.
+    # `placed` is sum(loads).  `room` sums each machine's largest final
+    # load at a profitable leaf as far as the placed jobs tell: cap - 1 once
+    # capped, else its start load less the work of the placed jobs that
+    # left it, which is its load plus the work still to be placed that
+    # starts on it.  A budget stop unwinds through every frame, and each
+    # adds its machine to the path the stop carries.
     def dfs(t: int, placed: int, room: int):
         nonlocal nodes
-        if t == depth:
-            if assign != orig:
-                on_leaf(ctx, assign, loads, caps)
-            return
-        j, column, oj, keep, cj, twin, rest_min, rest_top = plan[t]
+        j, column, oj, keep, cj, twin, rest_min, pend, tops = plan[t]
+        # a mover that leaves an uncapped start machine takes its room along
+        leave = column[oj] if caps[oj] == infinity else 0
         try:
             for i in range(0 if twin < 0 else assign[twin], m):
                 nodes += 1
@@ -449,7 +464,11 @@ def scan_deviations(
                             continue
                     loads[i] = new_load
                     assign[j] = i
-                    dfs(t + 1, placed + size, room)
+                    if t == last:
+                        if assign != orig:
+                            on_leaf(ctx, assign, loads, caps)
+                    else:
+                        dfs(t + 1, placed + size, room if i == oj else room - leave)
                     loads[i] = load
                     continue
                 if new_load >= cj:
@@ -457,19 +476,30 @@ def scan_deviations(
                 if min_ratio_floor is not None:
                     if cj * min_ratio_floor[1] <= new_load * min_ratio_floor[0]:
                         continue
-                new_room = room + cj - 1 - (load0[i] if old_cap == infinity else old_cap - 1)
+                # i's room becomes cj - 1; that of an uncapped start machine
+                # loses the job (when i is that machine, `leave` is the
+                # job's part of its room)
+                new_room = room + cj - 1 - leave - (
+                    load + pend[i] if old_cap == infinity else old_cap - 1
+                )
                 # load conservation: the work still to land must fit the room
                 short = placed + size + rest_min - new_room
                 if short > 0:
                     for k in range(m):
-                        if caps[k] == infinity and k != i and rest_top > load0[k]:
-                            short -= rest_top - load0[k]
+                        if caps[k] == infinity and k != i:
+                            top = tops[k] - loads[k] - pend[k]
+                            if top > 0:
+                                short -= top
                     if short > 0:
                         continue
                 loads[i] = new_load
                 caps[i] = cj
                 assign[j] = i
-                dfs(t + 1, placed + size, new_room)
+                if t == last:
+                    if assign != orig:
+                        on_leaf(ctx, assign, loads, caps)
+                else:
+                    dfs(t + 1, placed + size, new_room)
                 loads[i] = load
                 caps[i] = old_cap
         except _OutOfBudget as stop:
@@ -478,7 +508,8 @@ def scan_deviations(
         assign[j] = oj
 
     try:
-        dfs(0, sum(loads), sum(load0))
+        if depth:
+            dfs(0, sum(loads), sum(load0))
     except _StopScan:
         pass
     except _OutOfBudget as stop:
@@ -560,9 +591,7 @@ def enumerate_profitable_deviations(
     orbit's representative, which comes after the current one; so once a
     representative is seen, every pending member below it, and then the
     representative, is final."""
-    if limit is not None and (
-        not isinstance(limit, int) or isinstance(limit, bool) or limit < 1
-    ):
+    if limit is not None and (not _is_int(limit) or limit < 1):
         raise ValidationError(f"limit must be a positive int or None, got {limit!r}")
     _check_budget(node_budget)
     ctx = ScanContext(instance, schedule)

@@ -22,6 +22,7 @@ from .core import (
     Schedule,
     ValidationError,
     _check_budget,
+    _is_int,
     format_rational,
     instance_from_dict,
     instance_to_dict,
@@ -74,8 +75,11 @@ class SplitMix64:
 
 def random_instance(seed: int, m: int, n: int, p_max: int) -> IdenticalInstance:
     """n integer processing times drawn uniformly from [1, p_max]."""
-    if m < 1 or n < 0 or p_max < 1:
-        raise ValidationError("m, p_max must be positive and n non-negative")
+    if not all(map(_is_int, (m, n, p_max))) or m < 1 or n < 0 or p_max < 1:
+        raise ValidationError(
+            "m and p_max must be positive ints and n a non-negative int, "
+            f"got m={m!r}, n={n!r}, p_max={p_max!r}"
+        )
     rng = SplitMix64(seed)
     return IdenticalInstance(m=m, p=tuple(1 + rng.below(p_max) for _ in range(n)))
 
@@ -110,11 +114,6 @@ def random_ne(instance: IdenticalInstance, seed: int) -> Schedule:
                 break
         else:
             return Schedule(tuple(i + 1 for i in assignment))
-
-
-def _is_int(x) -> bool:
-    """An int, and not a bool."""
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _check_scheduler(scheduler, eps) -> None:

@@ -31,6 +31,7 @@ from .core import (
     Schedule,
     ValidationError,
     _check_budget,
+    _is_int,
     canonical_form,
     parse_rational,
 )
@@ -72,8 +73,7 @@ def list_schedule(instance: IdenticalInstance, order: Sequence[int]) -> Schedule
     permutation of the job indices (ints, not bools)."""
     _require_identical(instance)
     order = list(order)
-    not_ints = any(not isinstance(j, int) or isinstance(j, bool) for j in order)
-    if not_ints or sorted(order) != list(range(1, instance.n + 1)):
+    if not all(map(_is_int, order)) or sorted(order) != list(range(1, instance.n + 1)):
         raise ValidationError(f"order must be a permutation of 1..{instance.n}")
     row = instance._scaled[0][0]
     return _schedule_from(order, _greedy([row[j - 1] for j in order], [0] * instance.m))
@@ -173,7 +173,7 @@ def lex_min_assignment(
     """Assignment of the k longest jobs whose sorted load vector is
     lexicographically minimal; deterministic via canonical relabeling."""
     _require_identical(instance)
-    if not isinstance(k, int) or k < 0 or k > instance.n:
+    if not _is_int(k) or k < 0 or k > instance.n:
         raise ValidationError(f"k must be in 0..{instance.n}, got {k!r}")
     _check_budget(node_budget)
     chosen = size_ordered_jobs(instance)[:k]

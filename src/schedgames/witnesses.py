@@ -23,6 +23,7 @@ from .core import (
     Schedule,
     UnrelatedInstance,
     ValidationError,
+    _is_int,
     parse_rational,
 )
 from .equilibria import Deviation, is_nash, profitable_deviation
@@ -170,7 +171,7 @@ def partition_oracle(values) -> tuple[int, ...] | None:
     returns one witness half (as a sorted value tuple) or None."""
     items = list(values)
     for a in items:
-        if not isinstance(a, int) or isinstance(a, bool) or a <= 0:
+        if not _is_int(a) or a <= 0:
             raise ValidationError(f"partition inputs must be positive integers, got {a!r}")
     total = sum(items)
     if total % 2:
@@ -215,7 +216,7 @@ def reduce_partition_identical(values, m: int = 3) -> ReductionArtifact:
     """
     items = tuple(values)
     for a in items:
-        if not isinstance(a, int) or isinstance(a, bool) or a < 3:
+        if not _is_int(a) or a < 3:
             raise ValidationError(
                 f"reduction inputs must be integers of size at least 3, got {a!r}"
             )
@@ -254,7 +255,7 @@ def reduce_partition_unrelated(values, eps) -> ReductionArtifact:
     """
     items = tuple(values)
     for a in items:
-        if not isinstance(a, int) or isinstance(a, bool) or a <= 0:
+        if not _is_int(a) or a <= 0:
             raise ValidationError(f"reduction inputs must be positive integers, got {a!r}")
     n = len(items)
     if n < 2:

@@ -106,9 +106,9 @@ def brute_measure_witnesses(instance, schedule, deviations=None):
     return best
 
 
-def brute_coalition_deviation(instance, schedule, coalition):
-    """Lexicographically first joint action in which exactly the given
-    jobs may move and every one of them strictly improves; None if none."""
+def brute_coalition_deviations(instance, schedule, coalition):
+    """Every joint action, in lexicographic order, in which exactly the
+    given jobs may move and every one of them strictly improves."""
     old = load_profile(instance, schedule).loads
     for joint in itertools.product(range(1, instance.m + 1), repeat=instance.n):
         if joint == schedule.assignment:
@@ -118,8 +118,13 @@ def brute_coalition_deviation(instance, schedule, coalition):
             continue
         new = load_profile(instance, Schedule(joint)).loads
         if all(new[joint[j - 1] - 1] < old[schedule.machine_of(j) - 1] for j in coalition):
-            return joint
-    return None
+            yield joint
+
+
+def brute_coalition_deviation(instance, schedule, coalition):
+    """Lexicographically first joint action in which exactly the given
+    jobs may move and every one of them strictly improves; None if none."""
+    return next(brute_coalition_deviations(instance, schedule, coalition), None)
 
 
 def brute_optimal_makespan(instance):

@@ -404,7 +404,7 @@ def test_experiment_reports_budget_capped_trials_as_inconclusive():
         ]
     )
     assert verdict.exit_code == 0
-    assert verdict.payload["trials"] == 6 and verdict.payload["inconclusive"] == 5
+    assert verdict.payload["trials"] == 6 and verdict.payload["inconclusive"] == 3
 
 
 def test_experiment_budget_caps_the_ptas_prefix_search():

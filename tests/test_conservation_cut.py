@@ -10,8 +10,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import equilibrium_pairs
-from oracles import brute_coalition_deviation, brute_deviations, brute_measure_witnesses
-from schedgames.core import BudgetExceededError
+from oracles import (
+    brute_coalition_deviation,
+    brute_coalition_deviations,
+    brute_deviations,
+    brute_measure_witnesses,
+)
+from schedgames.core import BudgetExceededError, IdenticalInstance, Schedule, UnrelatedInstance
 from schedgames.equilibria import (
     ScanContext,
     can_coalition_deviate,
@@ -23,6 +28,7 @@ from schedgames.equilibria import (
 from schedgames.experiments import random_instance, random_ne
 from schedgames.measures import ir_min, measure_report
 from schedgames.schedulers import lpt
+from schedgames.witnesses import reduce_partition_identical
 
 EQUILIBRIA = st.one_of(equilibrium_pairs(unrelated=False), equilibrium_pairs(unrelated=True))
 
@@ -71,10 +77,10 @@ def test_cut_keeps_every_coalition_deviation_of_an_equilibrium(pair, data):
     "seed, n, nodes, deviations",
     [
         (0, 14, 42, 0),
-        (34, 14, 29_349, 23),
-        (35, 15, 56_284, 509),
-        (0, 16, 7_424, 0),
-        (57, 16, 46_468, 31),
+        (34, 14, 28_092, 23),
+        (35, 15, 52_843, 509),
+        (0, 16, 910, 0),
+        (57, 16, 41_185, 31),
     ],
 )
 def test_lpt_measure_report_node_count_is_pinned(seed, n, nodes, deviations):
@@ -90,17 +96,72 @@ def test_lpt_measure_report_node_count_is_pinned(seed, n, nodes, deviations):
     assert not short.exhaustive and short.nodes == nodes
 
 
+# Scans where each tightening of the cut pays on its own, as (instance,
+# schedule, coalition, nodes).  The room of an uncapped machine is its start
+# load less the work that left it, and a machine's mover ceiling counts only
+# the later jobs that can gain by moving there.  Bounding every uncapped
+# machine by its start load and by the largest later start cost, the scan
+# visited 2,756 / 963 / 406 / 204 nodes; with departures alone it visits
+# 1,284 / 876 / 367 / 150, with ceilings alone 1,740 / 963 / 406 / 204.
+PARTITION_M4 = reduce_partition_identical((3, 4, 7), m=4)
+TIGHTENED = {
+    # m = 4: the size-2B job on machine 4 can gain nowhere, so it raises no
+    # machine's ceiling
+    "partition-m4": (PARTITION_M4.instance, PARTITION_M4.start_schedule, None, 572),
+    # an equilibrium whose machine 3 holds four jobs that can leave it
+    "departures": (
+        IdenticalInstance(m=3, p=(6, 2, 1, 1, 10, 7, 3, 4, 7)),
+        Schedule((3, 3, 2, 3, 1, 1, 3, 2, 2)),
+        None,
+        810,
+    ),
+    # members 1, 2, 4, 5, 7, 8 and 9 must all improve, so those that stay
+    # cap their machines
+    "coalition": (
+        IdenticalInstance(m=3, p=(10, 1, 12, 2, 5, 8, 6, 1, 9)),
+        Schedule((1, 2, 3, 2, 2, 1, 1, 2, 2)),
+        {1, 2, 4, 5, 7, 8, 9},
+        367,
+    ),
+    "unrelated": (
+        UnrelatedInstance(
+            m=3, p=((6, 7, 9, 5, 5, 10, 12), (5, 5, 5, 4, 5, 6, 3), (1, 2, 2, 8, 6, 7, 8))
+        ),
+        Schedule((3, 3, 3, 2, 3, 1, 2)),
+        None,
+        141,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", TIGHTENED)
+def test_tightened_cut_keeps_every_leaf(case):
+    instance, schedule, coalition, nodes = TIGHTENED[case]
+    ctx = ScanContext(instance, schedule, coalition)
+    found = []
+
+    def leaf(ctx, assign, loads, caps):
+        found.extend(tuple(i + 1 for i in member) for member in ctx.orbit(assign))
+
+    assert scan_deviations(ctx, budget=10**6, on_leaf=leaf) == nodes
+    if coalition is None:
+        expected = brute_deviations(instance, schedule)
+    else:
+        expected = list(brute_coalition_deviations(instance, schedule, coalition))
+    assert expected and sorted(found) == expected
+
+
 def test_cut_branches_count_as_resolved():
     instance = random_instance(0, 3, 16, 20)
     fractions = []
-    for budget in (1_000, 3_000, 7_000):
+    for budget in (100, 300, 909):
         with pytest.raises(BudgetExceededError) as info:
             scan_deviations(
                 ScanContext(instance, lpt(instance)), budget=budget, on_leaf=lambda *args: None
             )
         fractions.append(info.value.explored_fraction)
     assert 0 < fractions[0] <= fractions[1] <= fractions[2] < 1
-    # 7,000 of the 7,424 nodes resolve nearly all 3^16 joint actions
+    # 909 of the 910 nodes resolve nearly all 3^16 joint actions
     assert fractions[2] > Fraction(19, 20)
 
 

@@ -199,6 +199,13 @@ def test_instance_validation_errors():
         instance_from_dict({"machines": 2})
     with pytest.raises(ValidationError):
         instance_from_dict({"machines": 2, "jobs": [1.25]})
+    # a bool machine count constructed, and its file then wrote
+    # "machines": true, which instance_from_dict rejects
+    for m in (True, 2.0):
+        with pytest.raises(ValidationError, match="machine count"):
+            IdenticalInstance(m=m, p=(1, 2))
+        with pytest.raises(ValidationError, match="machine count"):
+            UnrelatedInstance(m=m, p=((1, 2),))
 
 
 @pytest.mark.parametrize(

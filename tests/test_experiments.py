@@ -58,6 +58,16 @@ def test_random_instance_range():
     assert all(q.denominator == 1 for q in instance.p)
 
 
+@pytest.mark.parametrize(
+    "m, n, p_max", [(True, 3, 5), (1, True, 5), (1, 3, True), (3, 2.5, 5), (3.0, 2, 5), (3, 2, 5.0)]
+)
+def test_random_instance_takes_int_counts_only(m, n, p_max):
+    # n=True gave a one-job instance, p_max=True all-ones sizes, and
+    # n=2.5 a TypeError
+    with pytest.raises(ValidationError, match="ints"):
+        random_instance(1, m, n, p_max)
+
+
 def test_random_instances_differ_across_seeds():
     draws = {random_instance(seed, 3, 8, 20).p for seed in range(100)}
     assert len(draws) > 90
@@ -433,9 +443,9 @@ def test_inconclusive_trials_are_counted_not_judged():
         seed=3, trials=6, m_range=(3, 3), n_range=(9, 9), p_max=20, scheduler="lpt", budget=50
     )
     report = bound_sweep(config)
-    assert report.inconclusive == 5
+    assert report.inconclusive == 3
     capped = [r for r in report.records if r.inconclusive]
-    assert len(capped) == 5 and sum(r.exhaustive for r in report.records) == 1
+    assert len(capped) == 3 and sum(r.exhaustive for r in report.records) == 3
     for r in capped:
         assert not r.exhaustive and r.checks == ()
         assert r.ir_min is r.ir_max is r.dr_max is None

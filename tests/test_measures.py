@@ -199,7 +199,7 @@ def test_min_improvement_read_off_caps_matches_movers_and_oracle(pair):
 @pytest.mark.parametrize(
     "art, nodes, count",
     [
-        (reduce_partition_identical((3, 6, 3, 9, 4, 5, 6), m=3), 19_452, 10),
+        (reduce_partition_identical((3, 6, 3, 9, 4, 5, 6), m=3), 16_848, 10),
         (
             reduce_partition_unrelated((3, 5, 4, 6, 9, 7, 8, 4, 6, 3, 5, 6), Fraction(1, 12)),
             3_007,

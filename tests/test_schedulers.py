@@ -171,6 +171,9 @@ def test_lex_min_rejects_bad_k():
         lex_min_assignment(instance, 3)
     with pytest.raises(ValidationError):
         lex_min_assignment(instance, -1)
+    # a bool k was read as 0 or 1
+    with pytest.raises(ValidationError):
+        lex_min_assignment(instance, True)
 
 
 def test_lex_min_budget_error_names_bound():

@@ -100,7 +100,7 @@ def test_partition_family_decides_within_small_budget(k):
     assert is_strong(art.instance, art.start_schedule, node_budget=25_000).holds
 
 
-@pytest.mark.parametrize("k, nodes", [(11, 4_368), (13, 5_941), (21, 14_923)])
+@pytest.mark.parametrize("k, nodes", [(11, 3_726), (13, 5_098), (21, 13_006)])
 def test_partition_family_node_count_is_pinned(k, nodes):
     # the smallest budget that decides; twin orbits alone need 5,925,
     # 8,077 and 20,275, and the load-conservation cut drops the rest

@@ -305,7 +305,7 @@ def test_extremal_search_gives_up_on_impossible_target():
 
 
 @pytest.mark.parametrize(
-    "measure, target, nodes", [("ir_max", "1.55", 434), ("dr_max", "1.40", 557)]
+    "measure, target, nodes", [("ir_max", "1.55", 428), ("dr_max", "1.40", 548)]
 )
 def test_extremal_search_charges_the_nodes_its_scans_visit(measure, target, nodes):
     result = search_extremal_lpt(3, measure, Fraction(target))
@@ -322,11 +322,11 @@ def test_extremal_search_reaches_target_on_four_machines():
 
 
 def test_extremal_search_charge_on_four_machines_is_pinned():
-    # 5,230 nodes is the smallest budget that reaches 61/39
+    # 3,121 nodes is the smallest budget that reaches 61/39
     result = search_extremal_lpt(4, "ir_max", Fraction(155, 100), node_budget=100_000)
-    assert result.found and result.budget_charged == 5_230
-    short = search_extremal_lpt(4, "ir_max", Fraction(155, 100), node_budget=5_229)
-    assert not short.found and short.budget_charged == 5_229
+    assert result.found and result.budget_charged == 3_121
+    short = search_extremal_lpt(4, "ir_max", Fraction(155, 100), node_budget=3_120)
+    assert not short.found and short.budget_charged == 3_120
 
 
 def test_reduction_artifact_deviation_matches_construction():

@@ -282,13 +282,14 @@ def induced_instance(
 ) -> InducedInstance:
     """Sub-instance holding exactly the jobs scheduled on the given machines."""
     validate_schedule(instance, schedule)
-    subset = sorted(set(machine_subset))
+    subset = list(machine_subset)
     if not subset:
         raise ValidationError("machine subset must be nonempty")
     for i in subset:
-        if not 1 <= i <= instance.m:
-            raise ValidationError(f"machine index {i} out of range 1..{instance.m}")
+        if not _is_int(i) or not 1 <= i <= instance.m:
+            raise ValidationError(f"machine index {i!r} out of range 1..{instance.m}")
     chosen = set(subset)
+    subset = sorted(chosen)
     jobs = tuple(j for j in range(1, instance.n + 1) if schedule.machine_of(j) in chosen)
     if isinstance(instance, IdenticalInstance):
         sub = IdenticalInstance(m=len(subset), p=tuple(instance.p[j - 1] for j in jobs))

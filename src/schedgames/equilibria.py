@@ -351,8 +351,8 @@ def scan_deviations(
     jobs may act and every member (moving or staying) must strictly
     improve; an empty coalition gives a scan of no jobs, which finds
     nothing.  A branch is cut as soon as some machine's load reaches its
-    cap.  `min_ratio_floor`, a mutable [num, den] pair, further prunes
-    branches whose smallest member improvement ratio cannot exceed num/den.
+    cap.  `min_ratio_floor`, a mutable sequence led by num and den, further
+    prunes branches whose smallest member improvement ratio cannot exceed num/den.
 
     Load conservation cuts more.  At a profitable leaf a capped machine
     ends at most at its cap less one (scaled integers).  An uncapped

@@ -50,6 +50,8 @@ class SplitMix64:
     """
 
     def __init__(self, seed: int):
+        if not _is_int(seed):
+            raise ValidationError(f"seed must be an int, got {seed!r}")
         self.state = seed & _MASK64
 
     def next_u64(self) -> int:
@@ -153,6 +155,8 @@ class SweepConfig:
     budget: int = DEFAULT_SEARCH_BUDGET
 
     def __post_init__(self):
+        if not _is_int(self.seed):
+            raise ValidationError(f"seed must be an int, got {self.seed!r}")
         if not _is_int(self.trials) or self.trials < 1:
             raise ValidationError(f"trials must be a positive int, got {self.trials!r}")
         for name, (lo, hi) in (("m_range", self.m_range), ("n_range", self.n_range)):

@@ -289,18 +289,15 @@ def ir_min(
     than a full report."""
     _check_budget(node_budget)
     ctx = ScanContext(instance, schedule)
-    floor = [1, 1]
+    # [num, den, assign]: the scan prunes on the ratio in its first two
     slot = [1, 1, None]
 
     def leaf(ctx, assign, loads, caps):
-        num, den = _leaf_min_improvement(ctx, loads, caps)
-        if num is not None and num * floor[1] > floor[0] * den:
-            floor[0], floor[1] = num, den
-            slot[0], slot[1], slot[2] = num, den, list(assign)
+        _bump(slot, *_leaf_min_improvement(ctx, loads, caps), assign)
 
     exhaustive = True
     try:
-        scan_deviations(ctx, budget=node_budget, on_leaf=leaf, min_ratio_floor=floor)
+        scan_deviations(ctx, budget=node_budget, on_leaf=leaf, min_ratio_floor=slot)
     except BudgetExceededError:
         exhaustive = False
     witness = None if slot[2] is None else ctx.deviation(slot[2])

@@ -10,13 +10,16 @@ the lowest index.  Loads are sums of the instance's `_scaled` integers
 `_greedy`.  `core.load_profile` is the `Fraction` view of the loads of
 a schedule returned here.
 
-The lex-min prefix search (`lex_min_assignment`, and each round of
-`ptas`) and `optimal_makespan` both run a DFS over canonical assignments
-on scaled integer sizes.  The lex-min search cuts a child whose new load
-exceeds the incumbent's largest load, and a child whose machine carries
-the same load as an earlier sibling's; both cuts are exact and keep the
-first DFS leaf that attains the minimal vector, so the labels returned
-are those the full enumeration returns.
+One search, `_canonical_search`, enumerates canonical assignments of
+scaled integer sizes: it counts nodes against the budget, cuts a child
+whose machine carries the same load as an earlier sibling's or whose new
+load exceeds a limit, and hands each leaf to a leaf rule that sets the
+next limit or ends the search.  The lex-min prefix (`lex_min_assignment`,
+and each round of `ptas`) keeps the first leaf with the smallest sorted
+load vector, under the limit of its largest load, so the labels are those
+the full enumeration returns.  `optimal_makespan` keeps the leaf with the
+smallest makespan, under the limit of its incumbent less one, and stops
+at the lower bound.
 """
 
 from __future__ import annotations
@@ -91,80 +94,94 @@ class PartialAssignment:
         return dict(zip(self.jobs, self.machines))
 
 
-def _canonical_partial(row, jobs, labels, m) -> tuple[list[int], list[int]]:
-    """Relabel the m machines so that first use follows ascending job
-    index; returns each job's 0-based machine and the scaled loads."""
-    first: dict[int, int] = {}
-    for _, lab in sorted(zip(jobs, labels)):
-        first.setdefault(lab, len(first))
-    machines = [first[lab] for lab in labels]
-    loads = [0] * m
-    for j, i in zip(jobs, machines):
-        loads[i] += row[j - 1]
-    return machines, loads
+def _canonical_search(sizes, m, limit, node_budget, leaf, what) -> None:
+    """Depth-first search over the canonical assignments of `sizes`
+    (scaled, non-increasing) to m identical machines.
 
+    Job t may use machines 0..min(used, m - 1), where `used` counts the
+    machines opened so far, so each assignment is met once up to machine
+    relabeling.  Every child examined counts as one node; past
+    `node_budget` nodes the search raises BudgetExceededError, named by
+    `what`.  Two exact cuts skip a child:
 
-def _lex_min_over(row, jobs, m, node_budget) -> list[int]:
-    """Labels of the lex-minimal assignment of `jobs` (sorted
-    non-increasing, scaled sizes in `row`) to m machines.
-
-    Enumerates machine-relabeling canonical assignments only (a fresh
-    machine may be opened only after all previously opened ones), which
-    is exhaustive up to symmetry because the machines are identical.
-    Loads are scaled integers.  Two exact cuts skip a child:
-
-    - max-load: its new load exceeds the incumbent's largest load, so
-      every leaf below it has a strictly larger sorted vector;
     - equal-load sibling: its machine's load equals an earlier sibling's;
       swapping the two machines for the remaining jobs maps every leaf
-      below it to a leaf with the same sorted vector below the earlier
-      sibling, which (relabelled canonically) comes first in DFS order.
+      below it to a leaf with the same load multiset below the earlier
+      sibling, which (relabelled canonically) comes first in DFS order;
+    - limit: its new load exceeds `limit`.
 
-    Neither cut removes the first DFS leaf that attains the minimum, and
-    only a strictly smaller vector replaces the incumbent, so the labels
-    returned are those of that first minimal leaf, as in the full
-    enumeration.  Every child examined counts as one node.
+    At each leaf `leaf(loads, labels)` sees the live loads and each job's
+    machine, and returns the new limit, or None to end the search.
     """
-    k = len(jobs)
-    sizes = [row[j - 1] for j in jobs]
-    best_vector: list[int] | None = None
-    best_labels: list[int] | None = None
+    k = len(sizes)
     loads = [0] * m
     labels = [0] * k
     nodes = 0
 
-    def dfs(t: int, used: int):
-        nonlocal best_vector, best_labels, nodes
+    def dfs(t: int, used: int) -> bool:
+        """Search below depth t; True once the leaf rule ends the search."""
+        nonlocal limit, nodes
         if t == k:
-            vector = sorted(loads, reverse=True)
-            if best_vector is None or vector < best_vector:
-                best_vector = vector
-                best_labels = labels.copy()
-            return
+            limit = leaf(loads, labels)
+            return limit is None
         size = sizes[t]
         seen: set[int] = set()
         for i in range(min(used + 1, m)):
             nodes += 1
             if nodes > node_budget:
                 raise BudgetExceededError(
-                    f"lexicographic enumeration exceeded {node_budget} nodes "
-                    f"(need up to {m}^{k} assignments)",
-                    nodes=nodes,
-                    budget=node_budget,
+                    f"{what} exceeded {node_budget} nodes", nodes=nodes, budget=node_budget
                 )
             load = loads[i]
             if load in seen:
                 continue
             seen.add(load)
-            if best_vector is not None and load + size > best_vector[0]:
+            if load + size > limit:
                 continue
             loads[i] = load + size
             labels[t] = i
-            dfs(t + 1, max(used, i + 1))
+            if dfs(t + 1, max(used, i + 1)):
+                return True
             loads[i] = load
+        return False
 
     dfs(0, 0)
-    return best_labels
+
+
+def _lex_min_prefix(row, jobs, m, node_budget) -> tuple[list[int], list[int]]:
+    """The lex-minimal assignment of `jobs` (sorted non-increasing, scaled
+    sizes in `row`) to m machines: each job's 0-based machine, relabelled
+    so that first use follows ascending job index, and the scaled loads.
+
+    A leaf replaces the incumbent only on a strictly smaller sorted load
+    vector, and the limit is that vector's largest load: a child above it
+    only leads to strictly larger vectors.  Neither cut of
+    `_canonical_search` removes the first DFS leaf that attains the
+    minimum, so the labels are those the full enumeration returns.
+    """
+    sizes = [row[j - 1] for j in jobs]
+    best_vector: list[int] | None = None
+    best_labels: list[int] = []
+
+    def leaf(loads, labels):
+        nonlocal best_vector, best_labels
+        vector = sorted(loads, reverse=True)
+        if best_vector is None or vector < best_vector:
+            best_vector, best_labels = vector, labels.copy()
+        return best_vector[0]
+
+    _canonical_search(
+        sizes, m, sum(sizes), node_budget, leaf,
+        f"lexicographic enumeration of up to {m}^{len(jobs)} assignments",
+    )
+    first: dict[int, int] = {}
+    for _, lab in sorted(zip(jobs, best_labels)):
+        first.setdefault(lab, len(first))
+    machines = [first[lab] for lab in best_labels]
+    loads = [0] * m
+    for size, i in zip(sizes, machines):
+        loads[i] += size
+    return machines, loads
 
 
 def lex_min_assignment(
@@ -178,8 +195,7 @@ def lex_min_assignment(
     _check_budget(node_budget)
     chosen = size_ordered_jobs(instance)[:k]
     rows, scale = instance._scaled
-    labels = _lex_min_over(rows[0], chosen, instance.m, node_budget)
-    machines, loads = _canonical_partial(rows[0], chosen, labels, instance.m)
+    machines, loads = _lex_min_prefix(rows[0], chosen, instance.m, node_budget)
     return PartialAssignment(
         jobs=tuple(chosen),
         machines=tuple(i + 1 for i in machines),
@@ -220,8 +236,7 @@ def _scheme_round(row, jobs, m, k, node_budget):
     (in size order), greedy completion.  Returns each job's 0-based
     machine, the prefix job set and the scaled loads."""
     prefix, rest = jobs[:k], jobs[k:]
-    labels = _lex_min_over(row, prefix, m, node_budget)
-    machines, loads = _canonical_partial(row, prefix, labels, m)
+    machines, loads = _lex_min_prefix(row, prefix, m, node_budget)
     machines += _greedy([row[j - 1] for j in rest], loads)
     return dict(zip(jobs, machines)), set(prefix), loads
 
@@ -271,64 +286,43 @@ def optimal_makespan(
 ) -> OptimalMakespan:
     """Exact minimum makespan via branch and bound over canonical assignments.
 
-    Warm-started from the LPT schedule, built on the sorted scaled sizes;
-    prunes machine-permutation symmetry, equal-load duplicates, and
-    branches that cannot beat the incumbent.  Raises BudgetExceededError
-    (carrying the best incumbent) when the node budget runs out.
+    Warm-started from the LPT schedule, built on the sorted scaled sizes.
+    The limit is the incumbent less one, so `_canonical_search` cuts every
+    branch that cannot beat it; the search ends once the incumbent meets
+    the lower bound max(largest job, ceil(total / m)).  Raises
+    BudgetExceededError (carrying the best incumbent) when the node
+    budget runs out.
     """
     _require_identical(instance)
     _check_budget(node_budget)
-    if instance.n == 0:
-        return OptimalMakespan(value=Fraction(0), schedule=Schedule(()))
     rows, scale = instance._scaled
     order = size_ordered_jobs(instance)
     sizes = [rows[0][j - 1] for j in order]
     m = instance.m
-    n = instance.n
-
     loads = [0] * m
     best_assign = _greedy(sizes, loads)
     best_val = max(loads)
-    total = sum(sizes)
-    lower = max(sizes[0], -(-total // m))
-    loads = [0] * m
-    current = [0] * n
-    nodes = 0
+    lower = max(max(sizes, default=0), -(-sum(sizes) // m))
 
-    def dfs(t: int, used: int, cur_max: int):
-        nonlocal best_val, best_assign, nodes
-        if best_val == lower:
-            return
-        if t == n:
-            if cur_max < best_val:
-                best_val = cur_max
-                best_assign = current.copy()
-            return
-        seen: set[int] = set()
-        for i in range(min(used + 1, m)):
-            nodes += 1
-            if nodes > node_budget:
-                raise BudgetExceededError(
-                    f"makespan search exceeded {node_budget} nodes",
-                    nodes=nodes,
-                    budget=node_budget,
-                    best=OptimalMakespan(
-                        value=Fraction(best_val, scale),
-                        schedule=_schedule_from(order, best_assign),
-                    ),
-                )
-            if loads[i] in seen:
-                continue
-            seen.add(loads[i])
-            new_load = loads[i] + sizes[t]
-            if new_load >= best_val:
-                continue
-            loads[i] = new_load
-            current[t] = i
-            dfs(t + 1, max(used, i + 1), max(cur_max, new_load))
-            loads[i] = new_load - sizes[t]
+    def leaf(loads, labels):
+        # a load placed higher in the tree may exceed an incumbent that
+        # has dropped since, so the leaf compares its own makespan
+        nonlocal best_val, best_assign
+        top = max(loads)
+        if top < best_val:
+            best_val, best_assign = top, labels.copy()
+            if top == lower:
+                return None
+        return best_val - 1
 
-    dfs(0, 0, 0)
+    if best_val > lower:
+        try:
+            _canonical_search(sizes, m, best_val - 1, node_budget, leaf, "makespan search")
+        except BudgetExceededError as exc:
+            exc.best = OptimalMakespan(
+                value=Fraction(best_val, scale), schedule=_schedule_from(order, best_assign)
+            )
+            raise
     schedule = _schedule_from(order, best_assign)
     return OptimalMakespan(
         value=Fraction(best_val, scale), schedule=canonical_form(schedule, instance)

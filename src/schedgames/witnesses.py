@@ -23,6 +23,7 @@ from .core import (
     Schedule,
     UnrelatedInstance,
     ValidationError,
+    _check_budget,
     _is_int,
     parse_rational,
 )
@@ -66,8 +67,8 @@ def figure3(r, m: int = 3) -> FigureArtifact:
     r = parse_rational(r)
     if r <= 1:
         raise ValidationError(f"the ratio parameter must exceed 1, got {r}")
-    if m < 3:
-        raise ValidationError(f"needs at least 3 machines, got {m}")
+    if not _is_int(m) or m < 3:
+        raise ValidationError(f"machine count must be an int of at least 3, got {m!r}")
     extras = m - 3
     p = (2 * r, 2 * r, 2 * r - 1, Fraction(1), 2 * r - 1, Fraction(1)) + (4 * r,) * extras
     dummies = tuple(range(4, m + 1))
@@ -223,8 +224,8 @@ def reduce_partition_identical(values, m: int = 3) -> ReductionArtifact:
     total = sum(items)
     if total % 2:
         raise ValidationError(f"total size must be even, got {total}")
-    if m < 3:
-        raise ValidationError(f"needs at least 3 machines, got {m}")
+    if not _is_int(m) or m < 3:
+        raise ValidationError(f"machine count must be an int of at least 3, got {m!r}")
     half = total // 2
     if half < 3:
         raise ValidationError(f"half-sum must be at least 3, got {half}")
@@ -344,8 +345,9 @@ def search_extremal_lpt(
     `budget_charged` is the number of scan nodes visited, at most
     `node_budget`.
     """
-    if m < 3:
-        raise ValidationError(f"needs at least 3 machines, got {m}")
+    if not _is_int(m) or m < 3:
+        raise ValidationError(f"machine count must be an int of at least 3, got {m!r}")
+    _check_budget(node_budget)
     if measure not in ("ir_max", "dr_max"):
         raise ValidationError(f"measure must be 'ir_max' or 'dr_max', got {measure!r}")
     target = parse_rational(target)

@@ -70,6 +70,13 @@ def test_induced_instance_rejects_empty_subset():
         induced_instance(FIG1, FIG1_NE, set())
 
 
+@pytest.mark.parametrize("subset", [[1.5], [True], ["2"]])
+def test_induced_instance_takes_int_machines_only(subset):
+    # [1.5] gave an empty sub-instance and [True] read as machine 1
+    with pytest.raises(ValidationError, match="machine index"):
+        induced_instance(FIG1, FIG1_NE, subset)
+
+
 @given(instance_with_schedule(min_m=2, max_m=3, min_n=1, max_n=8), st.data())
 def test_induced_instance_matches_direct_filter(pair, data):
     instance, schedule = pair

@@ -68,6 +68,15 @@ def test_random_instance_takes_int_counts_only(m, n, p_max):
         random_instance(1, m, n, p_max)
 
 
+@pytest.mark.parametrize("seed", [True, 1.5, "7"])
+def test_generators_take_int_seeds_only(seed):
+    # seed=True equalled seed 1, and a float or str seed was a TypeError
+    with pytest.raises(ValidationError, match="seed must be an int"):
+        random_instance(seed, 3, 4, 5)
+    with pytest.raises(ValidationError, match="seed must be an int"):
+        random_ne(IdenticalInstance(m=2, p=(1, 2, 3)), seed)
+
+
 def test_random_instances_differ_across_seeds():
     draws = {random_instance(seed, 3, 8, 20).p for seed in range(100)}
     assert len(draws) > 90
@@ -200,6 +209,9 @@ def test_sweep_config_validation():
     for budget in (0, -1, True, 1.5):
         with pytest.raises(ValidationError, match="node budget must be positive"):
             small_config("ptas", eps="1/2", budget=budget)
+    for seed in (True, 1.5, "7"):
+        with pytest.raises(ValidationError, match="seed must be an int"):
+            small_config("lpt", seed=seed)
     # 3^20 exceeds the budget, but m^n is no cost: such trials end inconclusive
     assert small_config("lpt", n_range=(4, 20), budget=10**5).budget == 10**5
 

@@ -335,6 +335,41 @@ def test_optimal_makespan_single_job():
 def test_optimal_makespan_two_machines():
     instance = IdenticalInstance(m=2, p=(3, 3, 2, 2, 2))
     assert optimal_makespan(instance).value == 6
+    # the leaf that meets ceil(12 / 2) = 6 ends the whole search; a stop
+    # in that leaf's frame alone left the frames above counting nodes
+    # past this budget
+    assert optimal_makespan(instance, node_budget=8).value == 6
+
+
+def test_optimal_makespan_keeps_its_first_optimal_leaf():
+    # a later leaf whose makespan only ties the incumbent must not
+    # replace it, so the schedule returned is fixed
+    instance = IdenticalInstance(m=3, p=(8, 4, 2, 4, 4, 9, 9, 5))
+    result = optimal_makespan(instance)
+    assert result.value == 16
+    assert result.schedule.assignment == (1, 2, 3, 1, 1, 3, 2, 3)
+
+
+# Smallest node budget that finishes each makespan search, with the
+# optimum; the first four stop at the lower bound, the last proves an
+# optimum above it.
+PINNED_MAKESPAN_NODES = {
+    (3, (5, 5, 4, 4, 3, 3, 3)): (38, 9),
+    (3, (12, 11, 10, 9, 8, 7, 6, 5, 4)): (221, 24),
+    (4, (7, 7, 6, 6, 5, 5, 4, 4, 4)): (330, 12),
+    (4, (11, 10, 9, 8, 7, 6, 5, 4, 3, 3)): (28, 17),
+    (4, (6, 6, 6, 6, 5, 5)): (14, 11),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_MAKESPAN_NODES), ids=str)
+def test_optimal_makespan_node_count_is_pinned(case):
+    m, sizes = case
+    budget, value = PINNED_MAKESPAN_NODES[case]
+    instance = IdenticalInstance(m=m, p=sizes)
+    assert optimal_makespan(instance, node_budget=budget).value == value
+    with pytest.raises(BudgetExceededError):
+        optimal_makespan(instance, node_budget=budget - 1)
 
 
 def test_optimal_makespan_budget_error_carries_best():

@@ -214,6 +214,18 @@ def test_identical_reduction_rejects_odd_total_and_small_values():
         reduce_partition_identical([3, 3, 4, 4], m=2)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda m: figure3(2, m=m), lambda m: reduce_partition_identical([3, 3, 4, 4], m=m)],
+    ids=["figure3", "reduce_partition_identical"],
+)
+@pytest.mark.parametrize("m", [4.0, True])
+def test_witnesses_take_an_int_machine_count_only(build, m):
+    # m=4.0 was a TypeError from the padding arithmetic
+    with pytest.raises(ValidationError, match="machine count must be an int"):
+        build(m)
+
+
 def test_identical_reduction_extra_machines():
     art = reduce_partition_identical([3, 3, 4, 4], m=5)
     assert art.instance.m == 5
@@ -268,6 +280,13 @@ def test_extremal_search_validates_arguments():
         search_extremal_lpt(2, "ir_max", Fraction(3, 2))
     with pytest.raises(ValidationError):
         search_extremal_lpt(3, "makespan", Fraction(3, 2))
+
+
+@pytest.mark.parametrize("budget", [0, -5, True])
+def test_extremal_search_rejects_a_budget_that_is_not_a_positive_int(budget):
+    # 0 and True both returned found=False without a word
+    with pytest.raises(ValidationError, match="node budget must be positive"):
+        search_extremal_lpt(3, "ir_max", Fraction(3, 2), node_budget=budget)
 
 
 def test_extremal_search_reaches_modest_improvement_target():

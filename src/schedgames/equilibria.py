@@ -2,10 +2,16 @@
 and pruned exhaustive search over joint actions.
 
 The search works in the instance's `_scaled` integers (see `core`) and
-visits candidate joint actions in lexicographic order of the assignment
-vector.  Jobs that are interchangeable (twins: same start machine, same
-processing time on every machine) are explored once per symmetry orbit,
-through its lexicographically smallest member.  A relabelling of twins
+places the jobs free to act in the order of `ScanContext.free`: by index,
+so that candidate joint actions come in lexicographic order of the
+assignment vector, or by non-increasing size on the start machine, which
+lets the cuts below bite sooner.  `is_strong`, `can_coalition_deviate`
+and `enumerate_profitable_deviations` scan by index, since their first
+leaf or budget-stop prefix is lexicographic; `measures.measure_report`
+and `measures.ir_min` scan by size and break ties between leaves
+lexicographically.  Jobs that are interchangeable (twins: same start
+machine, same processing time on every machine) are explored once per
+symmetry orbit, through its lexicographically smallest member.  A relabelling of twins
 keeps every load and ratio, so every reported witness is still the
 lexicographically smallest one of its kind, and runs are reproducible.
 The search also cuts every branch that cannot conserve load: at a
@@ -157,10 +163,13 @@ class ScanContext:
 
     `coalition` is the set of jobs (1-based, checked with `_members`) a
     scan lets act, or None for any set of movers; `free` lists the jobs
-    free to act, 0-based and ascending.  `twins` lists the twin classes
-    among them: jobs with the same start machine and the same scaled
-    processing time on every machine, in index order, two or more per
-    class.  `prev_twin[j]` is the twin just before job j, or -1.
+    free to act, 0-based, in the order a scan places them: ascending, or
+    with `by_size` by non-increasing size on the start machine, ties by
+    index.  `twins` lists the twin classes among them: jobs with the same
+    start machine and the same scaled processing time on every machine,
+    in index order, two or more per class; twins share a size, so either
+    order of `free` keeps each class in index order.  `prev_twin[j]` is
+    the twin just before job j, or -1.
     `uncapped` exceeds every load a joint action can give a machine; a
     scan caps machines at it until a mover or member lands there.
 
@@ -176,7 +185,7 @@ class ScanContext:
         "coalition", "free", "twins", "prev_twin", "uncapped",
     )
 
-    def __init__(self, instance: Instance, schedule: Schedule, coalition=None):
+    def __init__(self, instance: Instance, schedule: Schedule, coalition=None, *, by_size=False):
         self.coalition = None if coalition is None else _members(coalition, instance.n)
         validate_schedule(instance, schedule)
         self.instance = instance
@@ -190,10 +199,10 @@ class ScanContext:
             load0[i] += self.sizes[i][j]
         self.load0 = load0
         self.cost0 = [load0[i] for i in self.orig]
-        if self.coalition is None:
-            self.free = tuple(range(self.n))
-        else:
-            self.free = tuple(sorted(j - 1 for j in self.coalition))
+        free = range(self.n) if self.coalition is None else sorted(j - 1 for j in self.coalition)
+        if by_size:
+            free = sorted(free, key=lambda j: (-self.sizes[self.orig[j]][j], j))
+        self.free = tuple(free)
         columns = list(zip(*self.sizes))
         self.uncapped = sum(map(max, columns)) + 1
         classes: dict = {}
@@ -337,8 +346,10 @@ def scan_deviations(
 ) -> int:
     """Depth-first search over the joint actions of the schedule of `ctx`,
     calling on_leaf(ctx, assign, loads, caps) once per symmetry orbit of
-    profitable candidates, in lexicographic order: the 0-based joint
-    action, its machine loads, and per machine the smallest start cost
+    profitable candidates, in lexicographic order of the jobs of
+    `ctx.free` taken in that order (so of the joint action itself when
+    `ctx.free` is ascending): the 0-based joint action (indexed by job),
+    its machine loads, and per machine the smallest start cost
     among the jobs bound to it (movers, and with a coalition also the
     members that stay), or `ctx.uncapped`.  So without a coalition
     `caps[i]` is the cheapest old cost among the movers into machine i.
@@ -352,7 +363,10 @@ def scan_deviations(
     improve; an empty coalition gives a scan of no jobs, which finds
     nothing.  A branch is cut as soon as some machine's load reaches its
     cap.  `min_ratio_floor`, a mutable sequence led by num and den, further
-    prunes branches whose smallest member improvement ratio cannot exceed num/den.
+    prunes branches whose smallest member improvement ratio cannot reach
+    num/den; a branch that can tie it is still visited, so a caller can
+    keep the lexicographically smallest leaf of the best ratio whatever
+    the order of `ctx.free`.
 
     Load conservation cuts more.  At a profitable leaf a capped machine
     ends at most at its cap less one (scaled integers).  An uncapped
@@ -378,14 +392,18 @@ def scan_deviations(
     Relabelling twins changes no load, cost or ratio, so the search only
     visits candidates whose targets are non-decreasing within each twin
     class; this is the lexicographically smallest member of its orbit,
-    hence the first profitable leaf, and the first leaf attaining any
-    leaf value, is the same as in a scan of every labelled candidate.
+    in either order of `ctx.free`, since each twin class keeps index
+    order there.  So the representatives are the same in both orders, and
+    in index order the first profitable leaf, and the first leaf
+    attaining any leaf value, is the same as in a scan of every labelled
+    candidate.
     `on_leaf` sees representatives only: a caller that counts labelled
     deviations adds `ctx.orbit_size(assign)`, and one that needs each of
     them expands `ctx.orbit(assign)` (`enumerate_profitable_deviations`
     restores the global lexicographic order).  Branches skipped by the
     twin bound (their representatives come earlier) and cut branches
-    count as resolved in `BudgetExceededError.explored_fraction`.
+    count as resolved in `BudgetExceededError.explored_fraction`, the
+    share of joint actions resolved in visiting order.
 
     The search recurses once per job free to act, so more than 500 of
     them raise ValidationError.
@@ -460,7 +478,7 @@ def scan_deviations(
                     if new_load >= old_cap:
                         continue
                     if min_ratio_floor is not None and old_cap != infinity:
-                        if old_cap * min_ratio_floor[1] <= new_load * min_ratio_floor[0]:
+                        if old_cap * min_ratio_floor[1] < new_load * min_ratio_floor[0]:
                             continue
                     loads[i] = new_load
                     assign[j] = i
@@ -474,7 +492,7 @@ def scan_deviations(
                 if new_load >= cj:
                     continue
                 if min_ratio_floor is not None:
-                    if cj * min_ratio_floor[1] <= new_load * min_ratio_floor[0]:
+                    if cj * min_ratio_floor[1] < new_load * min_ratio_floor[0]:
                         continue
                 # i's room becomes cj - 1; that of an uncapped start machine
                 # loses the job (when i is that machine, `leave` is the

@@ -326,7 +326,8 @@ def _evaluate(scheduler, eps, instance, schedule, budget):
     each member of an orbit has the representative's report, and a
     failing orbit is expanded whole.  After a budget stop only members up
     to the last representative are kept, the lexicographic prefix that
-    enumeration finds on the same budget.
+    enumeration finds on the same budget; so the context keeps index
+    order, not the size order of `measure_report`.
 
     Returns (measures, makespan, opt, checks, structural_failures): `opt`
     is None past its budget, `checks` is empty when the measures ran out

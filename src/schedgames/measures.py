@@ -14,10 +14,19 @@ and their text; the sweep's checks and the CLI's table both read it.
 `equilibria.scan_deviations`; read `ir_max` and `dr_max` from it.  It
 wraps `_measure`, which runs that scan on a caller's `ScanContext`.
 `ir_min` answers the min-improvement measure alone with a scan that
-prunes every branch unable to beat the best ratio found so far.  Both
+prunes every branch unable to reach the best ratio found so far.  Both
 read a leaf's smallest mover improvement off the scan's per-machine
 caps, in O(m).  The `ir_max` witness counts improving bystanders in its
 coalition; every other witness's coalition is its migrants.
+
+Both scans place jobs by non-increasing size (`ScanContext(by_size=
+True)`), which meets the caps and the load-conservation cut sooner than
+index order, so their leaves do not come in lexicographic order.  Each
+witness is therefore kept by a tie-break, `_bump`: a leaf replaces it on
+a strictly larger ratio, or on an equal one with a lexicographically
+smaller joint action.  Each orbit representative is the smallest member
+of its orbit, so every witness is the lexicographically smallest
+deviation attaining its value, as in an index-order scan.
 
 `deviation_stats`, `check_flower` and `structural_report` each validate
 the given deviation once, with `ScanContext.check_move`, and read every
@@ -222,16 +231,20 @@ def measure_report(
     schedule: Schedule,
     node_budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> MeasureReport:
-    """All three measures from one exhaustive scan."""
+    """All three measures from one exhaustive scan, which places jobs by
+    size.  After a budget stop the values are lower bounds taken from the
+    leaves met in size order, not from a lexicographic prefix, and each
+    witness is the smallest of those leaves attaining its value."""
     _check_budget(node_budget)
-    return _measure(ScanContext(instance, schedule), node_budget)
+    return _measure(ScanContext(instance, schedule, by_size=True), node_budget)
 
 
 def _measure(ctx: ScanContext, node_budget: int, on_leaf=None) -> MeasureReport:
     """`measure_report` of the schedule of `ctx`, a context without a
     coalition, for a caller that has checked the budget.
     `on_leaf(ctx, assign, loads, caps)`, when given, also sees every orbit
-    representative the scan finds, in lexicographic order."""
+    representative the scan finds, in the scan order of `ctx.free`
+    (lexicographic when `ctx` lists it ascending, as a sweep's does)."""
     best = {"min": [1, 1, None], "max": [1, 1, None], "dr": [1, 1, None]}
     count = [0]
 
@@ -277,7 +290,13 @@ def _measure(ctx: ScanContext, node_budget: int, on_leaf=None) -> MeasureReport:
 
 
 def _bump(slot, num, den, assign):
-    if num is not None and num * slot[1] > slot[0] * den:
+    """Keep num/den and `assign` in `slot` ([num, den, assign or None])
+    if the ratio is strictly larger, or equal with a lexicographically
+    smaller joint action."""
+    if num is None:
+        return
+    gain = num * slot[1] - slot[0] * den
+    if gain > 0 or (gain == 0 and slot[2] is not None and assign < slot[2]):
         slot[0], slot[1], slot[2] = num, den, list(assign)
 
 
@@ -286,9 +305,11 @@ def ir_min(
 ) -> MeasureValue:
     """Largest factor by which some coalition improves every mover; 1 when
     the schedule is strong.  Uses ratio-floor pruning, so it is faster
-    than a full report."""
+    than a full report.  Like `measure_report` it places jobs by size:
+    after a budget stop the value is a lower bound taken from the leaves
+    met in size order, with the smallest of them attaining it."""
     _check_budget(node_budget)
-    ctx = ScanContext(instance, schedule)
+    ctx = ScanContext(instance, schedule, by_size=True)
     # [num, den, assign]: the scan prunes on the ratio in its first two
     slot = [1, 1, None]
 

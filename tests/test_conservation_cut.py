@@ -77,16 +77,16 @@ def test_cut_keeps_every_coalition_deviation_of_an_equilibrium(pair, data):
     "seed, n, nodes, deviations",
     [
         (0, 14, 42, 0),
-        (34, 14, 28_092, 23),
-        (35, 15, 52_843, 509),
-        (0, 16, 910, 0),
-        (57, 16, 41_185, 31),
+        (34, 14, 2_454, 23),
+        (35, 15, 9_340, 509),
+        (0, 16, 94, 0),
+        (57, 16, 3_808, 31),
     ],
 )
 def test_lpt_measure_report_node_count_is_pinned(seed, n, nodes, deviations):
     # LPT schedules are equilibria, where most branches cannot conserve
-    # load: the scan without the cut visits 300,126 / 484,119 / 480,089 /
-    # 2,340,157 / 750,625 nodes here
+    # load: an index-order scan without the cut visits 300,126 / 484,119 /
+    # 480,089 / 2,340,157 / 750,625 nodes here
     instance = random_instance(seed, 3, n, 20)
     schedule = lpt(instance)
     report = measure_report(instance, schedule, node_budget=nodes)

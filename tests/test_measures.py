@@ -11,10 +11,15 @@ from conftest import (
     twin_heavy_pairs,
     unrelated_with_schedule,
 )
-from oracles import brute_measure_witnesses, brute_measures, brute_structure
+from oracles import brute_measure_witnesses, brute_measures, brute_ratio_maps, brute_structure
 from schedgames.core import IdenticalInstance, Schedule, ValidationError, load_profile
-from schedgames.equilibria import ScanContext, enumerate_profitable_deviations, scan_deviations
-from schedgames.experiments import random_ne
+from schedgames.equilibria import (
+    ScanContext,
+    enumerate_profitable_deviations,
+    profitable_deviation,
+    scan_deviations,
+)
+from schedgames.experiments import random_instance, random_ne
 from schedgames.measures import (
     _leaf_min_improvement,
     check_flower,
@@ -165,16 +170,19 @@ def test_measures_match_brute_force_oracle(pair):
     assert fast.value == report.ir_min and fast.exhaustive
 
 
-@given(
-    st.one_of(
-        instance_with_schedule(min_n=1),
-        unrelated_with_schedule(min_n=1),
-        twin_heavy_pairs(unrelated=False),
-        twin_heavy_pairs(unrelated=True),
-        equilibrium_pairs(unrelated=False),
-        equilibrium_pairs(unrelated=True),
-    )
+# starts on identical and unrelated machines: arbitrary, twin-heavy, and
+# equilibria (where the load-conservation cut fires most)
+ANY_START = st.one_of(
+    instance_with_schedule(min_n=1),
+    unrelated_with_schedule(min_n=1),
+    twin_heavy_pairs(unrelated=False),
+    twin_heavy_pairs(unrelated=True),
+    equilibrium_pairs(unrelated=False),
+    equilibrium_pairs(unrelated=True),
 )
+
+
+@given(ANY_START)
 def test_min_improvement_read_off_caps_matches_movers_and_oracle(pair):
     # a leaf reads its smallest mover improvement off the m caps; it must
     # equal the minimum over the n movers, and both measures the oracle's
@@ -196,13 +204,106 @@ def test_min_improvement_read_off_caps_matches_movers_and_oracle(pair):
         assert (None if witness is None else witness.after.assignment) == joint
 
 
+@given(ANY_START)
+def test_size_ordered_report_keeps_the_oracle_witnesses(pair):
+    # the report visits jobs by size, yet each of its three witnesses is
+    # the lexicographically first deviation attaining the value
+    instance, schedule = pair
+    report = measure_report(instance, schedule)
+    got = [
+        (report.ir_min, report.ir_min_witness),
+        (report.ir_max, report.ir_max_witness),
+        (report.dr_max, report.dr_max_witness),
+    ]
+    for (value, witness), (want, joint) in zip(got, brute_measure_witnesses(instance, schedule)):
+        assert value == want
+        assert (None if witness is None else witness.after.assignment) == joint
+    witness = report.ir_max_witness
+    if witness is not None:
+        joint = witness.after.assignment
+        movers, bystanders, _ = brute_ratio_maps(instance, schedule, joint)
+        assert witness.migrants == set(movers)
+        assert witness.coalition == set(movers) | set(bystanders)
+
+
+@given(ANY_START, st.data())
+def test_size_order_visits_the_same_leaves(pair, data):
+    # the scan's order of the jobs free to act changes which leaves come
+    # first, never which leaves there are (orbit representatives, with
+    # their loads and caps)
+    instance, schedule = pair
+    coalition = data.draw(st.none() | st.sets(st.integers(1, instance.n)))
+    leaves = []
+    for by_size in (False, True):
+        ctx = ScanContext(instance, schedule, coalition, by_size=by_size)
+        found = []
+
+        def leaf(ctx, assign, loads, caps):
+            found.append((tuple(assign), tuple(loads), tuple(caps)))
+
+        scan_deviations(ctx, budget=10**6, on_leaf=leaf)
+        leaves.append(sorted(found))
+    assert leaves[0] == leaves[1]
+    # the last context is the size-ordered one
+    start_sizes = [ctx.sizes[ctx.orig[j]][j] for j in ctx.free]
+    assert start_sizes == sorted(start_sizes, reverse=True)
+
+
+PARTITION_M2 = reduce_partition_unrelated((3, 5, 4, 6, 9, 7, 8, 4, 6, 3, 5, 6), Fraction(1, 12))
+RANDOM_M3 = random_instance(0, 3, 10, 20)
+# starts with deviations, where a budget stop leaves some leaves unmet
+BUDGET_STOPS = {
+    "figure1": (FIG1.instance, FIG1.schedule),
+    "random-ne": (RANDOM_M3, random_ne(RANDOM_M3, 0)),
+    "partition-unrelated": (PARTITION_M2.instance, PARTITION_M2.start_schedule),
+}
+
+
+@pytest.mark.parametrize("case", BUDGET_STOPS)
+def test_size_ordered_budget_stops_give_lower_bounds(case):
+    # a stopped scan's values come from the leaves met in size order: at
+    # most the exhaustive values, each with a witness that attains it
+    instance, schedule = BUDGET_STOPS[case]
+    full = measure_report(instance, schedule)
+    best = ir_min(instance, schedule)
+    assert full.exhaustive and best.exhaustive and full.deviation_count > 0
+
+    def attains(value, witness, stat):
+        if witness is None:
+            assert value == 1
+            return
+        assert profitable_deviation(instance, schedule, witness.after, witness.coalition) == witness
+        assert getattr(deviation_stats(instance, schedule, witness.after), stat) == value
+
+    # ir_min prunes on its ratio floor, so it finishes within the report's
+    # nodes; find its own smallest finishing budget
+    low, high = 1, full.nodes
+    while low < high:
+        mid = (low + high) // 2
+        low, high = (low, mid) if ir_min(instance, schedule, mid).exhaustive else (mid + 1, high)
+    assert ir_min(instance, schedule, low) == best
+    for finish, run in ((full.nodes, measure_report), (low, ir_min)):
+        for budget in sorted({max(1, finish * k // 6) for k in range(6)} | {finish - 1}):
+            stopped = run(instance, schedule, budget)
+            assert not stopped.exhaustive
+            if run is ir_min:
+                assert stopped.value <= best.value
+                attains(stopped.value, stopped.witness, "min_improvement")
+                continue
+            assert stopped.ir_min <= full.ir_min and stopped.ir_max <= full.ir_max
+            assert stopped.dr_max <= full.dr_max
+            attains(stopped.ir_min, stopped.ir_min_witness, "min_improvement")
+            attains(stopped.ir_max, stopped.ir_max_witness, "max_improvement")
+            attains(stopped.dr_max, stopped.dr_max_witness, "max_damage")
+
+
 @pytest.mark.parametrize(
     "art, nodes, count",
     [
-        (reduce_partition_identical((3, 6, 3, 9, 4, 5, 6), m=3), 16_848, 10),
+        (reduce_partition_identical((3, 6, 3, 9, 4, 5, 6), m=3), 432, 10),
         (
             reduce_partition_unrelated((3, 5, 4, 6, 9, 7, 8, 4, 6, 3, 5, 6), Fraction(1, 12)),
-            3_007,
+            677,
             162,
         ),
     ],

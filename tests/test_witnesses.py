@@ -341,11 +341,11 @@ def test_extremal_search_reaches_target_on_four_machines():
 
 
 def test_extremal_search_charge_on_four_machines_is_pinned():
-    # 3,121 nodes is the smallest budget that reaches 61/39
+    # 618 nodes is the smallest budget that reaches 61/39
     result = search_extremal_lpt(4, "ir_max", Fraction(155, 100), node_budget=100_000)
-    assert result.found and result.budget_charged == 3_121
-    short = search_extremal_lpt(4, "ir_max", Fraction(155, 100), node_budget=3_120)
-    assert not short.found and short.budget_charged == 3_120
+    assert result.found and result.budget_charged == 618
+    short = search_extremal_lpt(4, "ir_max", Fraction(155, 100), node_budget=617)
+    assert not short.found and short.budget_charged == 617
 
 
 def test_reduction_artifact_deviation_matches_construction():

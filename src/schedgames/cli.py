@@ -218,12 +218,15 @@ def _cmd_check(args) -> Verdict:
 
 
 def _table_rows(instance, schedule, report) -> list[list[str]]:
-    """measure, bound, observed max, witness file (filled in by caller)."""
+    """measure, bound, observed max, witness file (filled in by caller).
+    The Table-1 limits hold on identical machines only; on unrelated ones
+    even `ir_min` of an equilibrium is unbounded (footnote 5)."""
     limits = None
-    if isinstance(instance, IdenticalInstance) and schedule.assignment == lpt(instance).assignment:
-        limits = _paper_limits(instance.m, lpt_schedule=True)
-    elif is_nash(instance, schedule).holds:
-        limits = _paper_limits(instance.m, lpt_schedule=False)
+    if isinstance(instance, IdenticalInstance):
+        if schedule.assignment == lpt(instance).assignment:
+            limits = _paper_limits(instance.m, lpt_schedule=True)
+        elif is_nash(instance, schedule).holds:
+            limits = _paper_limits(instance.m, lpt_schedule=False)
     rows = [["measure", "bound", "observed", "witness_file"]]
     for measure in ("ir_min", "ir_max", "dr_max"):
         if limits is None:

@@ -143,11 +143,6 @@ class _StopScan(Exception):
     pass
 
 
-class _OutOfBudget(Exception):
-    """A scan's node budget ran out; `args[0]` collects the machine chosen
-    at each depth, deepest first, as the stop unwinds."""
-
-
 # the trusted constructors' path past a frozen dataclass's __init__; field
 # by field, so that an instance keeps its compact attribute layout
 _new, _set = object.__new__, object.__setattr__
@@ -403,7 +398,9 @@ def scan_deviations(
     restores the global lexicographic order).  Branches skipped by the
     twin bound (their representatives come earlier) and cut branches
     count as resolved in `BudgetExceededError.explored_fraction`, the
-    share of joint actions resolved in visiting order.
+    share of joint actions resolved in visiting order: those below the
+    path to the node that exceeded the budget, which the stop reads from
+    the joint action being built.
 
     The search recurses once per job free to act, so more than 500 of
     them raise ValidationError.
@@ -455,45 +452,47 @@ def scan_deviations(
     # load at a profitable leaf as far as the placed jobs tell: cap - 1 once
     # capped, else its start load less the work of the placed jobs that
     # left it, which is its load plus the work still to be placed that
-    # starts on it.  A budget stop unwinds through every frame, and each
-    # adds its machine to the path the stop carries.
+    # starts on it.  Every child runs one rule: its machine's cap drops to
+    # the job's start cost unless the job keeps its machine (`keep`) or the
+    # cap is already lower, and the conservation cut runs where it drops.
+    # A move that does not lower the job's cost needs no test of its own:
+    # its new load is at least its size, so at least its start cost, which
+    # caps that machine.  A budget stop is raised at the node that exceeds
+    # the budget; nothing resets `assign` while it unwinds, so the stop
+    # reads the machines chosen at the depths above from `assign`.
+    def out_of_budget(t: int, i: int) -> BudgetExceededError:
+        covered = 0
+        for d in range(t):
+            covered = covered * m + assign[free[d]]
+        return BudgetExceededError(
+            f"deviation search exceeded {budget} nodes",
+            nodes=nodes,
+            budget=budget,
+            explored_fraction=Fraction((covered * m + i) * m ** (depth - t - 1), m**depth),
+        )
+
     def dfs(t: int, placed: int, room: int):
         nonlocal nodes
         j, column, oj, keep, cj, twin, rest_min, pend, tops = plan[t]
         # a mover that leaves an uncapped start machine takes its room along
         leave = column[oj] if caps[oj] == infinity else 0
-        try:
-            for i in range(0 if twin < 0 else assign[twin], m):
-                nodes += 1
-                if nodes > budget:
-                    raise _OutOfBudget([])
-                size = column[i]
-                if size >= cj and i != oj:
+        for i in range(0 if twin < 0 else assign[twin], m):
+            nodes += 1
+            if nodes > budget:
+                raise out_of_budget(t, i)
+            size = column[i]
+            load = loads[i]
+            new_load = load + size
+            old_cap = caps[i]
+            cap = old_cap if i == keep or cj >= old_cap else cj
+            if new_load >= cap:
+                continue
+            if min_ratio_floor is not None and cap != infinity:
+                if cap * min_ratio_floor[1] < new_load * min_ratio_floor[0]:
                     continue
-                load = loads[i]
-                new_load = load + size
-                old_cap = caps[i]
-                if i == keep or cj >= old_cap:
-                    # no cap drops: nothing but the load changes
-                    if new_load >= old_cap:
-                        continue
-                    if min_ratio_floor is not None and old_cap != infinity:
-                        if old_cap * min_ratio_floor[1] < new_load * min_ratio_floor[0]:
-                            continue
-                    loads[i] = new_load
-                    assign[j] = i
-                    if t == last:
-                        if assign != orig:
-                            on_leaf(ctx, assign, loads, caps)
-                    else:
-                        dfs(t + 1, placed + size, room if i == oj else room - leave)
-                    loads[i] = load
-                    continue
-                if new_load >= cj:
-                    continue
-                if min_ratio_floor is not None:
-                    if cj * min_ratio_floor[1] < new_load * min_ratio_floor[0]:
-                        continue
+            if cap == old_cap:
+                new_room = room if i == oj else room - leave
+            else:
                 # i's room becomes cj - 1; that of an uncapped start machine
                 # loses the job (when i is that machine, `leave` is the
                 # job's part of its room)
@@ -510,19 +509,16 @@ def scan_deviations(
                                 short -= top
                     if short > 0:
                         continue
-                loads[i] = new_load
-                caps[i] = cj
-                assign[j] = i
-                if t == last:
-                    if assign != orig:
-                        on_leaf(ctx, assign, loads, caps)
-                else:
-                    dfs(t + 1, placed + size, new_room)
-                loads[i] = load
-                caps[i] = old_cap
-        except _OutOfBudget as stop:
-            stop.args[0].append(i)
-            raise
+                caps[i] = cap
+            loads[i] = new_load
+            assign[j] = i
+            if t == last:
+                if assign != orig:
+                    on_leaf(ctx, assign, loads, caps)
+            else:
+                dfs(t + 1, placed + size, new_room)
+            loads[i] = load
+            caps[i] = old_cap
         assign[j] = oj
 
     try:
@@ -530,17 +526,6 @@ def scan_deviations(
             dfs(0, sum(loads), sum(load0))
     except _StopScan:
         pass
-    except _OutOfBudget as stop:
-        # the machines chosen at depths 0..t, where the budget ran out
-        covered = 0
-        for d, i in enumerate(reversed(stop.args[0])):
-            covered += i * m ** (depth - d - 1)
-        raise BudgetExceededError(
-            f"deviation search exceeded {budget} nodes",
-            nodes=nodes,
-            budget=budget,
-            explored_fraction=Fraction(covered, m**depth),
-        ) from None
     return nodes
 
 

@@ -195,8 +195,11 @@ class TrialRecord:
     ir_max: Fraction | None
     dr_max: Fraction | None
     exhaustive: bool
-    inconclusive: bool
     checks: tuple[BoundCheck, ...]
+
+    @property
+    def inconclusive(self) -> bool:
+        return not self.exhaustive
 
     @property
     def bounds_ok(self) -> bool:
@@ -237,8 +240,12 @@ class SweepReport:
     config: SweepConfig
     records: list[TrialRecord] = field(default_factory=list)
     violations: list[Violation] = field(default_factory=list)
-    inconclusive: int = 0
     elapsed: float = 0.0
+
+    @property
+    def inconclusive(self) -> int:
+        """The number of trials whose measures ran out of budget."""
+        return sum(r.inconclusive for r in self.records)
 
     def csv_rows(self) -> list[list[str]]:
         """The CSV_COLUMNS header, then one row per trial; a value that
@@ -389,8 +396,6 @@ def bound_sweep(config: SweepConfig) -> SweepReport:
             config.scheduler, config.eps, instance, schedule, config.budget
         )
         inconclusive = not measures.exhaustive
-        if inconclusive:
-            report.inconclusive += 1
 
         def violation(check, observed, bound, witness):
             return Violation(
@@ -429,7 +434,6 @@ def bound_sweep(config: SweepConfig) -> SweepReport:
                 ir_max=None if inconclusive else measures.ir_max,
                 dr_max=None if inconclusive else measures.dr_max,
                 exhaustive=measures.exhaustive,
-                inconclusive=inconclusive,
                 checks=checks,
             )
         )

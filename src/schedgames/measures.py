@@ -50,6 +50,7 @@ from .core import (
     Schedule,
     ValidationError,
     _check_budget,
+    parse_rational,
 )
 from .equilibria import DEFAULT_SEARCH_BUDGET, Deviation, ScanContext, scan_deviations
 
@@ -182,8 +183,11 @@ class MeasureReport:
         return self.exhaustive and self.deviation_count == 0
 
     def is_alpha_strong(self, alpha) -> bool:
-        """No coalition improves every member by a factor above alpha."""
-        return self.ir_min <= Fraction(alpha)
+        """No coalition improves every member by a factor above alpha,
+        read with `parse_rational`.  Like `strong`, it holds only on an
+        exhaustive report, since a budget stop leaves `ir_min` a lower
+        bound."""
+        return self.ir_min <= parse_rational(alpha) and self.exhaustive
 
 
 def _leaf_min_improvement(ctx, loads, caps):

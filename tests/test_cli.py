@@ -177,6 +177,22 @@ def test_measures_table(fig1_files, tmp_path):
     assert (tmp_path / "table" / "witness_ir_min.json").exists()
 
 
+def test_measures_table_has_no_limits_on_unrelated_machines(tmp_path):
+    # footnote 5: an equilibrium on unrelated machines with ir_min 1/eps;
+    # Table 1's limits are for identical machines, so no row claims one
+    out = tmp_path / "w5"
+    assert run(["witness", "--figure", "fn5", "--param", "eps=1/10", "--out", str(out)]).exit_code == 0
+    instance, schedule = str(out / "instance.json"), str(out / "schedule.json")
+    verdict = run(["measures", "--table1", "--format", "csv", "--in", instance, "--schedule", schedule])
+    assert verdict.exit_code == 0
+    assert verdict.rendered.splitlines() == [
+        "measure,bound,observed,witness_file",
+        "ir_min,-,10,",
+        "ir_max,-,10,",
+        "dr_max,-,1,",
+    ]
+
+
 def test_usage_errors_exit_2(fig1_files):
     instance, schedule = fig1_files
     assert run(["frobnicate"]).exit_code == 2

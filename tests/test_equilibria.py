@@ -1,3 +1,4 @@
+import itertools
 import re
 from fractions import Fraction
 
@@ -244,6 +245,67 @@ def test_budget_is_honored_within_factor_two():
                 ScanContext(instance, schedule), budget=budget, on_leaf=lambda *args: None
             )
         assert budget < info.value.nodes <= 2 * budget
+
+
+def _brute_representatives(ctx):
+    """(rank, joint action) of every profitable joint action of the jobs
+    free to act in `ctx` whose targets do not decrease within any class
+    of `ctx.twins`, by rank: the joint action read as a base-m number over
+    `ctx.free`, 0-based.  Plain enumeration on `Fraction` loads."""
+    instance, m = ctx.instance, ctx.m
+    orig = [i - 1 for i in ctx.schedule.assignment]
+    old = load_profile(instance, ctx.schedule).loads
+    found = []
+    for targets in itertools.product(range(m), repeat=len(ctx.free)):
+        joint = list(orig)
+        for j, i in zip(ctx.free, targets):
+            joint[j] = i
+        if joint == orig or any(
+            joint[a] > joint[b] for c in ctx.twins for a, b in zip(c, c[1:])
+        ):
+            continue
+        new = [Fraction(0)] * m
+        for j, i in enumerate(joint):
+            new[i] += instance.processing_time(j + 1, i + 1)
+        acting = ctx.free if ctx.coalition is not None else [
+            j for j in ctx.free if joint[j] != orig[j]
+        ]
+        if all(new[joint[j]] < old[orig[j]] for j in acting):
+            rank = 0
+            for i in targets:
+                rank = rank * m + i
+            found.append((rank, tuple(joint)))
+    return found
+
+
+@pytest.mark.parametrize("unrelated", [False, True], ids=["identical", "unrelated"])
+@given(data=st.data())
+def test_budget_stop_has_seen_exactly_the_representatives_it_resolved(unrelated, data):
+    # a stop's explored_fraction is the share of joint actions, ranked in
+    # visiting order, below the node where the budget ran out: the leaves
+    # met before it are exactly the profitable representatives in that share
+    instance, schedule = data.draw(twin_heavy_pairs(unrelated, min_m=2, max_n=6))
+    coalition = data.draw(st.none() | st.sets(st.integers(1, instance.n)))
+    ctx = ScanContext(instance, schedule, coalition, by_size=data.draw(st.booleans()))
+    expected = _brute_representatives(ctx)
+    seen = []
+
+    def leaf(ctx, assign, loads, caps):
+        seen.append(tuple(assign))
+
+    finished = scan_deviations(ctx, budget=10**6, on_leaf=leaf)
+    assert seen == [joint for _, joint in expected]
+    budgets = st.just([])
+    if finished > 1:
+        budgets = st.lists(st.integers(1, finished - 1), min_size=1, max_size=4)
+    for budget in data.draw(budgets):
+        seen.clear()
+        with pytest.raises(BudgetExceededError) as info:
+            scan_deviations(ctx, budget=budget, on_leaf=leaf)
+        assert info.value.nodes == budget + 1
+        resolved = info.value.explored_fraction * ctx.m ** len(ctx.free)
+        assert resolved.denominator == 1
+        assert seen == [joint for rank, joint in expected if rank < resolved]
 
 
 def test_enumeration_flags_truncation_on_budget():

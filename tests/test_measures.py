@@ -21,6 +21,7 @@ from schedgames.equilibria import (
 )
 from schedgames.experiments import random_instance, random_ne
 from schedgames.measures import (
+    MeasureReport,
     _leaf_min_improvement,
     check_flower,
     deviation_stats,
@@ -339,6 +340,29 @@ def test_alpha_strong_predicate():
     assert report.is_alpha_strong(Fraction(5, 4))
     assert not report.is_alpha_strong(Fraction(6, 5))
     assert report.is_alpha_strong(2)
+
+
+def test_alpha_strong_needs_an_exhaustive_report():
+    # ten nodes meet no leaf, so ir_min reads 1 but is only a lower bound
+    # on the exhaustive 5/4
+    report = measure_report(FIG1.instance, FIG1.schedule, node_budget=10)
+    assert not report.exhaustive and report.ir_min == 1
+    assert not report.is_alpha_strong(1)
+    assert not report.is_alpha_strong(2)
+
+
+def test_alpha_strong_reads_alpha_exactly():
+    report = MeasureReport(
+        ir_min=Fraction(6, 5), ir_max=Fraction(6, 5), dr_max=Fraction(1),
+        ir_min_witness=None, ir_max_witness=None, dr_max_witness=None,
+        exhaustive=True, deviation_count=1, nodes=1,
+    )
+    assert report.is_alpha_strong("1.2") and report.is_alpha_strong("6/5")
+    assert report.is_alpha_strong(Fraction(6, 5)) and not report.is_alpha_strong(1)
+    # 1.2 as a float is just below 6/5, and True would be read as 1
+    for alpha in (1.2, True):
+        with pytest.raises(ValidationError):
+            report.is_alpha_strong(alpha)
 
 
 # --- flower ------------------------------------------------------------------

@@ -287,8 +287,15 @@ def _render_csv(rows) -> str:
     return buf.getvalue()
 
 
-# the --param keys each figure reads
-_FIGURE_PARAMS = {"1": (), "3": ("r", "m"), "9": (), "fn5": ("eps",), "ls": ("x", "eps")}
+# each figure's builder and the --param keys it reads, in order, with
+# their defaults
+_FIGURES = {
+    "1": (witnesses.figure1, {}),
+    "3": (lambda r, m: witnesses.figure3(r, int(m)), {"r": "3", "m": "3"}),
+    "9": (witnesses.figure9, {}),
+    "fn5": (witnesses.footnote5, {"eps": "1/10"}),
+    "ls": (witnesses.ls_examples, {"x": "10", "eps": "1/10"}),
+}
 
 
 def _cmd_witness(args) -> Verdict:
@@ -297,12 +304,12 @@ def _cmd_witness(args) -> Verdict:
         if "target" not in params or set(params) - {"target", "m"}:
             raise ValidationError("--search takes --param target=T and optionally m=M")
     else:
-        known = _FIGURE_PARAMS[args.figure]
-        unread = sorted(set(params) - set(known))
+        build, defaults = _FIGURES[args.figure]
+        unread = sorted(set(params) - set(defaults))
         if unread:
             raise ValidationError(
                 f"--figure {args.figure} does not read --param {', '.join(unread)}"
-                f" (it reads: {', '.join(known) or 'none'})"
+                f" (it reads: {', '.join(defaults) or 'none'})"
             )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -314,35 +321,25 @@ def _cmd_witness(args) -> Verdict:
         writer(obj, path)
         payload["files"].append(str(path))
 
-    if args.figure == "ls":
-        examples = witnesses.ls_examples(
-            params.get("x", "10"), params.get("eps", "1/10")
-        )
-        emit("improvement_instance.json", examples.improvement.instance, write_instance)
-        emit("improvement_schedule.json", examples.improvement.schedule, write_schedule)
-        emit("damage_instance.json", examples.damage.instance, write_instance)
-        emit("damage_schedule.json", examples.damage.schedule, write_schedule)
-        payload["improvement_move"] = {
-            "job": examples.improvement.move[0],
-            "machine": examples.improvement.move[1],
-            "ratio": _fmt(examples.improvement.ratio),
-        }
-        return Verdict(command="witness", payload=payload, exit_code=0)
-
     search = None
     if args.search:
         search = witnesses.search_extremal_lpt(
             int(params.get("m", "3")), args.search, params["target"]
         )
         artifact = witnesses.FigureArtifact(search.instance, search.schedule, search.deviation)
-    elif args.figure == "1":
-        artifact = witnesses.figure1()
-    elif args.figure == "3":
-        artifact = witnesses.figure3(params.get("r", "3"), int(params.get("m", "3")))
-    elif args.figure == "9":
-        artifact = witnesses.figure9()
     else:
-        artifact = witnesses.footnote5(params.get("eps", "1/10"))
+        artifact = build(*(params.get(key, value) for key, value in defaults.items()))
+    if args.figure == "ls":
+        emit("improvement_instance.json", artifact.improvement.instance, write_instance)
+        emit("improvement_schedule.json", artifact.improvement.schedule, write_schedule)
+        emit("damage_instance.json", artifact.damage.instance, write_instance)
+        emit("damage_schedule.json", artifact.damage.schedule, write_schedule)
+        payload["improvement_move"] = {
+            "job": artifact.improvement.move[0],
+            "machine": artifact.improvement.move[1],
+            "ratio": _fmt(artifact.improvement.ratio),
+        }
+        return Verdict(command="witness", payload=payload, exit_code=0)
     # a search that found no deviation at all has no instance
     if artifact.instance is not None:
         emit("instance.json", artifact.instance, write_instance)

@@ -51,6 +51,12 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _check_index(index, count: int, what: str) -> None:
+    """Reject a 1-based index that is not an int in 1..count (bools included)."""
+    if not _is_int(index) or not 1 <= index <= count:
+        raise ValidationError(f"{what} index {index!r} out of range 1..{count}")
+
+
 def _check_budget(budget) -> None:
     """Reject a node budget that is not a positive int (bools included)."""
     if not _is_int(budget) or budget < 1:
@@ -145,7 +151,10 @@ class IdenticalInstance:
         return len(self.p)
 
     def processing_time(self, job: int, machine: int | None = None) -> Fraction:
-        self._check_job(job)
+        """Job `job`'s size; `machine`, if given, must be a machine index."""
+        _check_index(job, self.n, "job")
+        if machine is not None:
+            _check_index(machine, self.m, "machine")
         return self.p[job - 1]
 
     def total(self) -> Fraction:
@@ -154,10 +163,6 @@ class IdenticalInstance:
     @cached_property
     def _scaled(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         return _scaled_form(self)
-
-    def _check_job(self, job: int):
-        if not 1 <= job <= self.n:
-            raise ValidationError(f"job index {job} out of range 1..{self.n}")
 
 
 @dataclass(frozen=True)
@@ -190,18 +195,13 @@ class UnrelatedInstance:
         return len(self.p[0]) if self.p else 0
 
     def processing_time(self, job: int, machine: int) -> Fraction:
-        self._check_job(job)
-        if not 1 <= machine <= self.m:
-            raise ValidationError(f"machine index {machine} out of range 1..{self.m}")
+        _check_index(job, self.n, "job")
+        _check_index(machine, self.m, "machine")
         return self.p[machine - 1][job - 1]
 
     @cached_property
     def _scaled(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         return _scaled_form(self)
-
-    def _check_job(self, job: int):
-        if not 1 <= job <= self.n:
-            raise ValidationError(f"job index {job} out of range 1..{self.n}")
 
 
 Instance = IdenticalInstance | UnrelatedInstance
@@ -221,6 +221,7 @@ class Schedule:
         return len(self.assignment)
 
     def machine_of(self, job: int) -> int:
+        _check_index(job, self.n, "job")
         return self.assignment[job - 1]
 
     def jobs_on(self, machine: int) -> tuple[int, ...]:
@@ -245,6 +246,7 @@ class LoadProfile:
     makespan: Fraction
 
     def load(self, machine: int) -> Fraction:
+        _check_index(machine, len(self.loads), "machine")
         return self.loads[machine - 1]
 
 
@@ -286,8 +288,7 @@ def induced_instance(
     if not subset:
         raise ValidationError("machine subset must be nonempty")
     for i in subset:
-        if not _is_int(i) or not 1 <= i <= instance.m:
-            raise ValidationError(f"machine index {i!r} out of range 1..{instance.m}")
+        _check_index(i, instance.m, "machine")
     chosen = set(subset)
     subset = sorted(chosen)
     jobs = tuple(j for j in range(1, instance.n + 1) if schedule.machine_of(j) in chosen)

@@ -271,8 +271,10 @@ def _schedule_for(config: SweepConfig, instance: IdenticalInstance, extra_seed: 
     return random_ne(instance, extra_seed)
 
 
-# the check name, after its "ne-" or "lpt-" prefix, of each measure's limit
+# the check name, after its "ne-", "lpt-" or "ptas-" prefix, of each
+# measure's limit, and back
 _LIMIT_CHECKS = {"ir_min": "min-improvement", "ir_max": "max-improvement", "dr_max": "damage"}
+_CHECKED_MEASURE = {check: measure for measure, check in _LIMIT_CHECKS.items()}
 
 
 def _bound_checks(scheduler, eps, equilibrium, ctx, report: MeasureReport, makespan, opt):
@@ -411,9 +413,11 @@ def bound_sweep(config: SweepConfig) -> SweepReport:
                 witness=None if witness is None else witness.to_dict(),
             )
 
-        witness = measures.ir_min_witness or measures.dr_max_witness
         for c in checks:
             if not c.holds:
+                # a failed limit carries the witness of the measure it reads
+                measure = _CHECKED_MEASURE.get(c.name.partition("-")[2])
+                witness = getattr(measures, f"{measure}_witness") if measure else None
                 report.violations.append(violation(c.name, c.observed, c.bound, witness))
         for dev, sr in structural_failures:
             report.violations.append(

@@ -2,8 +2,10 @@
 stability behavior, Partition-based hardness reductions with their
 start schedules, and a verified search for extremal LPT instances.
 
-Every generator returns exact rationals and every bundled deviation is
-validated for profitability at construction time.
+Every generator returns exact rationals.  Two constructors certify what
+they build: `_figure` validates each figure's bundled deviation for
+profitability, and `_reduction` checks that each reduction's start
+schedule is an equilibrium and takes its verdict from `partition_oracle`.
 
 The extremal search charges each candidate the nodes its scan reports
 visiting (`MeasureReport.nodes`) against one shared node budget: a
@@ -206,6 +208,16 @@ class ReductionArtifact:
     partition_witness: tuple[int, ...] | None
 
 
+def _reduction(items, instance, schedule) -> ReductionArtifact:
+    """The artifact of Partition input `items` and the start schedule it
+    induces, which must be an equilibrium; the oracle gives the verdict."""
+    check = is_nash(instance, schedule)
+    if not check.holds:
+        raise ValidationError(f"constructed start schedule is not an equilibrium: {check.witness}")
+    witness = partition_oracle(items)
+    return ReductionArtifact(items, instance, schedule, witness is None, witness)
+
+
 def reduce_partition_identical(values, m: int = 3) -> ReductionArtifact:
     """Identical-machines reduction: the question 'can any coalition
     improve on this equilibrium?' encodes Partition.
@@ -232,19 +244,7 @@ def reduce_partition_identical(values, m: int = 3) -> ReductionArtifact:
     n = len(items)
     p = items + (half - 2, half - 2, half - 1, half - 1) + (total,) * (m - 3)
     assignment = (1,) * n + (2, 3, 2, 3) + tuple(range(4, m + 1))
-    instance = IdenticalInstance(m=m, p=p)
-    schedule = Schedule(assignment)
-    check = is_nash(instance, schedule)
-    if not check.holds:
-        raise ValidationError(f"constructed start schedule is not an equilibrium: {check.witness}")
-    witness = partition_oracle(items)
-    return ReductionArtifact(
-        partition_set=items,
-        instance=instance,
-        start_schedule=schedule,
-        expected_se=witness is None,
-        partition_witness=witness,
-    )
+    return _reduction(items, IdenticalInstance(m=m, p=p), Schedule(assignment))
 
 
 def reduce_partition_unrelated(values, eps) -> ReductionArtifact:
@@ -270,19 +270,7 @@ def reduce_partition_unrelated(values, eps) -> ReductionArtifact:
     half = total // 2
     row1 = tuple(a + eps for a in items) + (Fraction(half),)
     row2 = tuple(2 * a + eps for a in items) + (2 * half + n * eps,)
-    instance = UnrelatedInstance(m=2, p=(row1, row2))
-    schedule = Schedule((1,) * n + (2,))
-    check = is_nash(instance, schedule)
-    if not check.holds:
-        raise ValidationError(f"constructed start schedule is not an equilibrium: {check.witness}")
-    witness = partition_oracle(items)
-    return ReductionArtifact(
-        partition_set=items,
-        instance=instance,
-        start_schedule=schedule,
-        expected_se=witness is None,
-        partition_witness=witness,
-    )
+    return _reduction(items, UnrelatedInstance(m=2, p=(row1, row2)), Schedule((1,) * n + (2,)))
 
 
 @dataclass(frozen=True)
@@ -351,6 +339,7 @@ def search_extremal_lpt(
     if measure not in ("ir_max", "dr_max"):
         raise ValidationError(f"measure must be 'ir_max' or 'dr_max', got {measure!r}")
     target = parse_rational(target)
+    found = False
     best_value = Fraction(1)
     best: tuple | None = None
     charged = 0
@@ -367,30 +356,17 @@ def search_extremal_lpt(
             break
         value = report.ir_max if measure == "ir_max" else report.dr_max
         witness = report.ir_max_witness if measure == "ir_max" else report.dr_max_witness
-        if value > best_value:
+        found = value >= target and witness is not None
+        if value > best_value or found:
             best_value = value
             best = (instance, schedule, witness)
-        if value >= target and witness is not None:
+        if found:
             stats = deviation_stats(instance, schedule, witness.after)
             achieved = stats.max_improvement if measure == "ir_max" else stats.max_damage
             if achieved != value:
                 raise AssertionError(
                     f"witness re-verification mismatch: {achieved} != {value}"
                 )
-            return ExtremalSearchResult(
-                found=True,
-                instance=instance,
-                schedule=schedule,
-                deviation=witness,
-                value=value,
-                budget_charged=charged,
-            )
+            break
     instance, schedule, witness = best if best else (None, None, None)
-    return ExtremalSearchResult(
-        found=False,
-        instance=instance,
-        schedule=schedule,
-        deviation=witness,
-        value=best_value,
-        budget_charged=charged,
-    )
+    return ExtremalSearchResult(found, instance, schedule, witness, best_value, charged)

@@ -539,3 +539,55 @@ def test_fig1_deviation_serializes_alike_everywhere(tmp_path, fig1_files, monkey
         "witness": expected,
     }
     assert replay_violation(record) is True
+
+
+def test_param_piece_without_equals_sign_exits_2(tmp_path):
+    verdict = run(["witness", "--figure", "9", "--param", "bad", "--out", str(tmp_path)])
+    assert verdict.exit_code == 2
+    assert verdict.payload["error"] == "parameters look like key=value, got 'bad'"
+
+
+def test_schedule_ls_without_order_uses_arrival_order(fig1_files):
+    instance, _ = fig1_files
+    verdict = run(["schedule", "--alg", "ls", "--in", instance])
+    assert verdict.exit_code == 0
+    ordered = run(["schedule", "--alg", "ls", "--order", "1,2,3,4,5,6", "--in", instance])
+    assert verdict.payload == ordered.payload
+    assert verdict.payload["assignment"] == [1, 2, 3, 3, 1, 2]
+
+
+def test_check_ne_fails_with_a_single_job_witness(tmp_path, fig1_files):
+    instance, _ = fig1_files
+    stacked = tmp_path / "stacked.json"
+    write_schedule(schedule_from_dict({"assignment": [1] * 6}), stacked)
+    verdict = run(["check", "--ne", "--in", instance, "--schedule", str(stacked)])
+    assert verdict.exit_code == 1
+    assert verdict.payload == {"ne": {"holds": False, "witness": {"job": 1, "machine": 2}}}
+
+
+def test_measures_table_on_a_three_machine_lpt_schedule(tmp_path, fig1_files):
+    instance, _ = fig1_files
+    schedule = str(tmp_path / "lpt.json")
+    assert run(["schedule", "--alg", "lpt", "--in", instance, "--out", schedule]).exit_code == 0
+    verdict = run(["measures", "--table1", "--format", "csv", "--in", instance, "--schedule", schedule])
+    assert verdict.exit_code == 0
+    bounds = [row.split(",")[:2] for row in verdict.rendered.splitlines()[1:]]
+    assert bounds == [["ir_min", "1/2 + sqrt(6)/4"], ["ir_max", "5/3"], ["dr_max", "< 3/2"]]
+
+
+def test_experiment_ptas_preset_defaults_to_eps_one():
+    flags = ["--seed", "3", "--trials", "6", "--m", "3", "--n", "2..6", "--format", "csv"]
+    default = run(["experiment", "--preset", "ptas", *flags])
+    explicit = run(["experiment", "--preset", "ptas", "--eps", "1", *flags])
+    assert default.exit_code == explicit.exit_code == 0
+    assert default.rendered == explicit.rendered
+    for key in ("schedulers", "trials", "inconclusive", "violations"):
+        assert default.payload[key] == explicit.payload[key]
+
+
+def test_experiment_ptas_scheduler_needs_eps():
+    verdict = run(
+        ["experiment", "--scheduler", "ptas", "--seed", "1", "--trials", "1", "--m", "3", "--n", "4"]
+    )
+    assert verdict.exit_code == 2
+    assert verdict.payload["error"] == "--scheduler ptas needs --eps"

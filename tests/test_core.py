@@ -234,3 +234,35 @@ def test_instance_from_dict_rejects_non_list_fields(data):
 def test_format_rational():
     assert format_rational(Fraction(8, 2)) == 4
     assert format_rational(Fraction(5, 4)) == "5/4"
+
+
+UNRELATED = UnrelatedInstance(m=2, p=((1, 2, 3), (4, 5, 6)))
+
+
+def test_one_based_accessors_read_the_named_index():
+    assert Schedule((1, 2, 3)).machine_of(3) == 3
+    assert load_profile(FIG1, FIG1_NE).load(1) == 10
+    assert FIG1.processing_time(4) == FIG1.processing_time(4, 3) == 2
+    assert UNRELATED.processing_time(3, 2) == 6
+
+
+@pytest.mark.parametrize("index", [0, -1, 4, True, 1.0, "1", None])
+def test_one_based_accessors_reject_a_bad_index(index):
+    # index 0 and -1 used to wrap around to the last entries, and True to
+    # read entry 1
+    with pytest.raises(ValidationError, match="job index"):
+        Schedule((1, 2, 3)).machine_of(index)
+    with pytest.raises(ValidationError, match="machine index"):
+        load_profile(FIG1, FIG1_NE).load(index)
+    with pytest.raises(ValidationError, match="job index"):
+        UNRELATED.processing_time(index, 1)
+    with pytest.raises(ValidationError, match="machine index"):
+        UNRELATED.processing_time(1, index)
+    with pytest.raises(ValidationError, match="job index"):
+        IdenticalInstance(m=3, p=(1, 2, 3)).processing_time(index)
+
+
+@pytest.mark.parametrize("machine", [0, 4, 99, True, 1.0])
+def test_identical_processing_time_checks_a_given_machine(machine):
+    with pytest.raises(ValidationError, match="machine index"):
+        FIG1.processing_time(1, machine)

@@ -10,7 +10,9 @@ from schedgames.core import (
     Schedule,
     ValidationError,
     canonical_form,
+    instance_from_dict,
     load_profile,
+    schedule_from_dict,
 )
 from schedgames.equilibria import ScanContext, enumerate_profitable_deviations, is_nash
 from schedgames.experiments import (
@@ -24,7 +26,7 @@ from schedgames.experiments import (
     replay_violation,
     Violation,
 )
-from schedgames.measures import StructuralReport, structural_report
+from schedgames.measures import StructuralReport, deviation_stats, structural_report
 from schedgames.witnesses import figure1
 
 
@@ -446,6 +448,27 @@ def test_violation_record_carries_trial_seed(monkeypatch):
         # records written before the field existed still replay
         del record["seed"]
         assert replay_violation(record) is True
+
+
+def test_violation_carries_the_witness_of_the_measure_it_checks(monkeypatch):
+    # at a damage limit of 11/10 some trials' min-improvement witness
+    # damages less than the trial's dr_max; the record must carry one that
+    # attains it
+    monkeypatch.setattr(measures, "NE_DAMAGE_LIMIT", Fraction(11, 10))
+    config = SweepConfig(
+        seed=1, trials=40, m_range=(3, 3), n_range=(6, 8), p_max=20, scheduler="random-ne"
+    )
+    report = bound_sweep(config)
+    damage = [v for v in report.violations if v.check == "ne-damage"]
+    assert len(damage) == 7
+    for violation in damage:
+        instance = instance_from_dict(violation.instance)
+        schedule = schedule_from_dict(violation.schedule)
+        after = schedule_from_dict(violation.witness)
+        stats = deviation_stats(instance, schedule, after)
+        assert str(stats.max_damage) == violation.observed
+    for violation in report.violations:
+        assert replay_violation(violation.to_dict()) is True
 
 
 def test_inconclusive_trials_are_counted_not_judged():

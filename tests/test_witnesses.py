@@ -259,6 +259,25 @@ def test_unrelated_reduction_validates_eps():
         reduce_partition_unrelated([3, 3], 0)
 
 
+def test_identical_reduction_rejects_a_half_sum_below_three():
+    with pytest.raises(ValidationError, match="^half-sum must be at least 3, got 2$"):
+        reduce_partition_identical([4])
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ([0, 2], "^reduction inputs must be positive integers, got 0$"),
+        ([3, -3], "^reduction inputs must be positive integers, got -3$"),
+        ([4], "^needs at least two input integers$"),
+        ([3, 4], "^total size must be even, got 7$"),
+    ],
+)
+def test_unrelated_reduction_rejects_bad_inputs(values, message):
+    with pytest.raises(ValidationError, match=message):
+        reduce_partition_unrelated(values, Fraction(1, 10))
+
+
 @given(st.lists(st.integers(3, 8), min_size=4, max_size=5))
 @settings(max_examples=30)
 def test_reduction_equivalence_on_random_multisets(values):

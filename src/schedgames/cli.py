@@ -38,7 +38,7 @@ from .equilibria import (
     is_nash,
     is_strong,
 )
-from .measures import _paper_limits, deviation_stats, measure_report
+from .measures import _MEASURES, _paper_limits, deviation_stats, measure_report
 from .schedulers import PtasConfig, list_schedule, lpt, ptas
 from .experiments import SweepConfig, bound_sweep
 from . import witnesses
@@ -119,12 +119,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_span(text: str) -> tuple[int, int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return int(lo), int(hi)
-    v = int(text)
-    return v, v
+def _parse_span(text: str, flag: str) -> tuple[int, int]:
+    """An integer n, read as n..n, or a range lo..hi of integers."""
+    lo, dots, hi = text.partition("..")
+    try:
+        return int(lo), int(hi if dots else lo)
+    except ValueError:
+        raise ValidationError(f"{flag} takes an integer or a range lo..hi, got {text!r}") from None
+
+
+def _parse_int(text: str, name: str) -> int:
+    """`text` as an integer; bad input names `name`, the flag or
+    parameter it was given to."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValidationError(f"{name} takes an integer, got {text!r}") from None
 
 
 def _parse_ints(text: str, flag: str) -> list[int]:
@@ -228,7 +238,7 @@ def _table_rows(instance, schedule, report) -> list[list[str]]:
         elif is_nash(instance, schedule).holds:
             limits = _paper_limits(instance.m, lpt_schedule=False)
     rows = [["measure", "bound", "observed", "witness_file"]]
-    for measure in ("ir_min", "ir_max", "dr_max"):
+    for measure in _MEASURES:
         if limits is None:
             bound = "-"
         else:
@@ -243,19 +253,10 @@ def _cmd_measures(args) -> Verdict:
     instance = read_instance(args.instance)
     schedule = read_schedule(args.schedule)
     report = measure_report(instance, schedule, node_budget=args.budget)
-    by_measure = {
-        "ir_min": report.ir_min_witness,
-        "ir_max": report.ir_max_witness,
-        "dr_max": report.dr_max_witness,
-    }
-    payload = {
-        "ir_min": _fmt(report.ir_min),
-        "ir_max": _fmt(report.ir_max),
-        "dr_max": _fmt(report.dr_max),
-        "exhaustive": report.exhaustive,
-        "deviations": report.deviation_count,
-    }
-    for name, witness in by_measure.items():
+    payload = {name: _fmt(getattr(report, name)) for name in _MEASURES}
+    payload.update(exhaustive=report.exhaustive, deviations=report.deviation_count)
+    for name in _MEASURES:
+        witness = getattr(report, f"{name}_witness")
         payload[f"{name}_witness"] = None if witness is None else witness.to_dict()
     rendered = None
     if args.table1:
@@ -264,10 +265,10 @@ def _cmd_measures(args) -> Verdict:
             out = Path(args.out)
             out.mkdir(parents=True, exist_ok=True)
             for row in rows[1:]:
-                witness = by_measure[row[0]]
+                witness = payload[f"{row[0]}_witness"]
                 if witness is not None:
                     path = out / f"witness_{row[0]}.json"
-                    _write_json(witness.to_dict(), path)
+                    _write_json(witness, path)
                     row[3] = str(path)
             (out / "table1.csv").write_text(_render_csv(rows), encoding="utf-8")
             payload["table1"] = str(out / "table1.csv")
@@ -291,7 +292,7 @@ def _render_csv(rows) -> str:
 # their defaults
 _FIGURES = {
     "1": (witnesses.figure1, {}),
-    "3": (lambda r, m: witnesses.figure3(r, int(m)), {"r": "3", "m": "3"}),
+    "3": (lambda r, m: witnesses.figure3(r, _parse_int(m, "--param m")), {"r": "3", "m": "3"}),
     "9": (witnesses.figure9, {}),
     "fn5": (witnesses.footnote5, {"eps": "1/10"}),
     "ls": (witnesses.ls_examples, {"x": "10", "eps": "1/10"}),
@@ -300,9 +301,13 @@ _FIGURES = {
 
 def _cmd_witness(args) -> Verdict:
     params = _parse_params(args.param)
+    search = None
     if args.search:
         if "target" not in params or set(params) - {"target", "m"}:
             raise ValidationError("--search takes --param target=T and optionally m=M")
+        m = _parse_int(params.get("m", "3"), "--param m")
+        search = witnesses.search_extremal_lpt(m, args.search, params["target"])
+        artifact = witnesses.FigureArtifact(search.instance, search.schedule, search.deviation)
     else:
         build, defaults = _FIGURES[args.figure]
         unread = sorted(set(params) - set(defaults))
@@ -311,6 +316,8 @@ def _cmd_witness(args) -> Verdict:
                 f"--figure {args.figure} does not read --param {', '.join(unread)}"
                 f" (it reads: {', '.join(defaults) or 'none'})"
             )
+        artifact = build(*(params.get(key, value) for key, value in defaults.items()))
+    # made only now, so that a rejected parameter leaves no directory behind
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     payload: dict = {"search": args.search} if args.search else {"figure": args.figure}
@@ -321,14 +328,6 @@ def _cmd_witness(args) -> Verdict:
         writer(obj, path)
         payload["files"].append(str(path))
 
-    search = None
-    if args.search:
-        search = witnesses.search_extremal_lpt(
-            int(params.get("m", "3")), args.search, params["target"]
-        )
-        artifact = witnesses.FigureArtifact(search.instance, search.schedule, search.deviation)
-    else:
-        artifact = build(*(params.get(key, value) for key, value in defaults.items()))
     if args.figure == "ls":
         emit("improvement_instance.json", artifact.improvement.instance, write_instance)
         emit("improvement_schedule.json", artifact.improvement.schedule, write_schedule)
@@ -399,8 +398,8 @@ def _cmd_experiment(args) -> Verdict:
         raise ValidationError("pick one of --preset table1|ptas and --scheduler")
     if args.eps is not None and "ptas" not in (args.preset, args.scheduler):
         raise ValidationError("--eps applies only to the ptas scheduler")
-    m_range = _parse_span(args.m)
-    n_range = _parse_span(args.n)
+    m_range = _parse_span(args.m, "--m")
+    n_range = _parse_span(args.n, "--n")
     eps = parse_rational(args.eps) if args.eps else None
     if args.preset == "table1":
         schedulers = ["lpt", "random-ne"]

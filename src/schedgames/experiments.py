@@ -7,7 +7,11 @@ from the sweep seed via SplitMix64 (documented below), so (seed, config)
 regenerate identical reports modulo timing fields, and any violation
 record carries everything needed to reproduce it standalone.
 `bound_sweep` and `replay_violation` evaluate a trial through the one
-private `_evaluate`, so a replay runs the checks the sweep ran.
+private `_evaluate`, so a replay runs the checks the sweep ran.  Checks
+carry their witnesses: each failure takes its witness where its check is
+built, so a failed limit on a measure of `measures._MEASURES` carries
+that measure's witness, a structural failure its deviation, and any
+other failed check none.
 """
 
 from __future__ import annotations
@@ -32,7 +36,14 @@ from .core import (
     validate_schedule,
 )
 from .equilibria import DEFAULT_SEARCH_BUDGET, ScanContext
-from .measures import MeasureReport, _measure, _paper_limits, _structure, structural_report
+from .measures import (
+    _MEASURES,
+    MeasureReport,
+    _measure,
+    _paper_limits,
+    _structure,
+    structural_report,
+)
 from .schedulers import PtasConfig, list_schedule, lpt, optimal_makespan, ptas
 
 SCHEDULERS = ("lpt", "ls", "ptas", "random-ne")
@@ -230,8 +241,7 @@ class Violation:
 
 
 CSV_COLUMNS = [
-    "trial", "scheduler", "m", "n", "makespan", "opt",
-    "ir_min", "ir_max", "dr_max", "bounds_ok", "exhaustive",
+    "trial", "scheduler", "m", "n", "makespan", "opt", *_MEASURES, "bounds_ok", "exhaustive",
 ]
 
 
@@ -252,7 +262,7 @@ class SweepReport:
         was not computed is an empty cell."""
         rows = [CSV_COLUMNS]
         for r in self.records:
-            values = (r.makespan, r.opt, r.ir_min, r.ir_max, r.dr_max)
+            values = (r.makespan, r.opt, *(getattr(r, name) for name in _MEASURES))
             rows.append(
                 [str(r.trial), r.scheduler, str(r.m), str(r.n)]
                 + ["" if q is None else str(format_rational(q)) for q in values]
@@ -271,38 +281,38 @@ def _schedule_for(config: SweepConfig, instance: IdenticalInstance, extra_seed: 
     return random_ne(instance, extra_seed)
 
 
-# the check name, after its "ne-", "lpt-" or "ptas-" prefix, of each
-# measure's limit, and back
-_LIMIT_CHECKS = {"ir_min": "min-improvement", "ir_max": "max-improvement", "dr_max": "damage"}
-_CHECKED_MEASURE = {check: measure for measure, check in _LIMIT_CHECKS.items()}
-
-
 def _bound_checks(scheduler, eps, equilibrium, ctx, report: MeasureReport, makespan, opt):
     """Every limit applicable to this scheduler and machine count on the
     schedule of `ctx`; `equilibrium` says whether it is a Nash
-    equilibrium."""
+    equilibrium.  Returns (checks, failures): a failure is (check,
+    observed, bound, witness) of a failed check, in check order, and a
+    check that reads a measure carries that measure's witness."""
     m = ctx.m
     checks = []
+    failures = []
 
-    def add(name, holds, observed, bound):
+    def add(name, holds, observed, bound, witness=None):
         checks.append(BoundCheck(name=name, holds=holds, observed=str(observed), bound=bound))
+        if not holds:
+            failures.append((name, str(observed), bound, witness))
 
-    def add_paper_limits(prefix, lpt_schedule):
-        for measure, limit in _paper_limits(m, lpt_schedule).items():
+    def add_limits(prefix, limits):
+        # limits as `measures._paper_limits` gives them, by measure
+        for measure, limit in limits.items():
             if limit is not None:
                 text, holds = limit
-                observed = getattr(report, measure)
-                add(f"{prefix}-{_LIMIT_CHECKS[measure]}", holds(observed), observed, text)
+                observed, witness = getattr(report, measure), getattr(report, f"{measure}_witness")
+                add(f"{prefix}-{_MEASURES[measure][0]}", holds(observed), observed, text, witness)
 
     if scheduler in ("lpt", "ptas", "random-ne"):
         add("schedule-is-equilibrium", equilibrium, equilibrium, "true")
     if equilibrium:
-        add_paper_limits("ne", lpt_schedule=False)
+        add_limits("ne", _paper_limits(m, lpt_schedule=False))
         if m == 3 and report.deviation_count > 0:
             total = Fraction(sum(ctx.load0), ctx.scale)
             add("ne-top-load-at-most-half", 2 * makespan <= total, makespan, f"<= {total}/2")
     if scheduler == "lpt":
-        add_paper_limits("lpt", lpt_schedule=True)
+        add_limits("lpt", _paper_limits(m, lpt_schedule=True))
         if opt is not None:
             limit = Fraction(4, 3) - Fraction(1, 3 * m)
             add("lpt-makespan", makespan <= limit * opt, makespan, f"<= ({limit})*opt")
@@ -316,12 +326,12 @@ def _bound_checks(scheduler, eps, equilibrium, ctx, report: MeasureReport, makes
                 worst = max(worst, Fraction(cost, ctx.load0[i]))
         add("ls-single-move-damage", worst <= 2, worst, "<= 2")
     if scheduler == "ptas":
-        add("ptas-min-improvement", report.ir_min <= 1 + eps, report.ir_min, f"<= 1 + {eps}")
+        add_limits("ptas", {"ir_min": (f"<= 1 + {eps}", lambda x: x <= 1 + eps)})
         if opt is not None:
             add(
                 "ptas-makespan", makespan <= (1 + eps) * opt, makespan, f"<= (1 + {eps})*opt"
             )
-    return tuple(checks)
+    return tuple(checks), failures
 
 
 def _evaluate(scheduler, eps, instance, schedule, budget):
@@ -338,10 +348,11 @@ def _evaluate(scheduler, eps, instance, schedule, budget):
     enumeration finds on the same budget; so the context keeps index
     order, not the size order of `measure_report`.
 
-    Returns (measures, makespan, opt, checks, structural_failures): `opt`
-    is None past its budget, `checks` is empty when the measures ran out
-    of budget (the trial is inconclusive), and the failures are
-    (deviation, report) pairs in lexicographic order."""
+    Returns (measures, makespan, opt, checks, failures): `opt` is None
+    past its budget, and `checks` is empty when the measures ran out of
+    budget (the trial is inconclusive).  Each failure is (check, observed,
+    bound, witness): the failed checks first, in check order, then the
+    structural failures in lexicographic order."""
     ctx = ScanContext(instance, schedule)
     equilibrium = next(ctx.improving_moves(), None) is None
     failed: list[tuple] = []
@@ -358,20 +369,20 @@ def _evaluate(scheduler, eps, instance, schedule, budget):
                 failed.extend((member, sr) for member in ctx.orbit(assign))
 
     measures = _measure(ctx, budget, on_leaf)
-    structural_failures = [
-        (ctx.deviation(assign), sr)
-        for assign, sr in sorted(failed, key=lambda f: f[0])
-        if measures.exhaustive or assign <= last
-    ]
     makespan = Fraction(max(ctx.load0), ctx.scale)
     try:
         opt = optimal_makespan(instance, node_budget=budget).value
     except BudgetExceededError:
         opt = None
-    checks: tuple[BoundCheck, ...] = ()
+    checks, failures = (), []
     if measures.exhaustive:
-        checks = _bound_checks(scheduler, eps, equilibrium, ctx, measures, makespan, opt)
-    return measures, makespan, opt, checks, structural_failures
+        checks, failures = _bound_checks(scheduler, eps, equilibrium, ctx, measures, makespan, opt)
+    failures += [
+        ("deviation-structure", repr(sr), "structural predicates", ctx.deviation(assign))
+        for assign, sr in sorted(failed, key=lambda f: f[0])
+        if measures.exhaustive or assign <= last
+    ]
+    return measures, makespan, opt, checks, failures
 
 
 def bound_sweep(config: SweepConfig) -> SweepReport:
@@ -394,34 +405,24 @@ def bound_sweep(config: SweepConfig) -> SweepReport:
         extra_seed = trng.next_u64()
         instance = random_instance(instance_seed, m, n, config.p_max)
         schedule = _schedule_for(config, instance, extra_seed)
-        measures, makespan, opt, checks, structural_failures = _evaluate(
+        measures, makespan, opt, checks, failures = _evaluate(
             config.scheduler, config.eps, instance, schedule, config.budget
         )
         inconclusive = not measures.exhaustive
-
-        def violation(check, observed, bound, witness):
-            return Violation(
-                trial=t,
-                seed=trial_seed,
-                scheduler=config.scheduler,
-                eps=config.eps,
-                check=check,
-                observed=observed,
-                bound=bound,
-                instance=instance_to_dict(instance),
-                schedule=schedule_to_dict(schedule),
-                witness=None if witness is None else witness.to_dict(),
-            )
-
-        for c in checks:
-            if not c.holds:
-                # a failed limit carries the witness of the measure it reads
-                measure = _CHECKED_MEASURE.get(c.name.partition("-")[2])
-                witness = getattr(measures, f"{measure}_witness") if measure else None
-                report.violations.append(violation(c.name, c.observed, c.bound, witness))
-        for dev, sr in structural_failures:
+        for check, observed, bound, witness in failures:
             report.violations.append(
-                violation("deviation-structure", repr(sr), "structural predicates", dev)
+                Violation(
+                    trial=t,
+                    seed=trial_seed,
+                    scheduler=config.scheduler,
+                    eps=config.eps,
+                    check=check,
+                    observed=observed,
+                    bound=bound,
+                    instance=instance_to_dict(instance),
+                    schedule=schedule_to_dict(schedule),
+                    witness=None if witness is None else witness.to_dict(),
+                )
             )
         report.records.append(
             TrialRecord(
@@ -434,9 +435,7 @@ def bound_sweep(config: SweepConfig) -> SweepReport:
                 assignment=schedule.assignment,
                 makespan=makespan,
                 opt=opt,
-                ir_min=None if inconclusive else measures.ir_min,
-                ir_max=None if inconclusive else measures.ir_max,
-                dr_max=None if inconclusive else measures.dr_max,
+                **{name: None if inconclusive else getattr(measures, name) for name in _MEASURES},
                 exhaustive=measures.exhaustive,
                 checks=checks,
             )
@@ -474,6 +473,6 @@ def replay_violation(payload: dict, node_budget: int = DEFAULT_SEARCH_BUDGET) ->
         after = schedule_from_dict(payload["witness"])
         lpt_origin = scheduler == "lpt"
         return not structural_report(instance, schedule, after, lpt_origin=lpt_origin).passed
-    checks = _evaluate(scheduler, eps, instance, schedule, node_budget)[3]
-    return any(c.name == check and not c.holds for c in checks)
+    failures = _evaluate(scheduler, eps, instance, schedule, node_budget)[4]
+    return any(name == check for name, *_ in failures)
 

@@ -7,8 +7,13 @@ a heavier machine is the new load over the old.  A schedule's measures
 maximize these over every profitable deviation; by convention all three
 are exactly 1 when no deviation exists.
 
-`_paper_limits` picks the paper's Table-1 limits on the three measures,
-and their text; the sweep's checks and the CLI's table both read it.
+The three measures are named once, in the private table `_MEASURES`:
+`ir_min`, `ir_max` and `dr_max` in report order, each with its sweep
+check name and the `DeviationStats` property a witness attains it
+through.  The report, the sweep's checks, the CLI and the extremal
+search iterate over it.  `_paper_limits` picks the paper's Table-1
+limits on the three measures, and their text; the sweep's checks and
+the CLI's table both read it.
 
 `measure_report` computes all three, with witnesses, from one scan of
 `equilibria.scan_deviations`; read `ir_max` and `dr_max` from it.  It
@@ -16,8 +21,10 @@ wraps `_measure`, which runs that scan on a caller's `ScanContext`.
 `ir_min` answers the min-improvement measure alone with a scan that
 prunes every branch unable to reach the best ratio found so far.  Both
 read a leaf's smallest mover improvement off the scan's per-machine
-caps, in O(m).  The `ir_max` witness counts improving bystanders in its
-coalition; every other witness's coalition is its migrants.
+caps, in O(m), and both read a budget stop through one helper, `_scan`,
+which returns the nodes visited and whether the scan finished.  The
+`ir_max` witness counts improving bystanders in its coalition; every
+other witness's coalition is its migrants.
 
 Both scans place jobs by non-increasing size (`ScanContext(by_size=
 True)`), which meets the caps and the load-conservation cut sooner than
@@ -53,6 +60,15 @@ from .core import (
     parse_rational,
 )
 from .equilibria import DEFAULT_SEARCH_BUDGET, Deviation, ScanContext, scan_deviations
+
+# The three measures in report order: each one's check name in a sweep,
+# after its "ne-", "lpt-" or "ptas-" prefix, and the `DeviationStats`
+# property through which a witness attains it.
+_MEASURES = {
+    "ir_min": ("min-improvement", "min_improvement"),
+    "ir_max": ("max-improvement", "max_improvement"),
+    "dr_max": ("damage", "max_damage"),
+}
 
 # Exact limits quantified over deviations (strict where marked).
 NE_MIN_IMPROVEMENT_LIMIT_3 = Fraction(5, 4)
@@ -249,48 +265,40 @@ def _measure(ctx: ScanContext, node_budget: int, on_leaf=None) -> MeasureReport:
     `on_leaf(ctx, assign, loads, caps)`, when given, also sees every orbit
     representative the scan finds, in the scan order of `ctx.free`
     (lexicographic when `ctx` lists it ascending, as a sweep's does)."""
-    best = {"min": [1, 1, None], "max": [1, 1, None], "dr": [1, 1, None]}
+    best = {name: [1, 1, None] for name in _MEASURES}
     count = [0]
 
     def leaf(ctx, assign, loads, caps):
         count[0] += ctx.orbit_size(assign)
         inum, iden, dnum, dden = _leaf_max_ratios(ctx, assign, loads)
-        _bump(best["min"], *_leaf_min_improvement(ctx, loads, caps), assign)
-        _bump(best["max"], inum, iden, assign)
-        _bump(best["dr"], dnum, dden, assign)
+        _bump(best["ir_min"], *_leaf_min_improvement(ctx, loads, caps), assign)
+        _bump(best["ir_max"], inum, iden, assign)
+        _bump(best["dr_max"], dnum, dden, assign)
         if on_leaf is not None:
             on_leaf(ctx, assign, loads, caps)
 
-    exhaustive = True
+    nodes, exhaustive = _scan(ctx, node_budget, leaf)
+    fields = {}
+    for name, (num, den, assign) in best.items():
+        witness = None
+        if assign is not None:
+            # the ir_max witness's coalition counts its improving bystanders
+            bystanders = ctx.bystanders(assign) if name == "ir_max" else ()
+            witness = ctx.deviation(assign, ctx.migrants_of(assign).union(bystanders))
+        fields[name], fields[f"{name}_witness"] = Fraction(num, den), witness
+    return MeasureReport(**fields, exhaustive=exhaustive, deviation_count=count[0], nodes=nodes)
+
+
+def _scan(ctx: ScanContext, node_budget: int, on_leaf, min_ratio_floor=None):
+    """`scan_deviations` on `ctx`: (nodes, finished), where a budget stop
+    gives the nodes its `BudgetExceededError` carries and False."""
     try:
-        nodes = scan_deviations(ctx, budget=node_budget, on_leaf=leaf)
+        nodes = scan_deviations(
+            ctx, budget=node_budget, on_leaf=on_leaf, min_ratio_floor=min_ratio_floor
+        )
     except BudgetExceededError as exc:
-        exhaustive = False
-        nodes = exc.nodes
-
-    def finish(slot, with_bystanders=False):
-        num, den, assign = slot
-        if assign is None:
-            return Fraction(1), None
-        coalition = None
-        if with_bystanders:
-            coalition = ctx.migrants_of(assign) | ctx.bystanders(assign)
-        return Fraction(num, den), ctx.deviation(assign, coalition)
-
-    ir_min, w_min = finish(best["min"])
-    ir_max, w_max = finish(best["max"], with_bystanders=True)
-    dr_max, w_dr = finish(best["dr"])
-    return MeasureReport(
-        ir_min=ir_min,
-        ir_max=ir_max,
-        dr_max=dr_max,
-        ir_min_witness=w_min,
-        ir_max_witness=w_max,
-        dr_max_witness=w_dr,
-        exhaustive=exhaustive,
-        deviation_count=count[0],
-        nodes=nodes,
-    )
+        return exc.nodes, False
+    return nodes, True
 
 
 def _bump(slot, num, den, assign):
@@ -320,11 +328,7 @@ def ir_min(
     def leaf(ctx, assign, loads, caps):
         _bump(slot, *_leaf_min_improvement(ctx, loads, caps), assign)
 
-    exhaustive = True
-    try:
-        scan_deviations(ctx, budget=node_budget, on_leaf=leaf, min_ratio_floor=slot)
-    except BudgetExceededError:
-        exhaustive = False
+    exhaustive = _scan(ctx, node_budget, leaf, min_ratio_floor=slot)[1]
     witness = None if slot[2] is None else ctx.deviation(slot[2])
     return MeasureValue(value=Fraction(slot[0], slot[1]), witness=witness, exhaustive=exhaustive)
 

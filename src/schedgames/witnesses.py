@@ -30,7 +30,7 @@ from .core import (
     parse_rational,
 )
 from .equilibria import Deviation, is_nash, profitable_deviation
-from .measures import deviation_stats, measure_report
+from .measures import _MEASURES, deviation_stats, measure_report
 from .schedulers import list_schedule, lpt
 
 DEFAULT_SEARCH_NODES = 10**7
@@ -354,15 +354,14 @@ def search_extremal_lpt(
         charged += min(report.nodes, left)
         if not report.exhaustive:
             break
-        value = report.ir_max if measure == "ir_max" else report.dr_max
-        witness = report.ir_max_witness if measure == "ir_max" else report.dr_max_witness
+        value, witness = getattr(report, measure), getattr(report, f"{measure}_witness")
         found = value >= target and witness is not None
         if value > best_value or found:
             best_value = value
             best = (instance, schedule, witness)
         if found:
             stats = deviation_stats(instance, schedule, witness.after)
-            achieved = stats.max_improvement if measure == "ir_max" else stats.max_damage
+            achieved = getattr(stats, _MEASURES[measure][1])
             if achieved != value:
                 raise AssertionError(
                     f"witness re-verification mismatch: {achieved} != {value}"

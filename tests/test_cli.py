@@ -307,6 +307,82 @@ def test_witness_figure_rejects_parameters_it_does_not_read(tmp_path, figure, pa
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags, name",
+    [
+        (["--m", "x", "--n", "4"], "--m"),
+        (["--m", "3", "--n", "3.."], "--n"),
+        (["--m", "3..y", "--n", "4"], "--m"),
+    ],
+    ids=["m-not-an-int", "n-open-range", "m-range-end"],
+)
+def test_experiment_integer_flags_name_the_flag(flags, name):
+    verdict = run(["experiment", "--scheduler", "lpt", "--seed", "1", "--trials", "1", *flags])
+    assert verdict.exit_code == 2
+    assert verdict.payload["error"].startswith(f"{name} takes an integer")
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--figure", "3", "--param", "m=x"],
+        ["--search", "ir_max", "--param", "target=1.55,m=x"],
+    ],
+    ids=["figure-3", "search"],
+)
+def test_witness_integer_parameter_names_its_key(tmp_path, flags):
+    verdict = run(["witness", *flags, "--out", str(tmp_path / "w")])
+    assert verdict.exit_code == 2
+    assert verdict.payload["error"] == "--param m takes an integer, got 'x'"
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--figure", "3", "--param", "r=1"],
+        ["--figure", "3", "--param", "m=x"],
+        ["--search", "ir_max", "--param", "target=abc"],
+        ["--search", "ir_max", "--param", "target=1.5,m=2"],
+    ],
+    ids=["ratio-one", "m-not-an-int", "bad-target", "two-machines"],
+)
+def test_failed_witness_leaves_no_output_directory(tmp_path, flags):
+    out = tmp_path / "w"
+    verdict = run(["witness", *flags, "--out", str(out)])
+    assert verdict.exit_code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "data, field",
+    [
+        ([3, [1, 2]], "'machines'"),
+        ({"jobs": [1, 2]}, "'machines'"),
+        ({"machines": "3", "jobs": [1, 2]}, "'machines' must be an integer"),
+        ({"machines": 3, "matrix": [[1, 2], [3, 4]]}, "matrix rows"),
+    ],
+    ids=["not-an-object", "no-machines", "machines-a-string", "matrix-row-count"],
+)
+def test_malformed_instance_file_exits_2_naming_the_field(tmp_path, data, field):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(data))
+    verdict = run(["schedule", "--alg", "lpt", "--in", str(path)])
+    assert verdict.exit_code == 2
+    assert field in verdict.payload["error"]
+
+
+@pytest.mark.parametrize(
+    "data", [[1, 1, 2, 2, 3, 3], {"assignment": "112233"}], ids=["not-an-object", "string"]
+)
+def test_malformed_schedule_file_exits_2_naming_the_field(tmp_path, fig1_files, data):
+    instance, _ = fig1_files
+    path = tmp_path / "bad-schedule.json"
+    path.write_text(json.dumps(data))
+    verdict = run(["check", "--ne", "--in", instance, "--schedule", str(path)])
+    assert verdict.exit_code == 2
+    assert "'assignment'" in verdict.payload["error"]
+
+
 def test_check_over_the_scan_job_limit_exits_2(tmp_path):
     # the scan recurses once per job; 1,200 jobs used to overflow the stack
     ipath, spath = tmp_path / "instance.json", tmp_path / "schedule.json"

@@ -65,6 +65,16 @@ def test_induced_instance_full_subset_is_identity():
     assert induced.induced_schedule(FIG1_NE).assignment == FIG1_NE.assignment
 
 
+def test_induced_instance_on_unrelated_machines_keeps_their_rows_and_jobs():
+    # rows are machines, columns jobs: machines 1 and 3 keep jobs 1, 3, 4
+    instance = UnrelatedInstance(m=3, p=((1, 2, 3, 4), (5, 6, 7, 8), (9, 10, 11, 12)))
+    induced = induced_instance(instance, Schedule((1, 2, 3, 1)), [3, 1])
+    assert induced.machines == (1, 3) and induced.jobs == (1, 3, 4)
+    assert isinstance(induced.instance, UnrelatedInstance)
+    assert induced.instance.p == ((1, 3, 4), (9, 11, 12))
+    assert induced.induced_schedule(Schedule((1, 2, 3, 1))).assignment == (1, 2, 1)
+
+
 def test_induced_instance_rejects_empty_subset():
     with pytest.raises(ValidationError):
         induced_instance(FIG1, FIG1_NE, set())
@@ -104,6 +114,12 @@ def test_canonical_form_relabels_by_first_job():
 def test_canonical_form_keeps_canonical_input():
     instance = IdenticalInstance(m=2, p=(1, 1, 1, 1))
     assert canonical_form(Schedule((1, 1, 2, 2)), instance).assignment == (1, 1, 2, 2)
+
+
+def test_canonical_form_rejects_unrelated_machines():
+    instance = UnrelatedInstance(m=2, p=((1, 2), (2, 1)))
+    with pytest.raises(ValidationError, match="identical machines"):
+        canonical_form(Schedule((2, 1)), instance)
 
 
 @given(instance_with_schedule(min_n=1))

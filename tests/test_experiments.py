@@ -1,4 +1,6 @@
+import dataclasses
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,7 @@ from schedgames import experiments, measures
 from schedgames.core import (
     IdenticalInstance,
     Schedule,
+    UnrelatedInstance,
     ValidationError,
     canonical_form,
     instance_from_dict,
@@ -46,6 +49,17 @@ def test_splitmix_below_range():
     draws = [rng.below(7) for _ in range(200)]
     assert set(draws) <= set(range(7))
     assert len(set(draws)) == 7  # all residues show up quickly
+
+
+def test_splitmix_below_rejects_an_empty_range():
+    with pytest.raises(ValidationError, match="range bound must be positive"):
+        SplitMix64(1).below(0)
+
+
+def test_random_ne_rejects_unrelated_machines():
+    instance = UnrelatedInstance(m=2, p=((1, 2), (2, 1)))
+    with pytest.raises(ValidationError, match="identical machines"):
+        random_ne(instance, 1)
 
 
 def test_random_instance_is_deterministic():
@@ -469,6 +483,39 @@ def test_violation_carries_the_witness_of_the_measure_it_checks(monkeypatch):
         assert str(stats.max_damage) == violation.observed
     for violation in report.violations:
         assert replay_violation(violation.to_dict()) is True
+
+    # every other limit on a measure, lowered until it fails: each record
+    # carries a witness attaining `observed` through the `DeviationStats`
+    # property that the limit bounds, and replays
+    monkeypatch.setattr(measures, "NE_MIN_IMPROVEMENT_LIMIT_3", Fraction(1))
+    report = bound_sweep(config)
+    assert [v.check for v in report.violations].count("ne-min-improvement") == 7
+    monkeypatch.setattr(measures, "LPT_DAMAGE_LIMIT", Fraction(1))
+    monkeypatch.setattr(measures, "LPT_MAX_IMPROVEMENT_LIMIT_3", Fraction(1))
+    lpt_report = bound_sweep(dataclasses.replace(config, trials=200, scheduler="lpt"))
+    counts = Counter(v.check for v in lpt_report.violations)
+    assert counts["lpt-damage"] == 200 and counts["lpt-max-improvement"] == 5
+    stat_of = {
+        "ne-min-improvement": "min_improvement",
+        "lpt-damage": "max_damage",
+        "lpt-max-improvement": "max_improvement",
+    }
+    witnessed = Counter()
+    for violation in report.violations + lpt_report.violations:
+        if violation.check not in stat_of:
+            continue
+        assert replay_violation(violation.to_dict()) is True
+        if violation.witness is None:
+            # a strict damage limit of 1 fails on every trial, also on
+            # one where no deviation damages a job: dr_max is then 1
+            assert violation.check == "lpt-damage" and violation.observed == "1"
+            continue
+        witnessed[violation.check] += 1
+        instance = instance_from_dict(violation.instance)
+        schedule = schedule_from_dict(violation.schedule)
+        stats = deviation_stats(instance, schedule, schedule_from_dict(violation.witness))
+        assert str(getattr(stats, stat_of[violation.check])) == violation.observed
+    assert witnessed == {"ne-min-improvement": 12, "lpt-damage": 5, "lpt-max-improvement": 5}
 
 
 def test_inconclusive_trials_are_counted_not_judged():

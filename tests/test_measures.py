@@ -12,7 +12,13 @@ from conftest import (
     unrelated_with_schedule,
 )
 from oracles import brute_measure_witnesses, brute_measures, brute_ratio_maps, brute_structure
-from schedgames.core import IdenticalInstance, Schedule, ValidationError, load_profile
+from schedgames.core import (
+    IdenticalInstance,
+    Schedule,
+    UnrelatedInstance,
+    ValidationError,
+    load_profile,
+)
 from schedgames.equilibria import (
     ScanContext,
     enumerate_profitable_deviations,
@@ -407,6 +413,17 @@ def test_structural_report_requires_equilibrium_start():
     instance = IdenticalInstance(m=3, p=(10, 1, 2))
     with pytest.raises(ValidationError):
         structural_report(instance, Schedule((1, 2, 2)), Schedule((1, 2, 3)))
+
+
+def test_unit_normalized_checks_reject_unrelated_machines():
+    # jobs 1 and 2 swap machines and each drops from cost 1 to 1/10 (the
+    # footnote-5 swap), while job 3 keeps machine 3: an equilibrium with a
+    # profitable deviation on three unrelated machines
+    instance = UnrelatedInstance(m=3, p=((1, "1/10", 10), ("1/10", 1, 10), (10, 10, 1)))
+    before, after = Schedule((1, 2, 3)), Schedule((2, 1, 3))
+    assert structural_report(instance, before, after).migrant_count == 2
+    with pytest.raises(ValidationError, match="need identical machines"):
+        structural_report(instance, before, after, lpt_origin=True)
 
 
 def test_two_migrant_move_is_rejected_before_structure():

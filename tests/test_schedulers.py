@@ -15,6 +15,7 @@ from schedgames.core import (
     BudgetExceededError,
     IdenticalInstance,
     Schedule,
+    UnrelatedInstance,
     ValidationError,
     induced_instance,
     load_profile,
@@ -84,6 +85,12 @@ def test_lpt_meets_four_thirds_makespan_bound(instance):
     bound = Fraction(4, 3) - Fraction(1, 3 * instance.m)
     opt = optimal_makespan(instance).value
     assert load_profile(instance, lpt(instance)).makespan <= bound * opt
+
+
+def test_lpt_rejects_unrelated_machines():
+    instance = UnrelatedInstance(m=2, p=((1, 2), (2, 1)))
+    with pytest.raises(ValidationError, match="identical machines"):
+        lpt(instance)
 
 
 # --- list_schedule -----------------------------------------------------

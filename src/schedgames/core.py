@@ -63,6 +63,13 @@ def _check_budget(budget) -> None:
         raise ValidationError(f"node budget must be positive, got {budget!r}")
 
 
+# Both search kernels, `equilibria.scan_deviations` and
+# `schedulers._canonical_search`, recurse once per job they place; this
+# many jobs keeps them well inside the interpreter's default recursion
+# limit of 1000 frames.
+_MAX_SEARCH_JOBS = 500
+
+
 # Largest decimal exponent magnitude a string may carry: "1e20000" would
 # otherwise become a 66,439-bit numerator that every later scan works on.
 MAX_DECIMAL_EXPONENT = 100

@@ -26,7 +26,10 @@ loudly (never approximately) when it runs out.
 `scan_deviations` is the one search kernel.  It runs on a `ScanContext`
 its caller builds (with the coalition free to act, if any) and returns
 the nodes it visited, so the caller still holds the context after a
-budget stop.  Here `is_strong`, `can_coalition_deviate` and
+budget stop.  The scan itself holds nothing once it returns or raises:
+its working set, and the leaf callback with whatever that collected, is
+freed at once by reference counting, not left to the cycle collector.
+Here `is_strong`, `can_coalition_deviate` and
 `enumerate_profitable_deviations` are views over it; the measures that
 maximize a ratio over deviations live in `measures`.  Each `Deviation` a
 scan finds is built by `ScanContext.deviation`, past the dataclass
@@ -54,15 +57,13 @@ from .core import (
     Instance,
     Schedule,
     ValidationError,
+    _MAX_SEARCH_JOBS,
     _check_budget,
     _is_int,
     validate_schedule,
 )
 
 DEFAULT_SEARCH_BUDGET = 10**8
-# the scan recurses once per job free to act, so it stays well inside the
-# interpreter's default recursion limit of 1000 frames
-_MAX_SCAN_JOBS = 500
 
 
 @dataclass(frozen=True)
@@ -403,12 +404,15 @@ def scan_deviations(
     the joint action being built.
 
     The search recurses once per job free to act, so more than 500 of
-    them raise ValidationError.
+    them raise ValidationError.  It holds nothing once it returns or
+    raises: the lists it built, `ctx` and `on_leaf` are freed by
+    reference counting, without waiting for the cycle collector.
     """
     free = ctx.free
-    if len(free) > _MAX_SCAN_JOBS:
+    if len(free) > _MAX_SEARCH_JOBS:
         raise ValidationError(
-            f"a deviation scan handles at most {_MAX_SCAN_JOBS} jobs free to act, got {len(free)}"
+            f"a deviation scan handles at most {_MAX_SEARCH_JOBS} jobs free to act, "
+            f"got {len(free)}"
         )
     m, n = ctx.m, ctx.n
     sizes, orig = ctx.sizes, ctx.orig
@@ -526,6 +530,12 @@ def scan_deviations(
             dfs(0, sum(loads), sum(load0))
     except _StopScan:
         pass
+    finally:
+        # `dfs` reaches itself through its closure cell; left in place, that
+        # cycle would keep the plan, the scan's lists, `ctx` and `on_leaf`
+        # (with all the caller has collected) alive until the cycle
+        # collector runs, so drop it on every exit
+        dfs = None
     return nodes
 
 

@@ -33,6 +33,7 @@ from .core import (
     IdenticalInstance,
     Schedule,
     ValidationError,
+    _MAX_SEARCH_JOBS,
     _check_budget,
     _is_int,
     canonical_form,
@@ -112,8 +113,15 @@ def _canonical_search(sizes, m, limit, node_budget, leaf, what) -> None:
 
     At each leaf `leaf(loads, labels)` sees the live loads and each job's
     machine, and returns the new limit, or None to end the search.
+
+    The search recurses once per job, so more than 500 of them raise
+    ValidationError, named by `what`.  It holds nothing once it returns or
+    raises: its lists and `leaf` (with the caller's incumbent) are freed
+    by reference counting, without waiting for the cycle collector.
     """
     k = len(sizes)
+    if k > _MAX_SEARCH_JOBS:
+        raise ValidationError(f"{what} handles at most {_MAX_SEARCH_JOBS} jobs, got {k}")
     loads = [0] * m
     labels = [0] * k
     nodes = 0
@@ -145,7 +153,13 @@ def _canonical_search(sizes, m, limit, node_budget, leaf, what) -> None:
             loads[i] = load
         return False
 
-    dfs(0, 0)
+    try:
+        dfs(0, 0)
+    finally:
+        # `dfs` reaches itself through its closure cell; left in place, that
+        # cycle would keep the lists and `leaf` alive until the cycle
+        # collector runs, so drop it on every exit
+        dfs = None
 
 
 def _lex_min_prefix(row, jobs, m, node_budget) -> tuple[list[int], list[int]]:

@@ -395,6 +395,16 @@ def test_check_over_the_scan_job_limit_exits_2(tmp_path):
     assert "at most 500 jobs" in verdict.payload["error"]
 
 
+def test_ptas_over_the_search_job_limit_exits_2(tmp_path):
+    # eps = 1/1000 puts all 1,200 jobs in the lex-min prefix, whose search
+    # recurses once per job; it used to overflow the stack and exit 1
+    ipath = tmp_path / "instance.json"
+    ipath.write_text(json.dumps({"machines": 2, "jobs": [1] * 1200}))
+    verdict = run(["schedule", "--alg", "ptas", "--eps", "1/1000", "--in", str(ipath)])
+    assert verdict.exit_code == 2
+    assert "at most 500 jobs" in verdict.payload["error"]
+
+
 def test_reduce_identical(tmp_path):
     out = str(tmp_path / "red")
     verdict = run(["reduce", "--set", "3,3,4,4", "--variant", "identical", "--out", out])

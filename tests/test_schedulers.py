@@ -189,6 +189,27 @@ def test_lex_min_budget_error_names_bound():
         lex_min_assignment(instance, 8, node_budget=10)
 
 
+def test_canonical_search_decides_up_to_its_job_limit():
+    # one frame per job placed: 500 run into the budget, 501 are rejected
+    # up front instead of overflowing the stack
+    for k in (500, 501):
+        instance = IdenticalInstance(m=2, p=(1,) * k)
+        if k == 500:
+            with pytest.raises(BudgetExceededError):
+                lex_min_assignment(instance, k, node_budget=10**4)
+        else:
+            with pytest.raises(ValidationError, match="2\\^501 .*at most 500 jobs, got 501"):
+                lex_min_assignment(instance, k, node_budget=10**4)
+    # LPT is one short of the lower bound, so the makespan search runs
+    deep = IdenticalInstance(m=2, p=(3, 3) + (2,) * 497)
+    assert optimal_makespan(deep).value == 500
+    deeper = IdenticalInstance(m=2, p=(3, 3) + (2,) * 1003)
+    with pytest.raises(ValidationError, match="makespan search handles at most 500 jobs"):
+        optimal_makespan(deeper)
+    with pytest.raises(ValidationError, match="at most 500 jobs, got 1005"):
+        lex_min_assignment(deeper, 1005)
+
+
 # Smallest node budget that finishes each m = 4, k = 8 prefix; the full
 # canonical enumeration needs 3,771 on every one of them.
 PINNED_LEX_MIN_NODES = {

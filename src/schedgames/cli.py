@@ -23,6 +23,7 @@ from pathlib import Path
 from .core import (
     BudgetExceededError,
     IdenticalInstance,
+    Schedule,
     ValidationError,
     format_rational,
     parse_rational,
@@ -37,6 +38,7 @@ from .equilibria import (
     can_coalition_deviate,
     is_nash,
     is_strong,
+    profitable_deviation,
 )
 from .measures import _MEASURES, _paper_limits, deviation_stats, measure_report
 from .schedulers import PtasConfig, list_schedule, lpt, ptas
@@ -84,8 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="instance", required=True)
     p.add_argument("--schedule", required=True)
     p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET)
-    p.add_argument("--table1", action="store_true", help="emit a measures-vs-bounds table")
-    p.add_argument("--out", help="directory for the table and witness files")
+    p.add_argument("--out", help="directory for the measures-vs-bounds table and witness files")
     p.add_argument("--format", choices=["json", "csv"], default="json")
 
     p = sub.add_parser("witness", help="generate a benchmark artifact")
@@ -207,7 +208,11 @@ def _cmd_check(args) -> Verdict:
         result = is_nash(instance, schedule)
         payload["ne"] = {"holds": result.holds}
         if result.witness:
-            payload["ne"]["witness"] = {"job": result.witness[0], "machine": result.witness[1]}
+            job, machine = result.witness
+            after = list(schedule.assignment)
+            after[job - 1] = machine
+            deviation = profitable_deviation(instance, schedule, Schedule(tuple(after)))
+            payload["ne"]["witness"] = deviation.to_dict()
         all_hold &= result.holds
     if want_se:
         result = is_strong(instance, schedule, node_budget=args.budget)
@@ -248,8 +253,6 @@ def _table_rows(instance, schedule, report) -> list[list[str]]:
 
 
 def _cmd_measures(args) -> Verdict:
-    if not args.table1 and (args.out is not None or args.format == "csv"):
-        raise ValidationError("--out and --format csv apply only with --table1")
     instance = read_instance(args.instance)
     schedule = read_schedule(args.schedule)
     report = measure_report(instance, schedule, node_budget=args.budget)
@@ -259,7 +262,7 @@ def _cmd_measures(args) -> Verdict:
         witness = getattr(report, f"{name}_witness")
         payload[f"{name}_witness"] = None if witness is None else witness.to_dict()
     rendered = None
-    if args.table1:
+    if args.out or args.format == "csv":
         rows = _table_rows(instance, schedule, report)
         if args.out:
             out = Path(args.out)
@@ -286,6 +289,29 @@ def _render_csv(rows) -> str:
     buf = io.StringIO()
     csv.writer(buf).writerows(rows)
     return buf.getvalue()
+
+
+def _write_artifact(artifact, out: Path, files: list[str]) -> dict[str, str]:
+    """Write the artifact's instance.json, schedule.json and, if it has a
+    deviation, deviation.json into `out`, listing each path in `files`;
+    returns the deviation's ratios, or nothing without one.  The directory
+    is made only here, so that a rejected parameter leaves none behind."""
+    out.mkdir(parents=True, exist_ok=True)
+
+    def emit(name, obj, writer):
+        writer(obj, out / name)
+        files.append(str(out / name))
+
+    # a search that found no deviation at all has no instance
+    if artifact.instance is not None:
+        emit("instance.json", artifact.instance, write_instance)
+        emit("schedule.json", artifact.schedule, write_schedule)
+    if artifact.deviation is None:
+        return {}
+    emit("deviation.json", artifact.deviation.to_dict(), _write_json)
+    stats = deviation_stats(artifact.instance, artifact.schedule, artifact.deviation.after)
+    names = ("min_improvement", "max_improvement", "max_damage")
+    return {name: _fmt(getattr(stats, name)) for name in names}
 
 
 # each figure's builder and the --param keys it reads, in order, with
@@ -317,40 +343,15 @@ def _cmd_witness(args) -> Verdict:
                 f" (it reads: {', '.join(defaults) or 'none'})"
             )
         artifact = build(*(params.get(key, value) for key, value in defaults.items()))
-    # made only now, so that a rejected parameter leaves no directory behind
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     payload: dict = {"search": args.search} if args.search else {"figure": args.figure}
-    payload["files"] = []
-
-    def emit(name, obj, writer):
-        path = out / name
-        writer(obj, path)
-        payload["files"].append(str(path))
-
+    payload["files"] = files = []
     if args.figure == "ls":
-        emit("improvement_instance.json", artifact.improvement.instance, write_instance)
-        emit("improvement_schedule.json", artifact.improvement.schedule, write_schedule)
-        emit("damage_instance.json", artifact.damage.instance, write_instance)
-        emit("damage_schedule.json", artifact.damage.schedule, write_schedule)
-        payload["improvement_move"] = {
-            "job": artifact.improvement.move[0],
-            "machine": artifact.improvement.move[1],
-            "ratio": _fmt(artifact.improvement.ratio),
-        }
-        return Verdict(command="witness", payload=payload, exit_code=0)
-    # a search that found no deviation at all has no instance
-    if artifact.instance is not None:
-        emit("instance.json", artifact.instance, write_instance)
-        emit("schedule.json", artifact.schedule, write_schedule)
-    if artifact.deviation is not None:
-        emit("deviation.json", artifact.deviation.to_dict(), _write_json)
-        stats = deviation_stats(
-            artifact.instance, artifact.schedule, artifact.deviation.after
-        )
-        payload["min_improvement"] = _fmt(stats.min_improvement)
-        payload["max_improvement"] = _fmt(stats.max_improvement)
-        payload["max_damage"] = _fmt(stats.max_damage)
+        improvement, damage = artifact
+        payload["improvement"] = _write_artifact(improvement, out / "improvement", files)
+        _write_artifact(damage, out / "damage", files)
+    else:
+        payload.update(_write_artifact(artifact, out, files))
     if search is None:
         return Verdict(command="witness", payload=payload, exit_code=0)
     payload["found"] = search.found

@@ -11,10 +11,11 @@ the lowest index.  Loads are sums of the instance's `_scaled` integers
 a schedule returned here.
 
 One search, `_canonical_search`, enumerates canonical assignments of
-scaled integer sizes: it counts nodes against the budget, cuts a child
-whose machine carries the same load as an earlier sibling's or whose new
-load exceeds a limit, and hands each leaf to a leaf rule that sets the
-next limit or ends the search.  The lex-min prefix (`lex_min_assignment`,
+scaled integer sizes: it counts nodes against the budget, starts a job
+no lower than an equal-size predecessor's machine, cuts a child whose
+machine carries the same load as an earlier sibling's or whose new load
+exceeds a limit, and hands each leaf to a leaf rule that sets the next
+limit or ends the search.  The lex-min prefix (`lex_min_assignment`,
 and each round of `ptas`) keeps the first leaf with the smallest sorted
 load vector, under the limit of its largest load, so the labels are those
 the full enumeration returns.  `optimal_makespan` keeps the leaf with the
@@ -103,8 +104,13 @@ def _canonical_search(sizes, m, limit, node_budget, leaf, what) -> None:
     machines opened so far, so each assignment is met once up to machine
     relabeling.  Every child examined counts as one node; past
     `node_budget` nodes the search raises BudgetExceededError, named by
-    `what`.  Two exact cuts skip a child:
+    `what`.  Three exact rules skip a child:
 
+    - twin: a job as large as job t - 1 starts at that job's machine.
+      Among leaves with the same loads, the first in DFS order has
+      non-decreasing machines within each run of equal sizes, since
+      swapping two equal jobs gives a lexicographically smaller canonical
+      leaf with the same loads;
     - equal-load sibling: its machine's load equals an earlier sibling's;
       swapping the two machines for the remaining jobs maps every leaf
       below it to a leaf with the same load multiset below the earlier
@@ -134,7 +140,7 @@ def _canonical_search(sizes, m, limit, node_budget, leaf, what) -> None:
             return limit is None
         size = sizes[t]
         seen: set[int] = set()
-        for i in range(min(used + 1, m)):
+        for i in range(labels[t - 1] if t and size == sizes[t - 1] else 0, min(used + 1, m)):
             nodes += 1
             if nodes > node_budget:
                 raise BudgetExceededError(
@@ -169,7 +175,7 @@ def _lex_min_prefix(row, jobs, m, node_budget) -> tuple[list[int], list[int]]:
 
     A leaf replaces the incumbent only on a strictly smaller sorted load
     vector, and the limit is that vector's largest load: a child above it
-    only leads to strictly larger vectors.  Neither cut of
+    only leads to strictly larger vectors.  No rule of
     `_canonical_search` removes the first DFS leaf that attains the
     minimum, so the labels are those the full enumeration returns.
     """

@@ -2,10 +2,13 @@
 stability behavior, Partition-based hardness reductions with their
 start schedules, and a verified search for extremal LPT instances.
 
-Every generator returns exact rationals.  Two constructors certify what
-they build: `_figure` validates each figure's bundled deviation for
-profitability, and `_reduction` checks that each reduction's start
-schedule is an equilibrium and takes its verdict from `partition_oracle`.
+Every generator returns exact rationals, and two constructors certify
+every artifact that makes a claim.  `_figure` builds each one that bundles
+a deviation, the figures and the list-scheduling improvement alike, and
+validates that deviation for profitability (the list-scheduling damage
+example is its schedule alone).  `_reduction` checks that each
+reduction's start schedule is an equilibrium and takes its verdict from
+`partition_oracle`.
 
 The extremal search charges each candidate the nodes its scan reports
 visiting (`MeasureReport.nodes`) against one shared node budget: a
@@ -104,69 +107,28 @@ def footnote5(eps) -> FigureArtifact:
     return _figure(instance, before, after)
 
 
-@dataclass(frozen=True)
-class LsImprovementExample:
-    """List scheduling traps a unit job with the long job; moving alone
-    to the other machine improves it by (1+X)/2."""
+def ls_examples(X, eps) -> tuple[FigureArtifact, FigureArtifact]:
+    """The two list-scheduling counterexamples, each scheduled in arrival
+    order, as the pair (improvement, damage).
 
-    instance: IdenticalInstance
-    order: tuple[int, ...]
-    schedule: Schedule
-    move: tuple[int, int]
-    ratio: Fraction
-
-
-@dataclass(frozen=True)
-class LsDamageExample:
-    """List scheduling instance where a coalition makes the long job
-    migrate, damaging a bystander proportionally to X."""
-
-    instance: IdenticalInstance
-    order: tuple[int, ...]
-    schedule: Schedule
-
-
-@dataclass(frozen=True)
-class LsExamples:
-    improvement: LsImprovementExample
-    damage: LsDamageExample
-
-
-def ls_examples(X, eps) -> LsExamples:
-    """The two list-scheduling counterexamples, in their arrival order."""
+    improvement: list scheduling traps unit job 1 with the long job X;
+    moving alone next to the other unit job improves it by (1+X)/2.
+    damage: a coalition makes the long job migrate, damaging a bystander
+    proportionally to X; the artifact is the schedule alone.
+    """
     X = parse_rational(X)
     eps = parse_rational(eps)
     if X <= 1:
         raise ValidationError(f"X must exceed 1, got {X}")
     if not 0 < eps < Fraction(1, 2):
         raise ValidationError(f"eps must lie strictly between 0 and 1/2, got {eps}")
-
-    ir_instance = IdenticalInstance(m=2, p=(Fraction(1), Fraction(1), X))
-    order = (1, 2, 3)
-    ir_schedule = list_schedule(ir_instance, order)
-    # the unit job sharing a machine with X moves next to the other unit job
-    trapped = 1 if ir_schedule.machine_of(1) == ir_schedule.machine_of(3) else 2
-    target = 3 - ir_schedule.machine_of(trapped)
-    old_cost = 1 + X
-    new_cost = Fraction(1) + 1
-    improvement = LsImprovementExample(
-        instance=ir_instance,
-        order=order,
-        schedule=ir_schedule,
-        move=(trapped, target),
-        ratio=old_cost / new_cost,
-    )
-
-    dr_instance = IdenticalInstance(
+    instance = IdenticalInstance(m=2, p=(Fraction(1), Fraction(1), X))
+    # arrival order puts the unit jobs on machines 1 and 2, then X on machine 1
+    improvement = _figure(instance, list_schedule(instance, (1, 2, 3)), Schedule((2, 2, 1)))
+    instance = IdenticalInstance(
         m=3, p=(1 - 2 * eps, 1 - eps, Fraction(1), Fraction(2), X, Fraction(2), Fraction(3))
     )
-    dr_order = tuple(range(1, 8))
-    damage = LsDamageExample(
-        instance=dr_instance,
-        order=dr_order,
-        schedule=list_schedule(dr_instance, dr_order),
-    )
-    return LsExamples(improvement=improvement, damage=damage)
+    return improvement, FigureArtifact(instance, list_schedule(instance, range(1, 8)))
 
 
 def partition_oracle(values) -> tuple[int, ...] | None:

@@ -324,12 +324,13 @@ def test_criterion_11_extremal_search(capsys):
 
 def test_criterion_12_list_scheduling_counterexamples(capsys):
     started = time.perf_counter()
-    examples = ls_examples(10, Fraction(1, 10))
-    imp = examples.improvement
+    imp, _ = ls_examples(10, Fraction(1, 10))
     loads = load_profile(imp.instance, imp.schedule).loads
-    ok = loads == (11, 1) and imp.ratio == Fraction(11, 2)
-    job, machine = imp.move
-    ok = ok and (
+    stats = deviation_stats(imp.instance, imp.schedule, imp.deviation.after)
+    ok = loads == (11, 1) and stats.min_improvement == Fraction(11, 2)
+    (job,) = imp.deviation.migrants
+    machine = imp.deviation.after.machine_of(job)
+    ok = ok and (job, machine) == (1, 2) and (
         load_profile(imp.instance, imp.schedule).load(imp.schedule.machine_of(job))
         / (loads[machine - 1] + imp.instance.p[job - 1])
         == Fraction(11, 2)

@@ -21,7 +21,7 @@ from schedgames.core import (
 from schedgames.equilibria import profitable_deviation
 from schedgames.experiments import SweepConfig, bound_sweep, replay_violation
 from schedgames.measures import deviation_stats
-from schedgames.witnesses import figure1
+from schedgames.witnesses import figure1, ls_examples
 
 
 @pytest.fixture()
@@ -167,9 +167,7 @@ def test_measures_on_benchmark(fig1_files):
 def test_measures_table(fig1_files, tmp_path):
     instance, schedule = fig1_files
     out = str(tmp_path / "table")
-    verdict = run(
-        ["measures", "--table1", "--out", out, "--in", instance, "--schedule", schedule]
-    )
+    verdict = run(["measures", "--out", out, "--in", instance, "--schedule", schedule])
     assert verdict.exit_code == 0
     table = (tmp_path / "table" / "table1.csv").read_text()
     assert table.splitlines()[0] == "measure,bound,observed,witness_file"
@@ -183,7 +181,7 @@ def test_measures_table_has_no_limits_on_unrelated_machines(tmp_path):
     out = tmp_path / "w5"
     assert run(["witness", "--figure", "fn5", "--param", "eps=1/10", "--out", str(out)]).exit_code == 0
     instance, schedule = str(out / "instance.json"), str(out / "schedule.json")
-    verdict = run(["measures", "--table1", "--format", "csv", "--in", instance, "--schedule", schedule])
+    verdict = run(["measures", "--format", "csv", "--in", instance, "--schedule", schedule])
     assert verdict.exit_code == 0
     assert verdict.rendered.splitlines() == [
         "measure,bound,observed,witness_file",
@@ -245,7 +243,59 @@ def test_witness_figures(tmp_path):
 
     verdict = run(["witness", "--figure", "ls", "--param", "x=10", "--out", str(tmp_path / "wls")])
     assert verdict.exit_code == 0
-    assert verdict.payload["improvement_move"]["ratio"] == "11/2"
+    assert verdict.payload["improvement"]["min_improvement"] == "11/2"
+    deviation = json.loads((tmp_path / "wls" / "improvement" / "deviation.json").read_text())
+    assert (deviation["migrants"], deviation["assignment"][0]) == ([1], 2)
+
+
+def _reads_back(instance, schedule, record) -> bool:
+    """A witness record names its own deviation: its assignment, read back
+    through `schedule_from_dict`, certifies to the same dict."""
+    after = schedule_from_dict(record)
+    deviation = profitable_deviation(instance, schedule, after, record["coalition"])
+    return deviation.to_dict() == record
+
+
+@pytest.mark.parametrize(
+    "flags, part",
+    [
+        (["--figure", "1"], ""),
+        (["--figure", "3", "--param", "r=2,m=4"], ""),
+        (["--figure", "9"], ""),
+        (["--figure", "fn5"], ""),
+        (["--figure", "ls"], "improvement"),
+        (["--search", "ir_max", "--param", "target=1.55"], ""),
+    ],
+    ids=["figure-1", "figure-3", "figure-9", "fn5", "ls-improvement", "search-ir_max"],
+)
+def test_written_witness_reads_back_as_its_deviation(tmp_path, flags, part):
+    out = tmp_path / "w"
+    assert run(["witness", *flags, "--out", str(out)]).exit_code == 0
+    instance = read_instance(out / part / "instance.json")
+    schedule = read_schedule(out / part / "schedule.json")
+    record = json.loads((out / part / "deviation.json").read_text())
+    assert _reads_back(instance, schedule, record)
+
+
+def test_ls_witness_writes_both_parts_as_artifacts(tmp_path):
+    out = tmp_path / "ls"
+    assert run(["witness", "--figure", "ls", "--out", str(out)]).exit_code == 0
+    for part, artifact in zip(("improvement", "damage"), ls_examples(10, Fraction(1, 10))):
+        assert read_instance(out / part / "instance.json") == artifact.instance
+        assert read_schedule(out / part / "schedule.json") == artifact.schedule
+    # the damage example is its schedule alone
+    assert sorted(p.name for p in (out / "damage").iterdir()) == ["instance.json", "schedule.json"]
+
+
+def test_check_ne_witness_reads_back_as_its_deviation(tmp_path, fig1_files):
+    instance, _ = fig1_files
+    stacked = tmp_path / "stacked.json"
+    write_schedule(schedule_from_dict({"assignment": [3, 3, 1, 2, 3, 3]}), stacked)
+    verdict = run(["check", "--ne", "--in", instance, "--schedule", str(stacked)])
+    assert verdict.exit_code == 1
+    record = verdict.payload["ne"]["witness"]
+    assert record["migrants"] == record["coalition"] and len(record["migrants"]) == 1
+    assert _reads_back(read_instance(instance), read_schedule(stacked), record)
 
 
 def test_witness_search_writes_verified_witnesses(tmp_path):
@@ -457,19 +507,6 @@ def test_reduce_identical_reads_an_explicit_machine_count():
     assert four.payload["jobs"] > three.payload["jobs"]
 
 
-@pytest.mark.parametrize(
-    "flags", [["--out", "table"], ["--format", "csv"]], ids=["out", "format-csv"]
-)
-def test_measures_rejects_table_flags_without_table1(tmp_path, fig1_files, flags):
-    instance, schedule = fig1_files
-    if flags[0] == "--out":
-        flags = ["--out", str(tmp_path / "table")]
-    verdict = run(["measures", *flags, "--in", instance, "--schedule", schedule])
-    assert verdict.exit_code == 2
-    assert "--table1" in verdict.payload["error"]
-    assert not (tmp_path / "table").exists()
-
-
 def test_experiment_preset(tmp_path):
     out = str(tmp_path / "report.csv")
     verdict = run(
@@ -593,7 +630,7 @@ def test_fig1_deviation_serializes_alike_everywhere(tmp_path, fig1_files, monkey
     assert check.payload["se"]["witness"] == expected
 
     out = tmp_path / "table"
-    run(["measures", "--table1", "--out", str(out), "--in", instance, "--schedule", schedule])
+    run(["measures", "--out", str(out), "--in", instance, "--schedule", schedule])
     assert json.loads((out / "witness_ir_min.json").read_text()) == expected
 
     run(["witness", "--figure", "1", "--out", str(tmp_path / "w1")])
@@ -648,14 +685,16 @@ def test_check_ne_fails_with_a_single_job_witness(tmp_path, fig1_files):
     write_schedule(schedule_from_dict({"assignment": [1] * 6}), stacked)
     verdict = run(["check", "--ne", "--in", instance, "--schedule", str(stacked)])
     assert verdict.exit_code == 1
-    assert verdict.payload == {"ne": {"holds": False, "witness": {"job": 1, "machine": 2}}}
+    # job 1 moves alone to machine 2
+    witness = {"assignment": [2, 1, 1, 1, 1, 1], "migrants": [1], "coalition": [1]}
+    assert verdict.payload == {"ne": {"holds": False, "witness": witness}}
 
 
 def test_measures_table_on_a_three_machine_lpt_schedule(tmp_path, fig1_files):
     instance, _ = fig1_files
     schedule = str(tmp_path / "lpt.json")
     assert run(["schedule", "--alg", "lpt", "--in", instance, "--out", schedule]).exit_code == 0
-    verdict = run(["measures", "--table1", "--format", "csv", "--in", instance, "--schedule", schedule])
+    verdict = run(["measures", "--format", "csv", "--in", instance, "--schedule", schedule])
     assert verdict.exit_code == 0
     bounds = [row.split(",")[:2] for row in verdict.rendered.splitlines()[1:]]
     assert bounds == [["ir_min", "1/2 + sqrt(6)/4"], ["ir_max", "5/3"], ["dr_max", "< 3/2"]]

@@ -102,11 +102,14 @@ def test_footnote5_rejects_boundary_eps():
 
 
 def test_ls_example_loads_and_ratio():
-    examples = ls_examples(10, Fraction(1, 10))
-    imp = examples.improvement
+    imp, _ = ls_examples(10, Fraction(1, 10))
     assert load_profile(imp.instance, imp.schedule).loads == (11, 1)
-    assert imp.ratio == Fraction(11, 2)
-    job, machine = imp.move
+    # the certified deviation is the move of job 1 alone to machine 2
+    (job,) = imp.deviation.migrants
+    machine = imp.deviation.after.machine_of(job)
+    assert (job, machine) == (1, 2) and imp.deviation.coalition == {1}
+    stats = deviation_stats(imp.instance, imp.schedule, imp.deviation.after)
+    assert stats.min_improvement == Fraction(11, 2)
     before = load_profile(imp.instance, imp.schedule)
     assert before.load(imp.schedule.machine_of(job)) / (
         before.load(machine) + imp.instance.p[job - 1]
@@ -114,8 +117,7 @@ def test_ls_example_loads_and_ratio():
 
 
 def test_ls_example_sorted_order_equals_lpt():
-    examples = ls_examples(10, Fraction(1, 10))
-    instance = examples.improvement.instance
+    instance = ls_examples(10, Fraction(1, 10))[0].instance
     # sorted arrival order reproduces the non-greedy-trap schedule
     from schedgames.schedulers import list_schedule, size_ordered_jobs
 
@@ -128,8 +130,9 @@ def test_ls_example_sorted_order_equals_lpt():
 @given(st.integers(3, 60))
 @settings(max_examples=15)
 def test_ls_damage_example_scales_with_long_job(x):
-    examples = ls_examples(x, Fraction(1, 10))
-    report = measure_report(examples.damage.instance, examples.damage.schedule)
+    _, damage = ls_examples(x, Fraction(1, 10))
+    assert damage.deviation is None
+    report = measure_report(damage.instance, damage.schedule)
     # the bystander sharing the long job's target machine suffers
     # proportionally to x
     assert report.dr_max >= Fraction(10 * x + 10 - 2, 58)

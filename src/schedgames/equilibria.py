@@ -5,10 +5,12 @@ The search works in the instance's `_scaled` integers (see `core`) and
 places the jobs free to act in the order of `ScanContext.free`: by index,
 so that candidate joint actions come in lexicographic order of the
 assignment vector, or by non-increasing size on the start machine, which
-lets the cuts below bite sooner.  `is_strong`, `can_coalition_deviate`
-and `enumerate_profitable_deviations` scan by index, since their first
-leaf or budget-stop prefix is lexicographic; `measures.measure_report`
-and `measures.ir_min` scan by size and break ties between leaves
+lets the cuts below bite sooner.  `enumerate_profitable_deviations`
+scans by index, since its order and budget-stop prefix are
+lexicographic.  `is_strong` and `can_coalition_deviate` scan by size to
+decide whether a deviation exists, and by index only when one does, to
+find the lexicographically first; `measures.measure_report` and
+`measures.ir_min` scan by size and break ties between leaves
 lexicographically.  Jobs that are interchangeable (twins: same start
 machine, same processing time on every machine) are explored once per
 symmetry orbit, through its lexicographically smallest member.  A relabelling of twins
@@ -540,7 +542,12 @@ def scan_deviations(
 
 
 def _first_deviation(instance, schedule, budget, coalition=None) -> Deviation | None:
-    """The lexicographically first profitable deviation, or None."""
+    """The lexicographically first profitable deviation, or None.
+
+    Whether one exists does not depend on visiting order, so a scan by
+    size, where the cuts bite sooner, decides it; a scan by index runs
+    only to find the first one (`is_strong` says how they share the
+    budget)."""
     _check_budget(budget)
     hit: list = []
 
@@ -548,8 +555,22 @@ def _first_deviation(instance, schedule, budget, coalition=None) -> Deviation | 
         hit.append(ctx.deviation(assign, ctx.coalition))
         raise _StopScan
 
-    scan_deviations(ScanContext(instance, schedule, coalition), budget=budget, on_leaf=grab)
-    return hit[0] if hit else None
+    by_size = ScanContext(instance, schedule, coalition, by_size=True)
+    nodes = scan_deviations(by_size, budget=budget, on_leaf=grab)
+    if not hit:
+        return None
+    hit.clear()
+    by_index = ScanContext(instance, schedule, coalition)
+    try:
+        scan_deviations(by_index, budget=budget - nodes, on_leaf=grab)
+    except BudgetExceededError as stop:
+        raise BudgetExceededError(
+            f"deviation search exceeded {budget} nodes",
+            nodes=nodes + stop.nodes,
+            budget=budget,
+            explored_fraction=stop.explored_fraction,
+        ) from None
+    return hit[0]
 
 
 def is_strong(
@@ -558,7 +579,13 @@ def is_strong(
     """Is the schedule resilient to every coalition move?  Exhaustive
     within the budget; raises BudgetExceededError rather than guessing.
     On failure the witness is the lexicographically smallest profitable
-    joint action, its coalition the migrants."""
+    joint action, its coalition the migrants.
+
+    Two scans share `node_budget`: one by size decides, and only when it
+    meets a deviation does one by index find the smallest, on the nodes
+    the first left.  A stop counts the nodes of both in `nodes`, names
+    `node_budget` as `budget`, and reports in `explored_fraction` the
+    share the stopped scan resolved, in its own visiting order."""
     witness = _first_deviation(instance, schedule, node_budget)
     return StrongResult(holds=witness is None, witness=witness)
 
@@ -570,7 +597,10 @@ def can_coalition_deviate(
     node_budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> Deviation | None:
     """Joint move of exactly the given jobs in which every one of them
-    (moving or staying put) strictly improves; None if impossible."""
+    (moving or staying put) strictly improves; None if impossible.  The
+    move is the lexicographically smallest, and it is found and budgeted
+    as in `is_strong`: a scan by size decides, then one by index finds
+    it, both on the one `node_budget`."""
     return _first_deviation(instance, schedule, node_budget, coalition)
 
 

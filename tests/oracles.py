@@ -1,6 +1,7 @@
 """Independent brute-force oracles used to cross-check the library.
 
-Everything here enumerates plainly with itertools and Fractions and
+Everything here enumerates plainly with itertools and Fractions, or
+counts with a plain dynamic program over Fraction loads, and
 deliberately shares no code with the package's pruned searches.
 """
 
@@ -25,6 +26,34 @@ def brute_deviations(instance, schedule):
         if all(new[joint[j - 1] - 1] < old[schedule.machine_of(j) - 1] for j in movers):
             out.append(joint)
     return out
+
+
+def dp_deviation_count(instance, schedule):
+    """The number of profitable joint actions, as `brute_deviations`
+    lists them, by a forward DP over the jobs in index order.  A state is
+    the `Fraction` loads of the jobs placed so far and, per machine, the
+    smallest start cost among the movers into it (None before any).
+    Loads only grow, so a state is dropped once a machine's load reaches
+    that cost; every final state with a mover is profitable."""
+    old = load_profile(instance, schedule).loads
+    m = instance.m
+    states = {((Fraction(0),) * m, (None,) * m): 1}
+    for j in range(1, instance.n + 1):
+        src = schedule.machine_of(j)
+        cost = old[src - 1]
+        grown = {}
+        for (loads, caps), count in states.items():
+            for i in range(1, m + 1):
+                load = loads[i - 1] + instance.processing_time(j, i)
+                cap = caps[i - 1]
+                if i != src and (cap is None or cost < cap):
+                    cap = cost
+                if cap is not None and load >= cap:
+                    continue
+                key = (loads[: i - 1] + (load,) + loads[i:], caps[: i - 1] + (cap,) + caps[i:])
+                grown[key] = grown.get(key, 0) + count
+        states = grown
+    return sum(count for (_, caps), count in states.items() if caps != (None,) * m)
 
 
 def brute_ratio_maps(instance, schedule, joint, old=None):

@@ -308,6 +308,76 @@ def test_budget_stop_has_seen_exactly_the_representatives_it_resolved(unrelated,
         assert seen == [joint for rank, joint in expected if rank < resolved]
 
 
+def _stop(ctx, budget, on_leaf=lambda *args: None):
+    """The stop of a scan of `ctx` on `budget`, or None if it finishes."""
+    try:
+        scan_deviations(ctx, budget=budget, on_leaf=on_leaf)
+    except BudgetExceededError as stop:
+        return stop
+    return None
+
+
+def _nodes_to_first_leaf(ctx):
+    """The nodes a scan of `ctx` visits up to its first profitable leaf,
+    the leaf included, by bisection on the budget; None without one."""
+    seen = []
+
+    def leaf(ctx, assign, loads, caps):
+        seen.append(True)
+
+    def reached(budget):
+        seen.clear()
+        _stop(ctx, budget, leaf)
+        return bool(seen)
+
+    low, high = 0, scan_deviations(ctx, budget=10**6, on_leaf=leaf)
+    if not seen:
+        return None
+    while high - low > 1:
+        middle = (low + high) // 2
+        low, high = (low, middle) if reached(middle) else (middle, high)
+    return high
+
+
+@pytest.mark.parametrize("unrelated", [False, True], ids=["identical", "unrelated"])
+@given(data=st.data())
+def test_verdict_costs_scan_by_size_and_witness_adds_scan_by_index(unrelated, data):
+    # a verdict costs the scan by size, to its end or to its first leaf; a
+    # witness adds the scan by index to its first leaf, and the two share
+    # one budget: a stop counts both, names the caller's budget and reports
+    # the share resolved by the scan it stopped
+    instance, schedule = data.draw(twin_heavy_pairs(unrelated, min_m=2, max_n=6))
+    coalition = data.draw(st.none() | st.sets(st.integers(1, instance.n)))
+    by_size = ScanContext(instance, schedule, coalition, by_size=True)
+    by_index = ScanContext(instance, schedule, coalition)
+
+    def first_deviation(budget):
+        if coalition is None:
+            return is_strong(instance, schedule, node_budget=budget).witness
+        return can_coalition_deviate(instance, schedule, coalition, node_budget=budget)
+
+    first = _nodes_to_first_leaf(by_size)
+    if first is None:
+        cost = scan_deviations(by_size, budget=10**6, on_leaf=lambda *args: None)
+    else:
+        cost = first + _nodes_to_first_leaf(by_index)
+    expected = first_deviation(10**6)
+    assert (expected is None) == (first is None)
+    assert first_deviation(max(cost, 1)) == expected
+    budgets = []
+    if cost > 1:
+        budgets = [cost - 1, *data.draw(st.lists(st.integers(1, cost - 1), max_size=3))]
+    for budget in budgets:
+        with pytest.raises(BudgetExceededError) as info:
+            first_deviation(budget)
+        if first is None or budget < first:
+            scan = _stop(by_size, budget)
+        else:
+            scan = _stop(by_index, budget - first)
+        assert (info.value.nodes, info.value.budget) == (budget + 1, budget)
+        assert info.value.explored_fraction == scan.explored_fraction
+
+
 def test_enumeration_flags_truncation_on_budget():
     sweep = enumerate_profitable_deviations(
         IdenticalInstance(m=3, p=(1,) * 9), Schedule((1,) * 9), node_budget=50

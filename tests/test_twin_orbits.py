@@ -4,6 +4,7 @@ jobs with the same start machine and the same size (identical machines)
 or matrix column (unrelated machines)."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,6 +15,7 @@ from oracles import (
     brute_deviations,
     brute_measure_witnesses,
     brute_structure,
+    dp_deviation_count,
 )
 from schedgames.core import (
     BudgetExceededError,
@@ -29,6 +31,7 @@ from schedgames.equilibria import (
     is_strong,
     scan_deviations,
 )
+from schedgames.experiments import random_instance, random_ne
 from schedgames.measures import ir_min, measure_report, structural_report
 from schedgames.schedulers import lpt
 from schedgames.witnesses import reduce_partition_identical
@@ -100,14 +103,35 @@ def test_partition_family_decides_within_small_budget(k):
     assert is_strong(art.instance, art.start_schedule, node_budget=25_000).holds
 
 
-@pytest.mark.parametrize("k, nodes", [(11, 3_726), (13, 5_098), (21, 13_006)])
+@pytest.mark.parametrize("k, nodes", [(11, 618), (13, 814), (21, 1_878)])
 def test_partition_family_node_count_is_pinned(k, nodes):
-    # the smallest budget that decides; twin orbits alone need 5,925,
-    # 8,077 and 20,275, and the load-conservation cut drops the rest
+    # the smallest budget that decides: a strong schedule costs only the
+    # scan by size, where one by index takes 3,726, 5,098 and 13,006 nodes
     art = reduce_partition_identical([3] * k + [5])
     assert is_strong(art.instance, art.start_schedule, node_budget=nodes).holds
     with pytest.raises(BudgetExceededError):
         is_strong(art.instance, art.start_schedule, node_budget=nodes - 1)
+
+
+def test_partition_split_node_count_is_pinned():
+    # not strong: the scan by size stops at its first leaf after 124 nodes,
+    # and the scan by index then finds the lexicographically smallest
+    # witness in 5,035 more, on the budget the first scan left
+    art = reduce_partition_identical((3, 4, 7, 5, 8, 7))
+    result = is_strong(art.instance, art.start_schedule, node_budget=5_159)
+    assert result.witness.after.assignment == (2, 3, 2, 3, 3, 2, 1, 1, 2, 3)
+    # a stop in the scan by index counts both scans against the caller's
+    # budget, and reports its own share in index order
+    with pytest.raises(BudgetExceededError) as info:
+        is_strong(art.instance, art.start_schedule, node_budget=5_158)
+    stop = info.value
+    assert (stop.nodes, stop.budget) == (5_159, 5_158)
+    assert stop.explored_fraction == Fraction(37_022, 59_049)
+    # a stop in the scan by size reports that scan's share, in size order
+    with pytest.raises(BudgetExceededError) as info:
+        is_strong(art.instance, art.start_schedule, node_budget=50)
+    stop = info.value
+    assert (stop.nodes, stop.budget, stop.explored_fraction) == (51, 50, Fraction(1, 3))
 
 
 # --- oracle cross-checks ---------------------------------------------------
@@ -181,6 +205,40 @@ def test_coalition_deviation_matches_oracle(pair, data):
     deviation = can_coalition_deviate(instance, schedule, coalition)
     expected = brute_coalition_deviation(instance, schedule, coalition)
     assert (None if deviation is None else deviation.after.assignment) == expected
+
+
+def _reduction(values):
+    art = reduce_partition_identical(values)
+    return art.instance, art.start_schedule
+
+
+def _strong_reduction(k):
+    """3, 6, ..., 3(k - 1) and one value that is no multiple of 3 and
+    makes the total even: no half-sum split, so the schedule is strong."""
+    values = [3 * v for v in range(1, k)]
+    return _reduction(values + [5 if sum(values) % 2 else 4])
+
+
+def _random_equilibrium(seed):
+    instance = random_instance(seed, 3, 10 + seed % 3, 20)
+    return instance, random_ne(instance, seed)
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [
+        *(pytest.param(_strong_reduction(k), id=f"strong-k{k}") for k in (10, 11)),
+        pytest.param(_reduction((3, 4, 7, 5, 8, 7)), id="split"),
+        *(pytest.param(_random_equilibrium(seed), id=f"random-ne-{seed}") for seed in range(5)),
+    ],
+)
+def test_deviation_count_matches_dp_oracle(pair):
+    # 10 to 15 jobs, past the reach of the brute-force oracles
+    instance, schedule = pair
+    count = dp_deviation_count(instance, schedule)
+    assert is_strong(instance, schedule).holds == (count == 0)
+    report = measure_report(instance, schedule)
+    assert report.exhaustive and report.deviation_count == count
 
 
 def _twin_equilibria(count):

@@ -5,7 +5,9 @@ The result payload is JSON on stdout (CSV with --format csv where it
 applies); diagnostics go to stderr.  Exit codes: 0 the command succeeded
 and every checked property holds, 1 a checked property fails (e.g. the
 schedule is not strong, or `witness --search` missed its target), 2
-usage error, 3 a search ran out of budget.
+usage error, 3 a search ran out of budget; a `check` that stops while
+seeking the smallest witness adds the deviation it already found as
+`best`.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from pathlib import Path
 from .core import (
     BudgetExceededError,
     IdenticalInstance,
-    Schedule,
     ValidationError,
     format_rational,
     parse_rational,
@@ -35,10 +36,11 @@ from .core import (
 )
 from .equilibria import (
     DEFAULT_SEARCH_BUDGET,
+    Deviation,
+    _members,
     can_coalition_deviate,
     is_nash,
     is_strong,
-    profitable_deviation,
 )
 from .measures import _MEASURES, _paper_limits, deviation_stats, measure_report
 from .schedulers import PtasConfig, list_schedule, lpt, ptas
@@ -195,10 +197,11 @@ def _cmd_check(args) -> Verdict:
     members = None
     if args.coalition is not None:
         members = _parse_ints(args.coalition, "--coalition")
-        if len(set(members)) != len(members):
-            raise ValidationError(f"--coalition names a job twice: {args.coalition}")
     instance = read_instance(args.instance)
     schedule = read_schedule(args.schedule)
+    if members is not None:
+        # reject a malformed coalition before any search runs
+        _members(members, instance.n)
     want_ne, want_se = args.ne, args.se
     if not want_ne and not want_se and members is None:
         want_ne = want_se = True
@@ -208,11 +211,7 @@ def _cmd_check(args) -> Verdict:
         result = is_nash(instance, schedule)
         payload["ne"] = {"holds": result.holds}
         if result.witness:
-            job, machine = result.witness
-            after = list(schedule.assignment)
-            after[job - 1] = machine
-            deviation = profitable_deviation(instance, schedule, Schedule(tuple(after)))
-            payload["ne"]["witness"] = deviation.to_dict()
+            payload["ne"]["witness"] = result.witness.to_dict()
         all_hold &= result.holds
     if want_se:
         result = is_strong(instance, schedule, node_budget=args.budget)
@@ -485,6 +484,10 @@ def run(argv) -> Verdict:
                 None if exc.explored_fraction is None else _fmt(exc.explored_fraction)
             ),
         }
+        if isinstance(exc.best, Deviation):
+            # a deviation found before the stop: the schedule is not stable,
+            # though a smaller witness may exist
+            payload["best"] = exc.best.to_dict()
         print(f"error: {exc}", file=sys.stderr)
         return Verdict(command=args.command, payload=payload, exit_code=3)
 

@@ -33,9 +33,17 @@ its working set, and the leaf callback with whatever that collected, is
 freed at once by reference counting, not left to the cycle collector.
 Here `is_strong`, `can_coalition_deviate` and
 `enumerate_profitable_deviations` are views over it; the measures that
-maximize a ratio over deviations live in `measures`.  Each `Deviation` a
-scan finds is built by `ScanContext.deviation`, past the dataclass
-constructors, and written out by `Deviation.to_dict`.
+maximize a ratio over deviations live in `measures`.  A coalition names
+each job once: `_members` rejects a repeated one.
+
+`is_nash` and `is_strong` return one `StabilityResult`: whether the
+schedule is stable and, if not, a `Deviation` that breaks it, a one-job
+move for `is_nash` and a joint one for `is_strong`.  When `is_strong`
+or `can_coalition_deviate` stops on its budget after a deviation was
+found, the stop carries it in `BudgetExceededError.best`.  Each
+`Deviation` a scan or `is_nash` finds is built by
+`ScanContext.deviation`, past the dataclass constructors, and written
+out by `Deviation.to_dict`.
 
 Every internal load is a scaled integer read off a `ScanContext`: the
 scan, `improving_moves`, `is_nash` and `profitable_deviation`'s check all
@@ -90,16 +98,10 @@ class Deviation:
 
 
 @dataclass(frozen=True)
-class NashResult:
-    holds: bool
-    witness: tuple[int, int] | None = None  # (job, target machine)
+class StabilityResult:
+    """The verdict of `is_nash` or `is_strong`; when it fails, `witness`
+    is the deviation that breaks it."""
 
-    def __bool__(self) -> bool:
-        return self.holds
-
-
-@dataclass(frozen=True)
-class StrongResult:
     holds: bool
     witness: Deviation | None = None
 
@@ -115,12 +117,16 @@ def improving_moves(instance: Instance, schedule: Schedule) -> Iterator[tuple[in
         yield j + 1, i + 1, Fraction(cost, ctx.scale)
 
 
-def is_nash(instance: Instance, schedule: Schedule) -> NashResult:
+def is_nash(instance: Instance, schedule: Schedule) -> StabilityResult:
     """No job can strictly lower its cost by moving alone.  On failure the
-    witness is the lowest-index improving (job, machine) pair."""
-    for j, i, _ in improving_moves(instance, schedule):
-        return NashResult(holds=False, witness=(j, i))
-    return NashResult(holds=True)
+    witness is the one-job deviation of the lowest-index improving move:
+    the lowest job, to the lowest machine it gains on."""
+    ctx = ScanContext(instance, schedule)
+    for j, i, _ in ctx.improving_moves():
+        assign = list(ctx.orig)
+        assign[j] = i
+        return StabilityResult(holds=False, witness=ctx.deviation(assign))
+    return StabilityResult(holds=True)
 
 
 def profitable_deviation(
@@ -134,11 +140,15 @@ def profitable_deviation(
 
 
 def _members(coalition, n: int) -> frozenset[int]:
-    """The coalition as a set of job indices, each checked to be in 1..n."""
-    members = list(coalition)
-    for j in members:
+    """The coalition as a set of job indices, each checked to be in 1..n
+    and named once."""
+    members: set[int] = set()
+    for j in coalition:
         if not _is_int(j) or not 1 <= j <= n:
             raise ValidationError(f"coalition member {j!r} is not a job index in 1..{n}")
+        if j in members:
+            raise ValidationError(f"the coalition names job {j} twice")
+        members.add(j)
     return frozenset(members)
 
 
@@ -547,7 +557,7 @@ def _first_deviation(instance, schedule, budget, coalition=None) -> Deviation | 
     Whether one exists does not depend on visiting order, so a scan by
     size, where the cuts bite sooner, decides it; a scan by index runs
     only to find the first one (`is_strong` says how they share the
-    budget)."""
+    budget, and what a stop in each carries)."""
     _check_budget(budget)
     hit: list = []
 
@@ -559,7 +569,7 @@ def _first_deviation(instance, schedule, budget, coalition=None) -> Deviation | 
     nodes = scan_deviations(by_size, budget=budget, on_leaf=grab)
     if not hit:
         return None
-    hit.clear()
+    found = hit.pop()
     by_index = ScanContext(instance, schedule, coalition)
     try:
         scan_deviations(by_index, budget=budget - nodes, on_leaf=grab)
@@ -569,13 +579,14 @@ def _first_deviation(instance, schedule, budget, coalition=None) -> Deviation | 
             nodes=nodes + stop.nodes,
             budget=budget,
             explored_fraction=stop.explored_fraction,
+            best=found,
         ) from None
     return hit[0]
 
 
 def is_strong(
     instance: Instance, schedule: Schedule, node_budget: int = DEFAULT_SEARCH_BUDGET
-) -> StrongResult:
+) -> StabilityResult:
     """Is the schedule resilient to every coalition move?  Exhaustive
     within the budget; raises BudgetExceededError rather than guessing.
     On failure the witness is the lexicographically smallest profitable
@@ -585,9 +596,13 @@ def is_strong(
     meets a deviation does one by index find the smallest, on the nodes
     the first left.  A stop counts the nodes of both in `nodes`, names
     `node_budget` as `budget`, and reports in `explored_fraction` the
-    share the stopped scan resolved, in its own visiting order."""
+    share the stopped scan resolved, in its own visiting order.  A stop
+    in the scan by index carries in `best` the deviation the scan by size
+    found, so the schedule is known not to be strong, though that
+    deviation need not be the smallest; a stop in the scan by size
+    carries none."""
     witness = _first_deviation(instance, schedule, node_budget)
-    return StrongResult(holds=witness is None, witness=witness)
+    return StabilityResult(holds=witness is None, witness=witness)
 
 
 def can_coalition_deviate(
@@ -597,10 +612,12 @@ def can_coalition_deviate(
     node_budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> Deviation | None:
     """Joint move of exactly the given jobs in which every one of them
-    (moving or staying put) strictly improves; None if impossible.  The
-    move is the lexicographically smallest, and it is found and budgeted
-    as in `is_strong`: a scan by size decides, then one by index finds
-    it, both on the one `node_budget`."""
+    (moving or staying put) strictly improves; None if impossible.  A
+    job named twice in `coalition` raises ValidationError.  The move is
+    the lexicographically smallest, and it is found and budgeted as in
+    `is_strong`: a scan by size decides, then one by index finds it, both
+    on the one `node_budget`, and a stop in the second carries the first
+    one's deviation in `best`."""
     return _first_deviation(instance, schedule, node_budget, coalition)
 
 

@@ -194,15 +194,10 @@ class MeasureReport:
     deviation_count: int
     nodes: int
 
-    @property
-    def strong(self) -> bool:
-        return self.exhaustive and self.deviation_count == 0
-
     def is_alpha_strong(self, alpha) -> bool:
         """No coalition improves every member by a factor above alpha,
-        read with `parse_rational`.  Like `strong`, it holds only on an
-        exhaustive report, since a budget stop leaves `ir_min` a lower
-        bound."""
+        read with `parse_rational`.  It holds only on an exhaustive report,
+        since a budget stop leaves `ir_min` a lower bound."""
         return self.ir_min <= parse_rational(alpha) and self.exhaustive
 
 

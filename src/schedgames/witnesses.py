@@ -175,7 +175,9 @@ def _reduction(items, instance, schedule) -> ReductionArtifact:
     induces, which must be an equilibrium; the oracle gives the verdict."""
     check = is_nash(instance, schedule)
     if not check.holds:
-        raise ValidationError(f"constructed start schedule is not an equilibrium: {check.witness}")
+        raise ValidationError(
+            f"constructed start schedule is not an equilibrium: {check.witness.to_dict()}"
+        )
     witness = partition_oracle(items)
     return ReductionArtifact(items, instance, schedule, witness is None, witness)
 

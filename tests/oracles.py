@@ -1,7 +1,7 @@
 """Independent brute-force oracles used to cross-check the library.
 
 Everything here enumerates plainly with itertools and Fractions, or
-counts with a plain dynamic program over Fraction loads, and
+counts and maximizes with a plain dynamic program over Fraction loads, and
 deliberately shares no code with the package's pruned searches.
 """
 
@@ -28,32 +28,58 @@ def brute_deviations(instance, schedule):
     return out
 
 
-def dp_deviation_count(instance, schedule):
-    """The number of profitable joint actions, as `brute_deviations`
-    lists them, by a forward DP over the jobs in index order.  A state is
-    the `Fraction` loads of the jobs placed so far and, per machine, the
-    smallest start cost among the movers into it (None before any).
-    Loads only grow, so a state is dropped once a machine's load reaches
-    that cost; every final state with a mover is profitable."""
+def dp_measures(instance, schedule):
+    """(deviation_count, ir_min, ir_max, dr_max), as `brute_deviations`
+    and `brute_measures` give them, by a forward DP over the jobs in index
+    order.  A state is the `Fraction` loads of the jobs placed so far, per
+    machine the smallest and the largest start cost among the movers into
+    it (None before any), and the set of machines a job stays on; each
+    state keeps how many joint actions reach it.  Loads only grow, so a
+    state is dropped once a machine's load reaches its smallest mover
+    cost; every final state with a mover is profitable.  At the end a
+    mover into machine i improves by its start cost over i's load, a job
+    that stays on i by i's start load over its final load, so each final
+    state gives all three ratios."""
     old = load_profile(instance, schedule).loads
     m = instance.m
-    states = {((Fraction(0),) * m, (None,) * m): 1}
+    none = (None,) * m
+    states = {((Fraction(0),) * m, none, none, 0): 1}
     for j in range(1, instance.n + 1):
-        src = schedule.machine_of(j)
-        cost = old[src - 1]
+        src = schedule.machine_of(j) - 1
+        cost = old[src]
         grown = {}
-        for (loads, caps), count in states.items():
-            for i in range(1, m + 1):
-                load = loads[i - 1] + instance.processing_time(j, i)
-                cap = caps[i - 1]
-                if i != src and (cap is None or cost < cap):
-                    cap = cost
-                if cap is not None and load >= cap:
+        for (loads, low, high, stay), count in states.items():
+            for i in range(m):
+                load = loads[i] + instance.processing_time(j, i + 1)
+                lo, hi, mask = low[i], high[i], stay
+                if i == src:
+                    mask |= 1 << i
+                else:
+                    lo = cost if lo is None else min(lo, cost)
+                    hi = cost if hi is None else max(hi, cost)
+                if lo is not None and load >= lo:
                     continue
-                key = (loads[: i - 1] + (load,) + loads[i:], caps[: i - 1] + (cap,) + caps[i:])
+                key = (
+                    loads[:i] + (load,) + loads[i + 1 :],
+                    low[:i] + (lo,) + low[i + 1 :],
+                    high[:i] + (hi,) + high[i + 1 :],
+                    mask,
+                )
                 grown[key] = grown.get(key, 0) + count
         states = grown
-    return sum(count for (_, caps), count in states.items() if caps != (None,) * m)
+    total, ir_min, ir_max, dr_max = 0, Fraction(1), Fraction(1), Fraction(1)
+    for (loads, low, high, stay), count in states.items():
+        if low == none:
+            continue
+        total += count
+        movers = [i for i in range(m) if low[i] is not None]
+        stayers = [i for i in range(m) if stay >> i & 1]
+        ir_min = max(ir_min, min(low[i] / loads[i] for i in movers))
+        gains = [high[i] / loads[i] for i in movers]
+        gains += [old[i] / loads[i] for i in stayers if loads[i] < old[i]]
+        ir_max = max([ir_max, *gains])
+        dr_max = max([dr_max, *(loads[i] / old[i] for i in stayers if loads[i] > old[i])])
+    return total, ir_min, ir_max, dr_max
 
 
 def brute_ratio_maps(instance, schedule, joint, old=None):

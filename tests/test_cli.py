@@ -74,6 +74,13 @@ def test_check_coalition_rejects_duplicate_members(fig1_files):
     verdict = run(["check", "--coalition", "1,1,2", "--in", instance, "--schedule", schedule])
     assert verdict.exit_code == 2
     assert "twice" in verdict.payload["error"]
+    # a malformed coalition is bad input even when --se would stop on its
+    # budget first: it is rejected before any search runs
+    for coalition, words in (("1,1,2", "twice"), ("99", "1..6")):
+        args = ["check", "--se", "--budget", "1", "--coalition", coalition]
+        verdict = run([*args, "--in", instance, "--schedule", schedule])
+        assert verdict.exit_code == 2
+        assert words in verdict.payload["error"]
 
 
 def test_check_rejects_an_empty_coalition(fig1_files):
@@ -117,6 +124,17 @@ def test_check_budget_exhaustion_exit_code(fig1_files):
     )
     assert verdict.exit_code == 3
     assert verdict.payload["error"] == "budget-exceeded"
+    assert "best" not in verdict.payload
+    # the scan by size finds a deviation within 50 nodes and the scan by
+    # index for the smallest one stops: still exit 3, with that deviation
+    verdict = run(
+        ["check", "--se", "--budget", "50", "--in", instance, "--schedule", schedule]
+    )
+    assert verdict.exit_code == 3 and verdict.payload["nodes"] == 51
+    best = verdict.payload["best"]
+    art = figure1()
+    after = schedule_from_dict(best)
+    assert profitable_deviation(art.instance, art.schedule, after).to_dict() == best
 
 
 def test_schedule_round_trips_into_check_and_measures(tmp_path, fig1_files):

@@ -37,6 +37,13 @@ FIG1_MOVE = Schedule((2, 3, 2, 1, 3, 1))
 # --- is_nash ------------------------------------------------------------
 
 
+def _moved(instance, schedule, job, machine):
+    """The certified one-job deviation of `job` moving alone to `machine`."""
+    after = list(schedule.assignment)
+    after[job - 1] = machine
+    return profitable_deviation(instance, schedule, Schedule(tuple(after)))
+
+
 def test_benchmark_schedule_is_equilibrium():
     assert is_nash(FIG1, FIG1_NE).holds
 
@@ -50,7 +57,8 @@ def test_overloaded_machine_is_not_equilibrium():
     result = is_nash(FIG1, schedule)
     assert not result.holds
     # lowest-index improving job first, then lowest machine: job 1 to machine 2
-    assert result.witness == (1, 2)
+    assert result.witness == _moved(FIG1, schedule, 1, 2)
+    assert result.witness.migrants == result.witness.coalition == frozenset({1})
     # the size-3 job's move to machine 2 is improving as well
     assert (3, 2) in [(j, i) for j, i, _ in improving_moves(FIG1, schedule)]
 
@@ -60,7 +68,8 @@ def test_is_nash_on_unrelated_instance():
     assert is_nash(instance, Schedule((1, 2))).holds
     result = is_nash(instance, Schedule((1, 1)))
     assert not result.holds
-    assert result.witness == (1, 2)  # job 1 runs in 1/10 on machine 2
+    # job 1 runs in 1/10 on machine 2
+    assert result.witness == _moved(instance, Schedule((1, 1)), 1, 2)
 
 
 # --- is_strong --------------------------------------------------------------
@@ -153,6 +162,14 @@ def test_coalition_with_staying_member_must_still_improve():
 def test_coalition_rejects_bad_member():
     with pytest.raises(ValidationError):
         can_coalition_deviate(FIG1, FIG1_NE, {0})
+
+
+def test_coalition_rejects_a_repeated_member():
+    # a repeated job is malformed input, not the same coalition named once
+    with pytest.raises(ValidationError, match="job 1 twice"):
+        can_coalition_deviate(FIG1, FIG1_NE, [1, 1, 2, 2, 4, 4, 6, 6])
+    with pytest.raises(ValidationError, match="job 1 twice"):
+        profitable_deviation(FIG1, FIG1_NE, FIG1_MOVE, coalition=[1, 1, 2, 4, 6])
 
 
 # --- enumerate_profitable_deviations --------------------------------------
@@ -345,7 +362,8 @@ def test_verdict_costs_scan_by_size_and_witness_adds_scan_by_index(unrelated, da
     # a verdict costs the scan by size, to its end or to its first leaf; a
     # witness adds the scan by index to its first leaf, and the two share
     # one budget: a stop counts both, names the caller's budget and reports
-    # the share resolved by the scan it stopped
+    # the share resolved by the scan it stopped; a stop in the scan by
+    # index carries the certified deviation the scan by size found
     instance, schedule = data.draw(twin_heavy_pairs(unrelated, min_m=2, max_n=6))
     coalition = data.draw(st.none() | st.sets(st.integers(1, instance.n)))
     by_size = ScanContext(instance, schedule, coalition, by_size=True)
@@ -370,10 +388,13 @@ def test_verdict_costs_scan_by_size_and_witness_adds_scan_by_index(unrelated, da
     for budget in budgets:
         with pytest.raises(BudgetExceededError) as info:
             first_deviation(budget)
+        best = info.value.best
         if first is None or budget < first:
             scan = _stop(by_size, budget)
+            assert best is None
         else:
             scan = _stop(by_index, budget - first)
+            assert best == profitable_deviation(instance, schedule, best.after, coalition)
         assert (info.value.nodes, info.value.budget) == (budget + 1, budget)
         assert info.value.explored_fraction == scan.explored_fraction
 
@@ -457,7 +478,7 @@ def test_scaled_loads_match_fraction_oracle(pair, data):
     assert list(improving_moves(instance, schedule)) == moves
     nash = is_nash(instance, schedule)
     assert nash.holds == (not moves)
-    assert nash.witness == (moves[0][:2] if moves else None)
+    assert nash.witness == (_moved(instance, schedule, *moves[0][:2]) if moves else None)
     for joint in brute_deviations(instance, schedule):
         stats = deviation_stats(instance, schedule, Schedule(joint))
         mover, bystander, damage = brute_ratio_maps(instance, schedule, joint)

@@ -22,6 +22,7 @@ from schedgames.core import (
 from schedgames.equilibria import (
     ScanContext,
     enumerate_profitable_deviations,
+    is_strong,
     profitable_deviation,
     scan_deviations,
 )
@@ -104,7 +105,7 @@ def test_strong_schedule_measures_are_one():
     schedule = Schedule((1, 2, 3))
     report = measure_report(instance, schedule)
     assert report.ir_min == report.ir_max == report.dr_max == 1
-    assert report.strong
+    assert report.exhaustive and report.deviation_count == 0
     assert report.ir_min_witness is None
     value = ir_min(instance, schedule)
     assert value.value == 1 and value.witness is None
@@ -331,8 +332,8 @@ def test_measure_ordering_invariants(pair):
     report = measure_report(instance, schedule)
     assert 1 <= report.ir_min <= report.ir_max
     assert report.dr_max >= 1
-    assert report.strong == (report.deviation_count == 0)
-    if report.strong:
+    assert is_strong(instance, schedule).holds == (report.deviation_count == 0)
+    if report.deviation_count == 0:
         assert report.ir_min == report.ir_max == report.dr_max == 1
     else:
         # movers improve strictly, so a deviation forces ir_min above 1

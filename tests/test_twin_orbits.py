@@ -15,7 +15,7 @@ from oracles import (
     brute_deviations,
     brute_measure_witnesses,
     brute_structure,
-    dp_deviation_count,
+    dp_measures,
 )
 from schedgames.core import (
     BudgetExceededError,
@@ -29,6 +29,7 @@ from schedgames.equilibria import (
     can_coalition_deviate,
     enumerate_profitable_deviations,
     is_strong,
+    profitable_deviation,
     scan_deviations,
 )
 from schedgames.experiments import random_instance, random_ne
@@ -121,17 +122,28 @@ def test_partition_split_node_count_is_pinned():
     result = is_strong(art.instance, art.start_schedule, node_budget=5_159)
     assert result.witness.after.assignment == (2, 3, 2, 3, 3, 2, 1, 1, 2, 3)
     # a stop in the scan by index counts both scans against the caller's
-    # budget, and reports its own share in index order
-    with pytest.raises(BudgetExceededError) as info:
-        is_strong(art.instance, art.start_schedule, node_budget=5_158)
-    stop = info.value
-    assert (stop.nodes, stop.budget) == (5_159, 5_158)
-    assert stop.explored_fraction == Fraction(37_022, 59_049)
-    # a stop in the scan by size reports that scan's share, in size order
-    with pytest.raises(BudgetExceededError) as info:
-        is_strong(art.instance, art.start_schedule, node_budget=50)
-    stop = info.value
-    assert (stop.nodes, stop.budget, stop.explored_fraction) == (51, 50, Fraction(1, 3))
+    # budget, reports its own share in index order, and carries the
+    # deviation the scan by size found, certified but not the smallest
+    found = (3, 2, 3, 2, 2, 3, 1, 1, 2, 3)
+    for budget, nodes, fraction in [
+        (5_158, 5_159, Fraction(37_022, 59_049)),
+        (200, 201, Fraction(8, 729)),
+        (124, 125, 0),  # the scan by index stops on its first node
+    ]:
+        with pytest.raises(BudgetExceededError) as info:
+            is_strong(art.instance, art.start_schedule, node_budget=budget)
+        stop = info.value
+        assert (stop.nodes, stop.budget, stop.explored_fraction) == (nodes, budget, fraction)
+        assert stop.best.after.assignment == found
+        assert stop.best == profitable_deviation(art.instance, art.start_schedule, stop.best.after)
+    # a stop in the scan by size reports that scan's share, in size order,
+    # and carries no deviation
+    for budget, fraction in [(123, Fraction(33_278, 59_049)), (50, Fraction(1, 3))]:
+        with pytest.raises(BudgetExceededError) as info:
+            is_strong(art.instance, art.start_schedule, node_budget=budget)
+        stop = info.value
+        assert (stop.nodes, stop.budget, stop.explored_fraction) == (budget + 1, budget, fraction)
+        assert stop.best is None
 
 
 # --- oracle cross-checks ---------------------------------------------------
@@ -224,21 +236,42 @@ def _random_equilibrium(seed):
     return instance, random_ne(instance, seed)
 
 
+def _random_unrelated(seed, equilibrium):
+    """Three unrelated machines, 10 to 12 jobs of sizes 1..20, and a
+    random start, driven to an equilibrium or not."""
+    rng = random.Random(seed)
+    n = 10 + seed % 3
+    p = tuple(tuple(rng.randint(1, 20) for _ in range(n)) for _ in range(3))
+    instance = UnrelatedInstance(m=3, p=p)
+    start = [rng.randint(1, 3) for _ in range(n)]
+    if equilibrium:
+        return instance, _best_response_equilibrium(instance, start)
+    return instance, Schedule(tuple(start))
+
+
 @pytest.mark.parametrize(
     "pair",
     [
         *(pytest.param(_strong_reduction(k), id=f"strong-k{k}") for k in (10, 11)),
         pytest.param(_reduction((3, 4, 7, 5, 8, 7)), id="split"),
         *(pytest.param(_random_equilibrium(seed), id=f"random-ne-{seed}") for seed in range(5)),
+        *(
+            pytest.param(_random_unrelated(seed, kind == "ne"), id=f"unrelated-{kind}-{seed}")
+            for kind in ("ne", "start")
+            for seed in range(3)
+        ),
     ],
 )
 def test_deviation_count_matches_dp_oracle(pair):
-    # 10 to 15 jobs, past the reach of the brute-force oracles
+    # 10 to 15 jobs, past the reach of the brute-force oracles: the count
+    # and all three measures
     instance, schedule = pair
-    count = dp_deviation_count(instance, schedule)
+    count, *values = dp_measures(instance, schedule)
     assert is_strong(instance, schedule).holds == (count == 0)
     report = measure_report(instance, schedule)
     assert report.exhaustive and report.deviation_count == count
+    assert [report.ir_min, report.ir_max, report.dr_max] == values
+    assert ir_min(instance, schedule).value == values[0]
 
 
 def _twin_equilibria(count):

@@ -9,7 +9,6 @@ from .core import (
     UnrelatedInstance,
     ValidationError,
     canonical_form,
-    induced_instance,
     load_profile,
     parse_rational,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "check_flower",
     "deviation_stats",
     "enumerate_profitable_deviations",
-    "induced_instance",
     "ir_min",
     "is_nash",
     "is_strong",

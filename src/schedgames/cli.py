@@ -23,6 +23,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .core import (
+    DEFAULT_SEARCH_BUDGET,
     BudgetExceededError,
     IdenticalInstance,
     ValidationError,
@@ -35,7 +36,6 @@ from .core import (
     load_profile,
 )
 from .equilibria import (
-    DEFAULT_SEARCH_BUDGET,
     Deviation,
     _members,
     can_coalition_deviate,
@@ -44,7 +44,7 @@ from .equilibria import (
 )
 from .measures import _MEASURES, _paper_limits, deviation_stats, measure_report
 from .schedulers import PtasConfig, list_schedule, lpt, ptas
-from .experiments import SweepConfig, bound_sweep
+from .experiments import SCHEDULERS, SweepConfig, bound_sweep
 from . import witnesses
 
 
@@ -109,7 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="seeded bound sweeps")
     p.add_argument("--preset", choices=["table1", "ptas"])
-    p.add_argument("--scheduler", choices=["lpt", "ls", "ptas", "random-ne"])
+    p.add_argument("--scheduler", choices=SCHEDULERS)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--m", required=True, help="machine count or range, e.g. 3 or 4..5")
@@ -309,8 +309,7 @@ def _write_artifact(artifact, out: Path, files: list[str]) -> dict[str, str]:
         return {}
     emit("deviation.json", artifact.deviation.to_dict(), _write_json)
     stats = deviation_stats(artifact.instance, artifact.schedule, artifact.deviation.after)
-    names = ("min_improvement", "max_improvement", "max_damage")
-    return {name: _fmt(getattr(stats, name)) for name in names}
+    return {name: _fmt(getattr(stats, name)) for _, name in _MEASURES.values()}
 
 
 # each figure's builder and the --param keys it reads, in order, with

@@ -22,7 +22,6 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable
 
 
 class ValidationError(ValueError):
@@ -62,6 +61,10 @@ def _check_budget(budget) -> None:
     if not _is_int(budget) or budget < 1:
         raise ValidationError(f"node budget must be positive, got {budget!r}")
 
+
+# The node budget of every search that is not given one: the deviation
+# scans, the measures, the schedulers' searches, sweeps and the CLI.
+DEFAULT_SEARCH_BUDGET = 10**8
 
 # Both search kernels, `equilibria.scan_deviations` and
 # `schedulers._canonical_search`, recurse once per job they place; this
@@ -164,9 +167,6 @@ class IdenticalInstance:
             _check_index(machine, self.m, "machine")
         return self.p[job - 1]
 
-    def total(self) -> Fraction:
-        return sum(self.p, Fraction(0))
-
     @cached_property
     def _scaled(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         return _scaled_form(self)
@@ -231,9 +231,6 @@ class Schedule:
         _check_index(job, self.n, "job")
         return self.assignment[job - 1]
 
-    def jobs_on(self, machine: int) -> tuple[int, ...]:
-        return tuple(j for j, i in enumerate(self.assignment, start=1) if i == machine)
-
 
 def validate_schedule(instance: Instance, schedule: Schedule):
     if schedule.n != instance.n:
@@ -265,48 +262,6 @@ def load_profile(instance: Instance, schedule: Schedule) -> LoadProfile:
         loads[i - 1] += instance.processing_time(j, i)
     loads = tuple(loads)
     return LoadProfile(loads=loads, makespan=max(loads) if loads else Fraction(0))
-
-
-@dataclass(frozen=True)
-class InducedInstance:
-    """Restriction of an instance to the jobs sitting on a machine subset.
-
-    `jobs[k-1]` is the original index of sub-instance job k (original
-    relative order preserved); `machines[i-1]` is the original index of
-    sub-instance machine i (ascending).
-    """
-
-    instance: Instance
-    jobs: tuple[int, ...]
-    machines: tuple[int, ...]
-
-    def induced_schedule(self, schedule: Schedule) -> Schedule:
-        """Translate an assignment of the original jobs into sub-instance labels."""
-        rank = {orig: k for k, orig in enumerate(self.machines, start=1)}
-        return Schedule(tuple(rank[schedule.machine_of(j)] for j in self.jobs))
-
-
-def induced_instance(
-    instance: Instance, schedule: Schedule, machine_subset: Iterable[int]
-) -> InducedInstance:
-    """Sub-instance holding exactly the jobs scheduled on the given machines."""
-    validate_schedule(instance, schedule)
-    subset = list(machine_subset)
-    if not subset:
-        raise ValidationError("machine subset must be nonempty")
-    for i in subset:
-        _check_index(i, instance.m, "machine")
-    chosen = set(subset)
-    subset = sorted(chosen)
-    jobs = tuple(j for j in range(1, instance.n + 1) if schedule.machine_of(j) in chosen)
-    if isinstance(instance, IdenticalInstance):
-        sub = IdenticalInstance(m=len(subset), p=tuple(instance.p[j - 1] for j in jobs))
-    else:
-        sub = UnrelatedInstance(
-            m=len(subset),
-            p=tuple(tuple(instance.p[i - 1][j - 1] for j in jobs) for i in subset),
-        )
-    return InducedInstance(instance=sub, jobs=jobs, machines=tuple(subset))
 
 
 def canonical_form(schedule: Schedule, instance: IdenticalInstance) -> Schedule:
@@ -361,6 +316,8 @@ def instance_from_dict(data: dict) -> Instance:
     m = data["machines"]
     if not _is_int(m):
         raise ValidationError(f"'machines' must be an integer, got {m!r}")
+    if "jobs" in data and "matrix" in data:
+        raise ValidationError("instance file has both 'jobs' and 'matrix'; give one")
     if "jobs" in data:
         return IdenticalInstance(m=m, p=tuple(_as_list(data["jobs"], "'jobs'")))
     if "matrix" in data:

@@ -1,55 +1,28 @@
 """Exact equilibrium checking: unilateral moves, coalition deviations,
-and pruned exhaustive search over joint actions.
+and one pruned exhaustive search over joint actions.
 
-The search works in the instance's `_scaled` integers (see `core`) and
-places the jobs free to act in the order of `ScanContext.free`: by index,
-so that candidate joint actions come in lexicographic order of the
-assignment vector, or by non-increasing size on the start machine, which
-lets the cuts below bite sooner.  `enumerate_profitable_deviations`
-scans by index, since its order and budget-stop prefix are
-lexicographic.  `is_strong` and `can_coalition_deviate` scan by size to
-decide whether a deviation exists, and by index only when one does, to
-find the lexicographically first; `measures.measure_report` and
-`measures.ir_min` scan by size and break ties between leaves
-lexicographically.  Jobs that are interchangeable (twins: same start
-machine, same processing time on every machine) are explored once per
-symmetry orbit, through its lexicographically smallest member.  A relabelling of twins
-keeps every load and ratio, so every reported witness is still the
-lexicographically smallest one of its kind, and runs are reproducible.
-The search also cuts every branch that cannot conserve load: at a
-profitable leaf each machine that receives a migrant ends strictly below
-that migrant's old cost and every other machine at or below its start
-load less the work that left it, yet the final loads add up to the work
-placed.  Both cuts only skip branches holding no profitable leaf, so
-they change no verdict, witness or count.  Deciding strong stability is
-a hard problem, so searches carry an explicit node budget and fail
-loudly (never approximately) when it runs out.
+`scan_deviations` is the one search kernel: `is_strong`,
+`can_coalition_deviate` and `enumerate_profitable_deviations` here, and
+the measures in `measures`, are views over it.  It runs on a
+`ScanContext`, the instance's `_scaled` integers (see `core`) read
+against one schedule, from which `is_nash` and `profitable_deviation`
+also take every load and cost; a value becomes a `Fraction` only on its
+way out.
 
-`scan_deviations` is the one search kernel.  It runs on a `ScanContext`
-its caller builds (with the coalition free to act, if any) and returns
-the nodes it visited, so the caller still holds the context after a
-budget stop.  The scan itself holds nothing once it returns or raises:
-its working set, and the leaf callback with whatever that collected, is
-freed at once by reference counting, not left to the cycle collector.
-Here `is_strong`, `can_coalition_deviate` and
-`enumerate_profitable_deviations` are views over it; the measures that
-maximize a ratio over deviations live in `measures`.  A coalition names
-each job once: `_members` rejects a repeated one.
+The scan places the jobs free to act by index, so that candidates come
+in lexicographic order, or by non-increasing size, where its cuts bite
+sooner.  Whether a deviation exists does not depend on that order, so
+`is_strong` and `can_coalition_deviate` decide by size and scan by index
+only when a deviation exists, to find the lexicographically first.
+`enumerate_profitable_deviations` scans by index, since its order and
+its budget-stop prefix are lexicographic.
 
-`is_nash` and `is_strong` return one `StabilityResult`: whether the
-schedule is stable and, if not, a `Deviation` that breaks it, a one-job
-move for `is_nash` and a joint one for `is_strong`.  When `is_strong`
-or `can_coalition_deviate` stops on its budget after a deviation was
-found, the stop carries it in `BudgetExceededError.best`.  Each
-`Deviation` a scan or `is_nash` finds is built by
-`ScanContext.deviation`, past the dataclass constructors, and written
-out by `Deviation.to_dict`.
-
-Every internal load is a scaled integer read off a `ScanContext`: the
-scan, `improving_moves`, `is_nash` and `profitable_deviation`'s check all
-derive loads and costs from it, and turn a value into a `Fraction` only
-to hand it back.  `core.load_profile` is the public `Fraction` view of
-the same loads.
+The scan cuts only branches that hold no profitable deviation, and it
+visits interchangeable jobs once per relabelling, through the
+lexicographically smallest relabelling; so every verdict, witness and
+count equals that of the plain enumeration.  Deciding strong stability
+is hard, so every search takes a node budget and raises
+`BudgetExceededError` when it runs out, never guessing.
 """
 
 from __future__ import annotations
@@ -63,6 +36,7 @@ from operator import ne
 from typing import Callable, Iterator
 
 from .core import (
+    DEFAULT_SEARCH_BUDGET,
     BudgetExceededError,
     Instance,
     Schedule,
@@ -72,8 +46,6 @@ from .core import (
     _is_int,
     validate_schedule,
 )
-
-DEFAULT_SEARCH_BUDGET = 10**8
 
 
 @dataclass(frozen=True)
@@ -107,14 +79,6 @@ class StabilityResult:
 
     def __bool__(self) -> bool:
         return self.holds
-
-
-def improving_moves(instance: Instance, schedule: Schedule) -> Iterator[tuple[int, int, Fraction]]:
-    """All strictly improving unilateral moves as (job, machine, new cost),
-    in ascending job then machine order."""
-    ctx = ScanContext(instance, schedule)
-    for j, i, cost in ctx.improving_moves():
-        yield j + 1, i + 1, Fraction(cost, ctx.scale)
 
 
 def is_nash(instance: Instance, schedule: Schedule) -> StabilityResult:
@@ -352,73 +316,53 @@ def _distinct_orders(values: list) -> list[tuple]:
 def scan_deviations(
     ctx: ScanContext, *, budget: int, on_leaf: Callable, min_ratio_floor=None
 ) -> int:
-    """Depth-first search over the joint actions of the schedule of `ctx`,
-    calling on_leaf(ctx, assign, loads, caps) once per symmetry orbit of
-    profitable candidates, in lexicographic order of the jobs of
-    `ctx.free` taken in that order (so of the joint action itself when
-    `ctx.free` is ascending): the 0-based joint action (indexed by job),
-    its machine loads, and per machine the smallest start cost
-    among the jobs bound to it (movers, and with a coalition also the
-    members that stay), or `ctx.uncapped`.  So without a coalition
-    `caps[i]` is the cheapest old cost among the movers into machine i.
-    The three are the scan's own lists, valid during the call only.
-    Returns the nodes visited, the count that `budget` (a positive int,
-    which the public entry points check) caps.
+    """Depth-first search over the joint actions of the schedule of `ctx`.
+    Returns the nodes visited, which `budget` (a positive int, checked by
+    the public entry points) caps.
 
-    Without `ctx.coalition`, any set of jobs may move and a candidate is
-    profitable iff every mover strictly improves.  With it, only those
-    jobs may act and every member (moving or staying) must strictly
-    improve; an empty coalition gives a scan of no jobs, which finds
-    nothing.  A branch is cut as soon as some machine's load reaches its
-    cap.  `min_ratio_floor`, a mutable sequence led by num and den, further
-    prunes branches whose smallest member improvement ratio cannot reach
-    num/den; a branch that can tie it is still visited, so a caller can
-    keep the lexicographically smallest leaf of the best ratio whatever
-    the order of `ctx.free`.
+    Each profitable candidate, one per orbit (below), goes to on_leaf(ctx,
+    assign, loads, caps) in lexicographic order of the jobs of `ctx.free`
+    taken in that order: the 0-based joint action, its machine loads, and
+    per machine its cap, the smallest start cost among the jobs bound to
+    it (movers into it, and with a coalition the members that stay), or
+    `ctx.uncapped`.  They are the scan's own lists, valid during the call
+    only.  Without `ctx.coalition` any set of jobs may move, and a
+    candidate is profitable iff every mover strictly improves; with it,
+    only its members act and each must strictly improve.
 
-    Load conservation cuts more.  At a profitable leaf a capped machine
-    ends at most at its cap less one (scaled integers).  An uncapped
-    machine k that no later mover lands on ends at most at its start load
-    less the work of the placed jobs that left it; one that a later mover
-    lands on ends below that mover's start cost.  So k's bound is the
-    larger of its start load less departures and `tops[k]`: the largest
-    start cost less one among the jobs at later depths that can gain by
-    moving to k (not starting there, and smaller on k than their start
-    cost).  The final loads still add up to at least the placed load plus
-    each unplaced job's smallest size (the total work on identical
-    machines), so when these bounds sum to less, no profitable leaf lies
-    below and the branch is cut.  The placed load and the room total
-    travel down the recursion, updated in O(1) per child.  An uncapped
-    machine's start load less departures is its load plus the work still
-    to be placed that starts on it, so departures need no bookkeeping of
-    their own.  The check runs only on a child whose cap drops, where the
-    room shrinks most.  Like the cap cut, it keeps every profitable leaf,
-    hence every verdict, witness, count and orbit.
+    The three cuts keep every profitable leaf, hence every verdict,
+    witness, count and orbit, because loads only grow and caps only drop
+    below a node; the twin rule keeps one leaf of every orbit:
+    - cap: a machine whose load reaches its cap has a bound job that
+      does not improve.
+    - ratio floor: `min_ratio_floor`, a mutable sequence led by num and
+      den, cuts a branch whose smallest member improvement is already
+      below num/den.  A tie is visited, so a caller can keep the
+      lexicographically smallest leaf of the best ratio in either order.
+    - load conservation: at a profitable leaf a capped machine ends below
+      its cap, and an uncapped one at most at the larger of its start
+      load less the work that left it and `tops`, the largest start cost
+      less one of a later job that can gain by moving there.  The final
+      loads add up to at least the placed work plus each unplaced job's
+      smallest size, so when the bounds sum to less, no profitable leaf
+      lies below.
+    - twins: jobs free to act with the same start machine and size on
+      every machine (`ctx.twins`).  Relabelling them changes no load,
+      cost or ratio, so only targets non-decreasing within each twin class
+      are visited: the lexicographically smallest member of each orbit,
+      in either order of `ctx.free`, since both keep a class in index
+      order.  So in index order the first leaf attaining any value is that
+      of the labelled scan.  A caller adds `ctx.orbit_size(assign)` to
+      count labelled deviations, or expands `ctx.orbit(assign)`.
 
-    Two jobs free to act are twins when they share a start machine and
-    have the same processing time on every machine (`ctx.twins`).
-    Relabelling twins changes no load, cost or ratio, so the search only
-    visits candidates whose targets are non-decreasing within each twin
-    class; this is the lexicographically smallest member of its orbit,
-    in either order of `ctx.free`, since each twin class keeps index
-    order there.  So the representatives are the same in both orders, and
-    in index order the first profitable leaf, and the first leaf
-    attaining any leaf value, is the same as in a scan of every labelled
-    candidate.
-    `on_leaf` sees representatives only: a caller that counts labelled
-    deviations adds `ctx.orbit_size(assign)`, and one that needs each of
-    them expands `ctx.orbit(assign)` (`enumerate_profitable_deviations`
-    restores the global lexicographic order).  Branches skipped by the
-    twin bound (their representatives come earlier) and cut branches
-    count as resolved in `BudgetExceededError.explored_fraction`, the
-    share of joint actions resolved in visiting order: those below the
-    path to the node that exceeded the budget, which the stop reads from
-    the joint action being built.
-
-    The search recurses once per job free to act, so more than 500 of
-    them raise ValidationError.  It holds nothing once it returns or
-    raises: the lists it built, `ctx` and `on_leaf` are freed by
-    reference counting, without waiting for the cycle collector.
+    A budget stop's `explored_fraction` is the exact share of the joint
+    actions resolved in visiting order, cut and twin-skipped branches
+    included: those below the path to the node that exceeded the budget.
+    The scan recurses once per job free to act, so it refuses more than
+    500 of them (ValidationError) to stay within the recursion limit, and
+    it drops its recursive closure on every exit, so that its lists, `ctx`
+    and `on_leaf` are freed at once by reference counting, not left to
+    the cycle collector.
     """
     free = ctx.free
     if len(free) > _MAX_SEARCH_JOBS:

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from .core import (
+    DEFAULT_SEARCH_BUDGET,
     BudgetExceededError,
     IdenticalInstance,
     Schedule,
@@ -35,7 +36,7 @@ from .core import (
     schedule_to_dict,
     validate_schedule,
 )
-from .equilibria import DEFAULT_SEARCH_BUDGET, ScanContext
+from .equilibria import ScanContext
 from .measures import (
     _MEASURES,
     MeasureReport,
@@ -209,10 +210,6 @@ class TrialRecord:
     checks: tuple[BoundCheck, ...]
 
     @property
-    def inconclusive(self) -> bool:
-        return not self.exhaustive
-
-    @property
     def bounds_ok(self) -> bool:
         return all(c.holds for c in self.checks)
 
@@ -255,7 +252,7 @@ class SweepReport:
     @property
     def inconclusive(self) -> int:
         """The number of trials whose measures ran out of budget."""
-        return sum(r.inconclusive for r in self.records)
+        return sum(not r.exhaustive for r in self.records)
 
     def csv_rows(self) -> list[list[str]]:
         """The CSV_COLUMNS header, then one row per trial; a value that
@@ -266,7 +263,7 @@ class SweepReport:
             rows.append(
                 [str(r.trial), r.scheduler, str(r.m), str(r.n)]
                 + ["" if q is None else str(format_rational(q)) for q in values]
-                + ["" if r.inconclusive else str(r.bounds_ok).lower(), str(r.exhaustive).lower()]
+                + [str(r.bounds_ok).lower() if r.exhaustive else "", str(r.exhaustive).lower()]
             )
         return rows
 

@@ -51,6 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
+    DEFAULT_SEARCH_BUDGET,
     BudgetExceededError,
     IdenticalInstance,
     Instance,
@@ -59,7 +60,7 @@ from .core import (
     _check_budget,
     parse_rational,
 )
-from .equilibria import DEFAULT_SEARCH_BUDGET, Deviation, ScanContext, scan_deviations
+from .equilibria import Deviation, ScanContext, scan_deviations
 
 # The three measures in report order: each one's check name in a sweep,
 # after its "ne-", "lpt-" or "ptas-" prefix, and the `DeviationStats`

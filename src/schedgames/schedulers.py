@@ -30,6 +30,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .core import (
+    DEFAULT_SEARCH_BUDGET,
     BudgetExceededError,
     IdenticalInstance,
     Schedule,
@@ -40,8 +41,6 @@ from .core import (
     canonical_form,
     parse_rational,
 )
-
-DEFAULT_ENUM_BUDGET = 10**7
 
 
 def _require_identical(instance):
@@ -91,9 +90,6 @@ class PartialAssignment:
     jobs: tuple[int, ...]
     machines: tuple[int, ...]
     loads: tuple[Fraction, ...]
-
-    def as_mapping(self) -> dict[int, int]:
-        return dict(zip(self.jobs, self.machines))
 
 
 def _canonical_search(sizes, m, limit, node_budget, leaf, what) -> None:
@@ -205,7 +201,7 @@ def _lex_min_prefix(row, jobs, m, node_budget) -> tuple[list[int], list[int]]:
 
 
 def lex_min_assignment(
-    instance: IdenticalInstance, k: int, node_budget: int = DEFAULT_ENUM_BUDGET
+    instance: IdenticalInstance, k: int, node_budget: int = DEFAULT_SEARCH_BUDGET
 ) -> PartialAssignment:
     """Assignment of the k longest jobs whose sorted load vector is
     lexicographically minimal; deterministic via canonical relabeling."""
@@ -236,7 +232,7 @@ class PtasConfig:
 
     epsilon: Fraction
     refine: bool = False
-    node_budget: int = DEFAULT_ENUM_BUDGET
+    node_budget: int = DEFAULT_SEARCH_BUDGET
 
     def __post_init__(self):
         eps = parse_rational(self.epsilon)
@@ -302,7 +298,7 @@ class OptimalMakespan:
 
 
 def optimal_makespan(
-    instance: IdenticalInstance, node_budget: int = DEFAULT_ENUM_BUDGET
+    instance: IdenticalInstance, node_budget: int = DEFAULT_SEARCH_BUDGET
 ) -> OptimalMakespan:
     """Exact minimum makespan via branch and bound over canonical assignments.
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
+    DEFAULT_SEARCH_BUDGET,
     IdenticalInstance,
     Instance,
     Schedule,
@@ -35,8 +36,6 @@ from .core import (
 from .equilibria import Deviation, is_nash, profitable_deviation
 from .measures import _MEASURES, deviation_stats, measure_report
 from .schedulers import list_schedule, lpt
-
-DEFAULT_SEARCH_NODES = 10**7
 
 
 @dataclass(frozen=True)
@@ -286,7 +285,7 @@ def _extremal_candidates(m: int):
 
 
 def search_extremal_lpt(
-    m: int, measure: str, target, node_budget: int = DEFAULT_SEARCH_NODES
+    m: int, measure: str, target, node_budget: int = DEFAULT_SEARCH_BUDGET
 ) -> ExtremalSearchResult:
     """Search LPT schedules for a profitable deviation whose improvement
     (measure='ir_max') or damage (measure='dr_max') reaches `target`.

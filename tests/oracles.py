@@ -6,9 +6,19 @@ deliberately shares no code with the package's pruned searches.
 """
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 
-from schedgames.core import IdenticalInstance, Schedule, load_profile
+from schedgames.core import (
+    IdenticalInstance,
+    Instance,
+    Schedule,
+    UnrelatedInstance,
+    ValidationError,
+    _check_index,
+    load_profile,
+    validate_schedule,
+)
 
 
 def brute_deviations(instance, schedule):
@@ -243,6 +253,46 @@ def greedy_resimulation(instance, order):
         assignment[j - 1] = target + 1
         loads[target] += instance.p[j - 1]
     return tuple(assignment)
+
+
+@dataclass(frozen=True)
+class InducedInstance:
+    """Restriction of an instance to the jobs sitting on a machine subset.
+
+    `jobs[k-1]` is the original index of sub-instance job k (original
+    relative order preserved); `machines[i-1]` is the original index of
+    sub-instance machine i (ascending).
+    """
+
+    instance: Instance
+    jobs: tuple[int, ...]
+    machines: tuple[int, ...]
+
+    def induced_schedule(self, schedule: Schedule) -> Schedule:
+        """Translate an assignment of the original jobs into sub-instance labels."""
+        rank = {orig: k for k, orig in enumerate(self.machines, start=1)}
+        return Schedule(tuple(rank[schedule.machine_of(j)] for j in self.jobs))
+
+
+def induced_instance(instance, schedule, machine_subset):
+    """Sub-instance holding exactly the jobs scheduled on the given machines."""
+    validate_schedule(instance, schedule)
+    subset = list(machine_subset)
+    if not subset:
+        raise ValidationError("machine subset must be nonempty")
+    for i in subset:
+        _check_index(i, instance.m, "machine")
+    chosen = set(subset)
+    subset = sorted(chosen)
+    jobs = tuple(j for j in range(1, instance.n + 1) if schedule.machine_of(j) in chosen)
+    if isinstance(instance, IdenticalInstance):
+        sub = IdenticalInstance(m=len(subset), p=tuple(instance.p[j - 1] for j in jobs))
+    else:
+        sub = UnrelatedInstance(
+            m=len(subset),
+            p=tuple(tuple(instance.p[i - 1][j - 1] for j in jobs) for i in subset),
+        )
+    return InducedInstance(instance=sub, jobs=jobs, machines=tuple(subset))
 
 
 def brute_structure(instance, before, after):

@@ -9,10 +9,11 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import induced_instance
 from schedgames.core import IdenticalInstance, Schedule, load_profile
 from schedgames.equilibria import (
+    ScanContext,
     enumerate_profitable_deviations,
-    improving_moves,
     is_nash,
     is_strong,
 )
@@ -30,7 +31,6 @@ from schedgames.experiments import (
     random_instance,
     random_ne,
 )
-from schedgames.core import induced_instance
 from schedgames.witnesses import (
     figure1,
     figure3,
@@ -348,9 +348,9 @@ def test_criterion_12_list_scheduling_counterexamples(capsys):
             order[k], order[pick] = order[pick], order[k]
         schedule = list_schedule(instance, order)
         current = load_profile(instance, schedule).loads
-        for j, i, _ in improving_moves(instance, schedule):
-            before = current[i - 1]
-            if before > 0 and (before + instance.p[j - 1]) > 2 * before:
+        for j, i, _ in ScanContext(instance, schedule).improving_moves():
+            before = current[i]
+            if before > 0 and (before + instance.p[j]) > 2 * before:
                 damage_failures += 1
     ok = ok and damage_failures == 0
     _report(

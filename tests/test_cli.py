@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 from fractions import Fraction
 
 from schedgames import experiments, measures
-from schedgames.cli import run
+from schedgames.cli import _build_parser, run
 from schedgames.core import (
     parse_rational,
     read_instance,
@@ -228,6 +229,15 @@ def test_string_instance_fields_exit_2(tmp_path, data):
     verdict = run(["schedule", "--alg", "lpt", "--in", str(path)])
     assert verdict.exit_code == 2
     assert "must be a list" in verdict.payload["error"]
+
+
+def test_instance_file_with_both_jobs_and_matrix_exits_2(tmp_path, fig1_files):
+    _, schedule = fig1_files
+    path = tmp_path / "both.json"
+    path.write_text(json.dumps({"machines": 3, "jobs": [1] * 6, "matrix": [[1] * 6] * 3}))
+    verdict = run(["check", "--in", str(path), "--schedule", schedule])
+    assert verdict.exit_code == 2
+    assert "both 'jobs' and 'matrix'" in verdict.payload["error"]
 
 
 def test_directory_path_exits_2_with_json_error(tmp_path, fig1_files):
@@ -734,3 +744,22 @@ def test_experiment_ptas_scheduler_needs_eps():
     )
     assert verdict.exit_code == 2
     assert verdict.payload["error"] == "--scheduler ptas needs --eps"
+
+
+def test_readme_commands_parse():
+    # every `schedgames` command shown in the README's code fences is one
+    # the parser accepts, so the guide cannot drift from the flags
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    commands, fenced = [], False
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            fenced = not fenced
+        elif fenced and line.startswith("schedgames "):
+            commands.append(line)
+    assert commands
+    parser = _build_parser()
+    for command in commands:
+        try:
+            parser.parse_args(shlex.split(command)[1:])
+        except SystemExit:
+            pytest.fail(f"the README shows a command that does not parse: {command}")

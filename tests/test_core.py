@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import instance_with_schedule, rationals
+from oracles import induced_instance
 from schedgames.core import (
     IdenticalInstance,
     Schedule,
@@ -12,7 +13,6 @@ from schedgames.core import (
     ValidationError,
     canonical_form,
     format_rational,
-    induced_instance,
     instance_from_dict,
     instance_to_dict,
     load_profile,
@@ -50,6 +50,8 @@ def test_load_profile_rejects_length_mismatch_and_bad_machine():
         load_profile(FIG1, Schedule((1, 1, 2, 2, 3, 4)))
 
 
+# `induced_instance` is the test oracle (tests/oracles.py) behind the
+# subset-preservation checks of `lpt` and `ptas`; these pin it down
 def test_induced_instance_benchmark_subset():
     induced = induced_instance(FIG1, FIG1_NE, {2, 3})
     assert induced.instance.m == 2
@@ -139,7 +141,7 @@ def test_canonical_form_idempotent_and_load_preserving(pair):
 def test_total_load_is_conserved(pair):
     instance, schedule = pair
     profile = load_profile(instance, schedule)
-    assert sum(profile.loads, Fraction(0)) == instance.total()
+    assert sum(profile.loads, Fraction(0)) == sum(instance.p, Fraction(0))
     if instance.n:
         assert profile.makespan == max(
             profile.load(schedule.machine_of(j)) for j in range(1, instance.n + 1)
@@ -222,6 +224,9 @@ def test_instance_validation_errors():
         instance_from_dict({"machines": 2})
     with pytest.raises(ValidationError):
         instance_from_dict({"machines": 2, "jobs": [1.25]})
+    # a file naming both was read as identical machines, its matrix dropped
+    with pytest.raises(ValidationError, match="both 'jobs' and 'matrix'"):
+        instance_from_dict({"machines": 2, "jobs": [1, 2], "matrix": [[1, 2], [3, 4]]})
     # a bool machine count constructed, and its file then wrote
     # "machines": true, which instance_from_dict rejects
     for m in (True, 2.0):

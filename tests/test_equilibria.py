@@ -20,7 +20,6 @@ from schedgames.equilibria import (
     ScanContext,
     can_coalition_deviate,
     enumerate_profitable_deviations,
-    improving_moves,
     is_nash,
     is_strong,
     profitable_deviation,
@@ -59,8 +58,9 @@ def test_overloaded_machine_is_not_equilibrium():
     # lowest-index improving job first, then lowest machine: job 1 to machine 2
     assert result.witness == _moved(FIG1, schedule, 1, 2)
     assert result.witness.migrants == result.witness.coalition == frozenset({1})
-    # the size-3 job's move to machine 2 is improving as well
-    assert (3, 2) in [(j, i) for j, i, _ in improving_moves(FIG1, schedule)]
+    # the size-3 job's move to machine 2 is improving as well (0-based: job
+    # 2 to machine 1)
+    assert (2, 1) in [(j, i) for j, i, _ in ScanContext(FIG1, schedule).improving_moves()]
 
 
 def test_is_nash_on_unrelated_instance():
@@ -475,7 +475,9 @@ def test_profitable_deviation_rejects_bad_member(coalition):
 def test_scaled_loads_match_fraction_oracle(pair, data):
     instance, schedule = pair
     moves = brute_improving_moves(instance, schedule)
-    assert list(improving_moves(instance, schedule)) == moves
+    ctx = ScanContext(instance, schedule)
+    got = [(j + 1, i + 1, Fraction(cost, ctx.scale)) for j, i, cost in ctx.improving_moves()]
+    assert got == moves
     nash = is_nash(instance, schedule)
     assert nash.holds == (not moves)
     assert nash.witness == (_moved(instance, schedule, *moves[0][:2]) if moves else None)

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from conftest import (
     equilibrium_pairs,
@@ -191,6 +191,12 @@ ANY_START = st.one_of(
 
 
 @given(ANY_START)
+# ties at the ratio floor: `ir_min` prunes a branch only when it cannot
+# reach the best ratio so far, so a branch that can tie it is still
+# visited, and here the tie decides the witness (a floor that cut ties
+# would keep (1, 2, 3, 1, 2) and (3, 1, 2, 1, 3))
+@example((IdenticalInstance(m=3, p=(1, 1, 1, 2, 2)), Schedule((1, 2, 1, 3, 3))))
+@example((IdenticalInstance(m=3, p=(3, 1, 2, 4, 3)), Schedule((3, 1, 1, 2, 2))))
 def test_min_improvement_read_off_caps_matches_movers_and_oracle(pair):
     # a leaf reads its smallest mover improvement off the m caps; it must
     # equal the minimum over the n movers, and both measures the oracle's

@@ -10,6 +10,7 @@ from oracles import (
     brute_optimal_makespan,
     fraction_size_order,
     greedy_resimulation,
+    induced_instance,
 )
 from schedgames.core import (
     BudgetExceededError,
@@ -17,7 +18,6 @@ from schedgames.core import (
     Schedule,
     UnrelatedInstance,
     ValidationError,
-    induced_instance,
     load_profile,
 )
 from schedgames.equilibria import is_nash, is_strong
@@ -258,7 +258,7 @@ def test_lex_min_matches_exhaustive_oracle(instance):
 @given(identical_instances(min_m=2, max_m=3, min_n=1, max_n=5))
 def test_lex_min_prefix_is_strong_on_its_subinstance(instance):
     partial = lex_min_assignment(instance, instance.n)
-    by_job = partial.as_mapping()
+    by_job = dict(zip(partial.jobs, partial.machines))
     schedule = Schedule(tuple(by_job[j] for j in range(1, instance.n + 1)))
     assert is_strong(instance, schedule).holds
 

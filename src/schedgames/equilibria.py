@@ -117,7 +117,8 @@ def _members(coalition, n: int) -> frozenset[int]:
 
 
 class _StopScan(Exception):
-    pass
+    """Raised by a scan's `on_leaf` to end the scan; the scan sets its
+    `nodes`, the count up to that leaf, and returns it."""
 
 
 # the trusted constructors' path past a frozen dataclass's __init__; field
@@ -320,6 +321,12 @@ def scan_deviations(
     Returns the nodes visited, which `budget` (a positive int, checked by
     the public entry points) caps.
 
+    A node is one machine tried for one job, whether a cut then drops it
+    or not, counted in visiting order.  The node that exceeds the budget
+    raises `BudgetExceededError` with `nodes` = budget + 1.  An `on_leaf`
+    that raises `_StopScan` ends the scan, which returns the nodes up to
+    and including that leaf: the smallest budget that reaches it.
+
     Each profitable candidate, one per orbit (below), goes to on_leaf(ctx,
     assign, loads, caps) in lexicographic order of the jobs of `ctx.free`
     taken in that order: the 0-based joint action, its machine loads, and
@@ -406,7 +413,9 @@ def scan_deviations(
     infinity = ctx.uncapped
     caps = [infinity] * m
     assign = list(orig)
-    nodes = 0
+    # the machines a job tries: all of them, or from its previous twin's on
+    starts = [range(k, m) for k in range(m)]
+    machines = starts[0]
 
     # `placed` is sum(loads).  `room` sums each machine's largest final
     # load at a profitable leaf as far as the placed jobs tell: cap - 1 once
@@ -417,10 +426,11 @@ def scan_deviations(
     # cap is already lower, and the conservation cut runs where it drops.
     # A move that does not lower the job's cost needs no test of its own:
     # its new load is at least its size, so at least its start cost, which
-    # caps that machine.  A budget stop is raised at the node that exceeds
-    # the budget; nothing resets `assign` while it unwinds, so the stop
-    # reads the machines chosen at the depths above from `assign`.
-    def out_of_budget(t: int, i: int) -> BudgetExceededError:
+    # caps that machine.  `nodes` is the count so far, handed down and
+    # back up.  A budget stop is raised at the node that exceeds the
+    # budget; nothing resets `assign` while it unwinds, so the stop reads
+    # the machines chosen at the depths above from `assign`.
+    def out_of_budget(t: int, i: int, nodes: int) -> BudgetExceededError:
         covered = 0
         for d in range(t):
             covered = covered * m + assign[free[d]]
@@ -431,15 +441,16 @@ def scan_deviations(
             explored_fraction=Fraction((covered * m + i) * m ** (depth - t - 1), m**depth),
         )
 
-    def dfs(t: int, placed: int, room: int):
-        nonlocal nodes
+    def dfs(t: int, placed: int, room: int, nodes: int) -> int:
         j, column, oj, keep, cj, twin, rest_min, pend, tops = plan[t]
+        floor = min_ratio_floor
+        at_leaf = t == last
         # a mover that leaves an uncapped start machine takes its room along
         leave = column[oj] if caps[oj] == infinity else 0
-        for i in range(0 if twin < 0 else assign[twin], m):
+        for i in (machines if twin < 0 else starts[assign[twin]]):
             nodes += 1
             if nodes > budget:
-                raise out_of_budget(t, i)
+                raise out_of_budget(t, i, nodes)
             size = column[i]
             load = loads[i]
             new_load = load + size
@@ -447,8 +458,8 @@ def scan_deviations(
             cap = old_cap if i == keep or cj >= old_cap else cj
             if new_load >= cap:
                 continue
-            if min_ratio_floor is not None and cap != infinity:
-                if cap * min_ratio_floor[1] < new_load * min_ratio_floor[0]:
+            if floor is not None and cap != infinity:
+                if cap * floor[1] < new_load * floor[0]:
                     continue
             if cap == old_cap:
                 new_room = room if i == oj else room - leave
@@ -462,7 +473,7 @@ def scan_deviations(
                 # load conservation: the work still to land must fit the room
                 short = placed + size + rest_min - new_room
                 if short > 0:
-                    for k in range(m):
+                    for k in machines:
                         if caps[k] == infinity and k != i:
                             top = tops[k] - loads[k] - pend[k]
                             if top > 0:
@@ -472,27 +483,30 @@ def scan_deviations(
                 caps[i] = cap
             loads[i] = new_load
             assign[j] = i
-            if t == last:
+            if at_leaf:
                 if assign != orig:
-                    on_leaf(ctx, assign, loads, caps)
+                    try:
+                        on_leaf(ctx, assign, loads, caps)
+                    except _StopScan as stop:
+                        stop.nodes = nodes
+                        raise
             else:
-                dfs(t + 1, placed + size, new_room)
+                nodes = dfs(t + 1, placed + size, new_room, nodes)
             loads[i] = load
             caps[i] = old_cap
         assign[j] = oj
+        return nodes
 
     try:
-        if depth:
-            dfs(0, sum(loads), sum(load0))
-    except _StopScan:
-        pass
+        return dfs(0, sum(loads), sum(load0), 0) if depth else 0
+    except _StopScan as stop:
+        return stop.nodes
     finally:
         # `dfs` reaches itself through its closure cell; left in place, that
         # cycle would keep the plan, the scan's lists, `ctx` and `on_leaf`
         # (with all the caller has collected) alive until the cycle
         # collector runs, so drop it on every exit
         dfs = None
-    return nodes
 
 
 def _first_deviation(instance, schedule, budget, coalition=None) -> Deviation | None:
@@ -602,23 +616,23 @@ def enumerate_profitable_deviations(
     found: list[Deviation] = []
     pending: list = []
 
-    def emit(assign):
+    def emit(ctx, assign, loads=None, caps=None):
         found.append(ctx.deviation(assign))
         if len(found) == limit:
             raise _StopScan
 
     def leaf(ctx, assign, loads, caps):
-        if ctx.twins:  # else every orbit is trivial and nothing is pending
-            members = ctx.orbit(assign)
-            for member in members[1:]:
-                heapq.heappush(pending, member)
-            while pending and pending[0] < members[0]:
-                emit(heapq.heappop(pending))
-        emit(assign)
+        members = ctx.orbit(assign)
+        for member in members[1:]:
+            heapq.heappush(pending, member)
+        while pending and pending[0] < members[0]:
+            emit(ctx, heapq.heappop(pending))
+        emit(ctx, assign)
 
     complete = True
     try:
-        scan_deviations(ctx, budget=node_budget, on_leaf=leaf)
+        # without twins every orbit is trivial and nothing is pending
+        scan_deviations(ctx, budget=node_budget, on_leaf=leaf if ctx.twins else emit)
         while pending and len(found) != limit:
             found.append(ctx.deviation(heapq.heappop(pending)))
     except BudgetExceededError:

@@ -21,8 +21,9 @@ wraps `_measure`, which runs that scan on a caller's `ScanContext`.
 `ir_min` answers the min-improvement measure alone with a scan that
 prunes every branch unable to reach the best ratio found so far.  Both
 read a leaf's smallest mover improvement off the scan's per-machine
-caps, in O(m), and both read a budget stop through one helper, `_scan`,
-which returns the nodes visited and whether the scan finished.  The
+caps, in one O(m) pass, `_leaf_screen`, and both read a budget stop
+through one helper, `_scan`, which returns the nodes visited and whether
+the scan finished.  The
 `ir_max` witness counts improving bystanders in its coalition; every
 other witness's coalition is its migrants.
 
@@ -34,6 +35,13 @@ a strictly larger ratio, or on an equal one with a lexicographically
 smaller joint action.  Each orbit representative is the smallest member
 of its orbit, so every witness is the lexicographically smallest
 deviation attaining its value, as in an index-order scan.
+
+The exact `ir_max` and `dr_max` of a leaf take a pass over its n jobs,
+`_leaf_max_ratios`, which `_measure` runs only when it must:
+`_leaf_screen` also bounds both ratios from above, and the O(n) pass
+runs only when a bound reaches the best ratio so far.  A bound that only
+ties the best still runs it, since the leaf may attain that ratio with a
+smaller joint action and win the tie-break.
 
 `deviation_stats`, `check_flower` and `structural_report` each validate
 the given deviation once, with `ScanContext.check_move`, and read every
@@ -202,22 +210,6 @@ class MeasureReport:
         return self.ir_min <= parse_rational(alpha) and self.exhaustive
 
 
-def _leaf_min_improvement(ctx, loads, caps):
-    """Smallest improvement ratio among the movers of a leaf: (num, den).
-
-    In a scan without a coalition only movers set caps, so `caps[i]` is
-    the smallest start cost among the movers into machine i, or
-    `ctx.uncapped` if none: the ratio is the least `caps[i] / loads[i]`,
-    O(m) rather than O(n).  With a coalition, members that stay set caps
-    too, so this shortcut holds for coalition-free scans only."""
-    num, den = None, None
-    uncapped = ctx.uncapped
-    for cap, load in zip(caps, loads):
-        if cap != uncapped and (num is None or cap * den < num * load):
-            num, den = cap, load
-    return num, den
-
-
 def _leaf_max_ratios(ctx, assign, loads):
     """Largest improvement over movers and improving bystanders, and
     largest load growth on a machine keeping at least one job: two
@@ -242,6 +234,39 @@ def _leaf_max_ratios(ctx, assign, loads):
     return inum, iden, dnum, dden
 
 
+def _leaf_screen(ctx, loads, caps):
+    """One O(m) pass over a leaf of a coalition-free scan: (num, den) of
+    its smallest mover improvement, then (num, den) upper bounds on the
+    largest improvement and on the largest damage that `_leaf_max_ratios`
+    finds, 0/1 where none exists.
+
+    Without a coalition only movers set caps, so `caps[i]` is the
+    smallest start cost among the movers into machine i, or
+    `ctx.uncapped` if none, and the smallest improvement is the least
+    `caps[i] / loads[i]`.  A mover's start cost is at most the largest
+    start load, so that load over each capped machine's load bounds the
+    movers; a machine that keeps jobs with no mover landing there can
+    only lose load, and its start over its new load bounds its
+    bystanders.  Damage needs a kept job on a machine whose load grows, so
+    a mover landed there, and the bound is its load over its start."""
+    uncapped, load0 = ctx.uncapped, ctx.load0
+    top = max(load0)
+    num = den = None
+    inum = dnum = 0
+    iden = dden = 1
+    for cap, load, start in zip(caps, loads, load0):
+        if cap != uncapped:
+            if num is None or cap * den < num * load:
+                num, den = cap, load
+            if top * iden > inum * load:
+                inum, iden = top, load
+            if load > start > 0 and load * dden > dnum * start:
+                dnum, dden = load, start
+        elif 0 < load < start and start * iden > inum * load:
+            inum, iden = start, load
+    return num, den, inum, iden, dnum, dden
+
+
 def measure_report(
     instance: Instance,
     schedule: Schedule,
@@ -262,14 +287,19 @@ def _measure(ctx: ScanContext, node_budget: int, on_leaf=None) -> MeasureReport:
     representative the scan finds, in the scan order of `ctx.free`
     (lexicographic when `ctx` lists it ascending, as a sweep's does)."""
     best = {name: [1, 1, None] for name in _MEASURES}
+    low, high, harm = best["ir_min"], best["ir_max"], best["dr_max"]
+    twins = ctx.twins
     count = [0]
 
     def leaf(ctx, assign, loads, caps):
-        count[0] += ctx.orbit_size(assign)
-        inum, iden, dnum, dden = _leaf_max_ratios(ctx, assign, loads)
-        _bump(best["ir_min"], *_leaf_min_improvement(ctx, loads, caps), assign)
-        _bump(best["ir_max"], inum, iden, assign)
-        _bump(best["dr_max"], dnum, dden, assign)
+        count[0] += ctx.orbit_size(assign) if twins else 1
+        num, den, inum, iden, dnum, dden = _leaf_screen(ctx, loads, caps)
+        _bump(low, num, den, assign)
+        # a bound that ties the best may hide a tie with a smaller leaf
+        if inum * high[1] >= high[0] * iden or dnum * harm[1] >= harm[0] * dden:
+            inum, iden, dnum, dden = _leaf_max_ratios(ctx, assign, loads)
+            _bump(high, inum, iden, assign)
+            _bump(harm, dnum, dden, assign)
         if on_leaf is not None:
             on_leaf(ctx, assign, loads, caps)
 
@@ -322,7 +352,8 @@ def ir_min(
     slot = [1, 1, None]
 
     def leaf(ctx, assign, loads, caps):
-        _bump(slot, *_leaf_min_improvement(ctx, loads, caps), assign)
+        num, den, *_ = _leaf_screen(ctx, loads, caps)
+        _bump(slot, num, den, assign)
 
     exhaustive = _scan(ctx, node_budget, leaf, min_ratio_floor=slot)[1]
     witness = None if slot[2] is None else ctx.deviation(slot[2])

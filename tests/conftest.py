@@ -4,7 +4,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, settings, strategies as st
+from hypothesis import HealthCheck, Phase, settings, strategies as st
 
 from schedgames import core
 from schedgames.core import IdenticalInstance, Schedule, UnrelatedInstance
@@ -20,6 +20,16 @@ settings.register_profile(
 )
 # a slower, deeper run of the oracle cross-checks: --hypothesis-profile=deep
 settings.register_profile("deep", parent=settings.get_profile("suite"), max_examples=400)
+# the oracle subset of tests/mutation_gate.py: the same draws on every run,
+# no example database, and no shrinking, since only whether a test fails
+# counts there
+settings.register_profile(
+    "mutants",
+    parent=settings.get_profile("suite"),
+    derandomize=True,
+    database=None,
+    phases=[Phase.explicit, Phase.generate],
+)
 settings.load_profile("suite")
 
 

@@ -1,0 +1,176 @@
+"""Mutation gate: every cut of the deviation scan and every fast path of
+the measures must be caught by the tests when it is broken.
+
+    python tests/mutation_gate.py
+
+Each mutant is one textual edit of one module of `src/schedgames`.  For
+each, the gate copies `src` to a temporary directory, applies the edit
+(its target text must occur exactly once, or the gate fails), and runs a
+named subset of the tests against the copy, under the derandomized
+`mutants` Hypothesis profile of `tests/conftest.py`; the subset must fail.
+
+- A correctness mutant can change a verdict, a witness, a count, a
+  measure or a reported node count, so `ORACLES`, the tests that check
+  results against brute-force oracles or leaf by leaf, must fail.
+- A performance mutant only loosens a cut or skips a shortcut, leaving
+  every result as it was, so it must fail `ORACLES` and `PINS` together,
+  where `PINS` holds the tests that pin node counts.
+
+Before any mutant, the unmutated copy must pass both subsets.  The gate
+needs pytest and hypothesis, like the tests; it exits 0 when every mutant
+is killed and 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+ORACLES = (
+    "tests/test_measures.py::test_leaf_screen_never_underestimates",
+    "tests/test_measures.py::test_min_improvement_read_off_caps_matches_movers_and_oracle",
+    "tests/test_measures.py::test_size_ordered_report_keeps_the_oracle_witnesses",
+    "tests/test_measures.py::test_measures_match_brute_force_oracle",
+    "tests/test_equilibria.py::test_a_stop_at_the_first_leaf_returns_the_nodes_up_to_it",
+    "tests/test_equilibria.py::test_enumeration_matches_unpruned_oracle",
+    "tests/test_equilibria.py::test_budget_stop_has_seen_exactly_the_representatives_it_resolved",
+    "tests/test_twin_orbits.py::test_enumeration_matches_oracle_in_order",
+    "tests/test_twin_orbits.py::test_measure_report_matches_oracle",
+    "tests/test_conservation_cut.py::test_cut_keeps_every_profitable_leaf_of_an_equilibrium",
+    "tests/test_conservation_cut.py::test_cut_keeps_every_leaf_of_seeded_equilibria",
+    "tests/test_witnesses.py::test_reduction_equivalence_on_random_multisets",
+)
+PINS = (
+    "tests/test_twin_orbits.py::test_partition_family_node_count_is_pinned",
+    "tests/test_twin_orbits.py::test_partition_split_node_count_is_pinned",
+    "tests/test_conservation_cut.py::test_lpt_measure_report_node_count_is_pinned",
+    "tests/test_conservation_cut.py::test_tightened_cut_keeps_every_leaf",
+    "tests/test_measures.py::test_partition_reduction_measure_nodes_are_pinned",
+)
+
+KERNEL, MEASURES = "equilibria.py", "measures.py"
+CORRECTNESS, PERFORMANCE = "correctness", "performance"
+
+# name: (kind, module, target text, replacement)
+MUTANTS = {
+    "cap-cut-admits-ties": (
+        CORRECTNESS, KERNEL, "if new_load >= cap:", "if new_load > cap:",
+    ),
+    "conservation-cuts-zero-shortfall": (
+        CORRECTNESS, KERNEL,
+        "                    if short > 0:\n                        continue",
+        "                    if short >= 0:\n                        continue",
+    ),
+    "tops-one-lower": (
+        CORRECTNESS, KERNEL, "tops[i] = cj - 1", "tops[i] = cj - 2",
+    ),
+    "tops-ignore-a-gain-of-one": (
+        CORRECTNESS, KERNEL, "if top > 0:", "if top > 1:",
+    ),
+    "ratio-floor-cuts-ties": (
+        CORRECTNESS, KERNEL,
+        "if cap * floor[1] < new_load * floor[0]:",
+        "if cap * floor[1] <= new_load * floor[0]:",
+    ),
+    "rest-min-takes-max": (
+        CORRECTNESS, KERNEL, "rest_min += min(column)", "rest_min += max(column)",
+    ),
+    "room-keeps-the-cap": (
+        CORRECTNESS, KERNEL,
+        "if old_cap == infinity else old_cap - 1",
+        "if old_cap == infinity else old_cap",
+    ),
+    "twin-start-one-lower": (
+        CORRECTNESS, KERNEL, "starts[assign[twin]]", "starts[assign[twin] - 1]",
+    ),
+    "stop-drops-its-count": (
+        CORRECTNESS, KERNEL, "stop.nodes = nodes", "pass",
+    ),
+    "bump-prefers-larger-leaf": (
+        CORRECTNESS, MEASURES, "assign < slot[2]", "assign > slot[2]",
+    ),
+    "screen-skips-ties": (
+        CORRECTNESS, MEASURES,
+        "if inum * high[1] >= high[0] * iden or dnum * harm[1] >= harm[0] * dden:",
+        "if inum * high[1] > high[0] * iden or dnum * harm[1] > harm[0] * dden:",
+    ),
+    "screen-bounds-movers-by-cap": (
+        CORRECTNESS, MEASURES,
+        "if top * iden > inum * load:\n                inum, iden = top, load",
+        "if cap * iden > inum * load:\n                inum, iden = cap, load",
+    ),
+    "leave-is-zero": (
+        PERFORMANCE, KERNEL,
+        "leave = column[oj] if caps[oj] == infinity else 0",
+        "leave = 0",
+    ),
+    "pend-dropped": (
+        PERFORMANCE, KERNEL, "pend[oj] += column[oj]", "pend[oj] += 0",
+    ),
+    "tops-count-equal-sizes": (
+        PERFORMANCE, KERNEL,
+        "if size < cj and tops[i] < cj - 1 and i != oj:",
+        "if size <= cj and tops[i] < cj - 1 and i != oj:",
+    ),
+}
+
+
+def run_tests(src: Path, tests) -> bool:
+    """Whether `tests` pass with the package imported from `src`."""
+    # no bytecode cache: a mutant and the next could share a size and a
+    # modification second, and the second would run the first's bytecode
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]),
+        PYTHONDONTWRITEBYTECODE="1",
+    )
+    where = subprocess.run(
+        [sys.executable, "-c", "import schedgames; print(schedgames.__file__)"],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout.strip()
+    if not Path(where).resolve().is_relative_to(src.resolve()):
+        raise SystemExit(f"mutation gate: imported schedgames from {where}, not {src}")
+    command = [
+        sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+        "--hypothesis-profile=mutants", *tests,
+    ]
+    return subprocess.run(command, cwd=ROOT, env=env, capture_output=True).returncode == 0
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        if not run_tests(src, ORACLES + PINS):
+            print("mutation gate: the unmutated source fails the subset")
+            return 1
+        survivors = []
+        for name, (kind, module, target, replacement) in MUTANTS.items():
+            path = src / "schedgames" / module
+            original = path.read_text()
+            found = original.count(target)
+            if found != 1:
+                print(f"{name}: target occurs {found} times in {module}, not once", flush=True)
+                survivors.append(name)
+                continue
+            path.write_text(original.replace(target, replacement))
+            try:
+                tests = ORACLES if kind == CORRECTNESS else ORACLES + PINS
+                killed = not run_tests(src, tests)
+            finally:
+                path.write_text(original)
+            print(f"{name}: {kind} mutant {'killed' if killed else 'SURVIVED'}", flush=True)
+            if not killed:
+                survivors.append(name)
+    print(f"mutation gate: {len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

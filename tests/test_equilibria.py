@@ -18,6 +18,7 @@ from schedgames.core import (
 from schedgames.equilibria import (
     Deviation,
     ScanContext,
+    _StopScan,
     can_coalition_deviate,
     enumerate_profitable_deviations,
     is_nash,
@@ -354,6 +355,25 @@ def _nodes_to_first_leaf(ctx):
         middle = (low + high) // 2
         low, high = (low, middle) if reached(middle) else (middle, high)
     return high
+
+
+@pytest.mark.parametrize("unrelated", [False, True], ids=["identical", "unrelated"])
+@given(data=st.data())
+def test_a_stop_at_the_first_leaf_returns_the_nodes_up_to_it(unrelated, data):
+    # `on_leaf` ends a scan by raising `_StopScan`, and the scan returns
+    # the nodes it visited up to that leaf: the smallest budget that
+    # reaches it; without a leaf, the scan's full count
+    instance, schedule = data.draw(twin_heavy_pairs(unrelated, min_m=2, max_n=6))
+    coalition = data.draw(st.none() | st.sets(st.integers(1, instance.n)))
+    ctx = ScanContext(instance, schedule, coalition, by_size=data.draw(st.booleans()))
+
+    def stop(ctx, assign, loads, caps):
+        raise _StopScan
+
+    first = _nodes_to_first_leaf(ctx)
+    if first is None:
+        first = scan_deviations(ctx, budget=10**6, on_leaf=lambda *args: None)
+    assert scan_deviations(ctx, budget=10**6, on_leaf=stop) == first
 
 
 @pytest.mark.parametrize("unrelated", [False, True], ids=["identical", "unrelated"])

@@ -29,7 +29,8 @@ from schedgames.equilibria import (
 from schedgames.experiments import random_instance, random_ne
 from schedgames.measures import (
     MeasureReport,
-    _leaf_min_improvement,
+    _leaf_max_ratios,
+    _leaf_screen,
     check_flower,
     deviation_stats,
     ir_min,
@@ -207,7 +208,8 @@ def test_min_improvement_read_off_caps_matches_movers_and_oracle(pair):
         movers = [
             Fraction(ctx.cost0[j], loads[i]) for j, i in enumerate(assign) if i != ctx.orig[j]
         ]
-        assert Fraction(*_leaf_min_improvement(ctx, loads, caps)) == min(movers)
+        num, den, *_ = _leaf_screen(ctx, loads, caps)
+        assert Fraction(num, den) == min(movers)
 
     scan_deviations(ctx, budget=10**6, on_leaf=leaf)
     (want, joint), _, _ = brute_measure_witnesses(instance, schedule)
@@ -216,6 +218,30 @@ def test_min_improvement_read_off_caps_matches_movers_and_oracle(pair):
     assert fast.exhaustive and report.ir_min == fast.value == want
     for witness in (report.ir_min_witness, fast.witness):
         assert (None if witness is None else witness.after.assignment) == joint
+
+
+@given(ANY_START, st.booleans())
+# a leaf where a bystander gains 7/5 on a machine that movers entered, more
+# than either mover (7/6, 6/5): the screen bounds that machine by the
+# largest start load over its load, 7/5, where its cap, the smallest start
+# cost of its movers, would give 6/5
+@example((IdenticalInstance(m=3, p=(3, 4, 5, 1, 3)), Schedule((2, 2, 3, 3, 1))), False)
+def test_leaf_screen_never_underestimates(pair, by_size):
+    # the report skips a leaf's O(n) pass when the screen's bounds stay
+    # below the best ratios so far, so at every leaf each bound must reach
+    # the exact ratio it stands for
+    instance, schedule = pair
+    ctx = ScanContext(instance, schedule, by_size=by_size)
+
+    def leaf(ctx, assign, loads, caps):
+        _, _, inum, iden, dnum, dden = _leaf_screen(ctx, loads, caps)
+        xnum, xden, ynum, yden = _leaf_max_ratios(ctx, assign, loads)
+        assert inum * xden >= xnum * iden
+        if ynum is None:
+            return
+        assert dnum * yden >= ynum * dden
+
+    scan_deviations(ctx, budget=10**6, on_leaf=leaf)
 
 
 @given(ANY_START)

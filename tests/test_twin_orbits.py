@@ -26,6 +26,7 @@ from schedgames.core import (
 )
 from schedgames.equilibria import (
     ScanContext,
+    _StopScan,
     can_coalition_deviate,
     enumerate_profitable_deviations,
     is_strong,
@@ -119,6 +120,14 @@ def test_partition_split_node_count_is_pinned():
     # and the scan by index then finds the lexicographically smallest
     # witness in 5,035 more, on the budget the first scan left
     art = reduce_partition_identical((3, 4, 7, 5, 8, 7))
+    # `on_leaf` ends a scan by raising `_StopScan`, and the scan returns
+    # the nodes up to that leaf, which `is_strong` charges to its budget
+    ctx = ScanContext(art.instance, art.start_schedule, by_size=True)
+
+    def stop(ctx, assign, loads, caps):
+        raise _StopScan
+
+    assert scan_deviations(ctx, budget=10**6, on_leaf=stop) == 124
     result = is_strong(art.instance, art.start_schedule, node_budget=5_159)
     assert result.witness.after.assignment == (2, 3, 2, 3, 3, 2, 1, 1, 2, 3)
     # a stop in the scan by index counts both scans against the caller's

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from schedgames.core import ValidationError, load_profile
 from schedgames.equilibria import is_nash, is_strong, profitable_deviation
@@ -283,6 +283,10 @@ def test_unrelated_reduction_rejects_bad_inputs(values, message):
 
 @given(st.lists(st.integers(3, 8), min_size=4, max_size=5))
 @settings(max_examples=30)
+# the conservation cut keeps this split's leaves in index order only if it
+# counts the room of a machine whose mover ceiling exceeds its load plus
+# the work still due there by just 1
+@example([5, 3, 3, 5])
 def test_reduction_equivalence_on_random_multisets(values):
     if sum(values) % 2:
         values = values + [values[0] % 2 + 3]  # nudge the total even

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from math import comb
-from operator import ne
+from operator import getitem, ne
 from typing import Callable, Iterator
 
 from .core import (
@@ -131,8 +131,9 @@ class ScanContext:
     construction: every load, cost and unilateral or joint move of the
     schedule is derived from it, and a deviation scan runs on it.
     `sizes[i][j]` is job j's size on machine i times `scale` (both from
-    the instance's `_scaled` form), `orig[j]` job j's machine, `load0`
-    the machine loads and `cost0[j]` job j's cost, all 0-based.
+    the instance's `_scaled` form), `columns[j]` the same sizes as job
+    j's column over the machines, `orig[j]` job j's machine, `load0` the
+    machine loads and `cost0[j]` job j's cost, all 0-based.
 
     `coalition` is the set of jobs (1-based, checked with `_members`) a
     scan lets act, or None for any set of movers; `free` lists the jobs
@@ -140,11 +141,18 @@ class ScanContext:
     with `by_size` by non-increasing size on the start machine, ties by
     index.  `twins` lists the twin classes among them: jobs with the same
     start machine and the same scaled processing time on every machine,
-    in index order, two or more per class; twins share a size, so either
-    order of `free` keeps each class in index order.  `prev_twin[j]` is
-    the twin just before job j, or -1.
+    in index order, two or more per class, the classes in the index order
+    of their first job; twins share a size, so either order of `free`
+    keeps each class in index order.  `prev_twin[j]` is the twin just
+    before job j, or -1.
     `uncapped` exceeds every load a joint action can give a machine; a
     scan caps machines at it until a mover or member lands there.
+
+    One call validates and builds one context, which every scan of the
+    call reads: `_in_index_order` gives the context with `free` in
+    ascending order and shares everything else, since no other field
+    depends on the order, so a scan by size and a scan by index pay the
+    set-up once.
 
     `to_schedule`, `migrants_of` and `deviation` trust the joint action
     they are given (one machine index in 0..m-1 per job, as a scan or
@@ -154,8 +162,8 @@ class ScanContext:
     """
 
     __slots__ = (
-        "instance", "schedule", "m", "n", "sizes", "scale", "orig", "load0", "cost0",
-        "coalition", "free", "twins", "prev_twin", "uncapped",
+        "instance", "schedule", "m", "n", "sizes", "scale", "columns", "orig", "load0",
+        "cost0", "coalition", "free", "twins", "prev_twin", "uncapped",
     )
 
     def __init__(self, instance: Instance, schedule: Schedule, coalition=None, *, by_size=False):
@@ -163,29 +171,38 @@ class ScanContext:
         validate_schedule(instance, schedule)
         self.instance = instance
         self.schedule = schedule
-        self.m = instance.m
-        self.n = instance.n
+        self.m = m = instance.m
+        self.n = n = instance.n
         self.sizes, self.scale = instance._scaled
-        self.orig = [i - 1 for i in schedule.assignment]
-        load0 = [0] * self.m
-        for j, i in enumerate(self.orig):
-            load0[i] += self.sizes[i][j]
+        self.columns = columns = list(zip(*self.sizes))
+        self.orig = orig = [i - 1 for i in schedule.assignment]
+        own = list(map(getitem, columns, orig))
+        load0 = [0] * m
+        for i, size in zip(orig, own):
+            load0[i] += size
         self.load0 = load0
-        self.cost0 = [load0[i] for i in self.orig]
-        free = range(self.n) if self.coalition is None else sorted(j - 1 for j in self.coalition)
-        if by_size:
-            free = sorted(free, key=lambda j: (-self.sizes[self.orig[j]][j], j))
-        self.free = tuple(free)
-        columns = list(zip(*self.sizes))
-        self.uncapped = sum(map(max, columns)) + 1
+        self.cost0 = [load0[i] for i in orig]
+        free = range(n) if self.coalition is None else sorted(j - 1 for j in self.coalition)
         classes: dict = {}
-        for j in self.free:
-            classes.setdefault((self.orig[j], columns[j]), []).append(j)
+        for j in free:
+            classes.setdefault((orig[j], columns[j]), []).append(j)
+        # a stable sort keeps ties in index order, reversed or not
+        self.free = tuple(sorted(free, key=own.__getitem__, reverse=True) if by_size else free)
+        self.uncapped = sum(map(max, columns)) + 1
         self.twins = tuple(tuple(c) for c in classes.values() if len(c) > 1)
-        self.prev_twin = [-1] * self.n
+        self.prev_twin = prev_twin = [-1] * n
         for c in self.twins:
             for a, b in zip(c, c[1:]):
-                self.prev_twin[b] = a
+                prev_twin[b] = a
+
+    def _in_index_order(self) -> ScanContext:
+        """This context with `free` in ascending order, sharing every other
+        field, which is the same in either order."""
+        view = _new(ScanContext)
+        for name in ScanContext.__slots__:
+            setattr(view, name, getattr(self, name))
+        view.free = tuple(sorted(self.free))
+        return view
 
     def to_schedule(self, assign) -> Schedule:
         schedule = _new(Schedule)
@@ -365,9 +382,12 @@ def scan_deviations(
     A budget stop's `explored_fraction` is the exact share of the joint
     actions resolved in visiting order, cut and twin-skipped branches
     included: those below the path to the node that exceeded the budget.
-    The scan recurses once per job free to act, so it refuses more than
-    500 of them (ValidationError) to stay within the recursion limit, and
-    it drops its recursive closure on every exit, so that its lists, `ctx`
+    The scan's set-up is its plan, one entry per depth, built from the
+    columns, costs and twins `ctx` stores: a call validates and builds one
+    context, and its scans by size and by index read it.  The scan
+    recurses once per job free to act, so it refuses more than 500 of
+    them (ValidationError) to stay within the recursion limit, and it
+    drops its recursive closure on every exit, so that its lists, `ctx`
     and `on_leaf` are freed at once by reference counting, not left to
     the cycle collector.
     """
@@ -378,35 +398,37 @@ def scan_deviations(
             f"got {len(free)}"
         )
     m, n = ctx.m, ctx.n
-    sizes, orig = ctx.sizes, ctx.orig
-    cost0, load0 = ctx.cost0, ctx.load0
+    columns, orig = ctx.columns, ctx.orig
+    cost0, load0, prev_twin = ctx.cost0, ctx.load0, ctx.prev_twin
     members_fixed = ctx.coalition is not None
     # per depth: the job, its sizes on each machine, its start machine, the
     # machine it keeps without setting a cap (its start machine, or -1 when
     # members are fixed), its start cost, its previous twin, and for the
     # jobs at later depths the sum of their smallest sizes and, per machine
     # k, the work of those that start on k and the largest start cost less
-    # one among those that can gain by moving to k (-1 if none)
+    # one among those that can gain by moving to k (-1 if none); a depth
+    # that raises no top shares the `tops` list of the depth after it
     plan = []
     rest_min, pend, tops = 0, [0] * m, [-1] * m
     for j in reversed(free):
-        column = tuple(sizes[i][j] for i in range(m))
-        oj, cj = orig[j], cost0[j]
+        column, oj, cj = columns[j], orig[j], cost0[j]
         keep = -1 if members_fixed else oj
-        plan.append((j, column, oj, keep, cj, ctx.prev_twin[j], rest_min, pend, tops))
+        plan.append((j, column, oj, keep, cj, prev_twin[j], rest_min, pend, tops))
         rest_min += min(column)
         pend = pend.copy()
         pend[oj] += column[oj]
-        tops = tops.copy()
+        shared = True
         for i, size in enumerate(column):
             if size < cj and tops[i] < cj - 1 and i != oj:
+                if shared:
+                    tops, shared = tops.copy(), False
                 tops[i] = cj - 1
     plan.reverse()
 
     loads = [0] * m
     if members_fixed:
         for j in set(range(n)).difference(free):
-            loads[orig[j]] += sizes[orig[j]][j]
+            loads[orig[j]] += columns[j][orig[j]]
 
     depth = len(free)
     last = depth - 1
@@ -515,7 +537,9 @@ def _first_deviation(instance, schedule, budget, coalition=None) -> Deviation | 
     Whether one exists does not depend on visiting order, so a scan by
     size, where the cuts bite sooner, decides it; a scan by index runs
     only to find the first one (`is_strong` says how they share the
-    budget, and what a stop in each carries)."""
+    budget, and what a stop in each carries).  Both read the one context
+    the call validates and builds; the scan by index reads it through
+    `_in_index_order`."""
     _check_budget(budget)
     hit: list = []
 
@@ -523,14 +547,13 @@ def _first_deviation(instance, schedule, budget, coalition=None) -> Deviation | 
         hit.append(ctx.deviation(assign, ctx.coalition))
         raise _StopScan
 
-    by_size = ScanContext(instance, schedule, coalition, by_size=True)
-    nodes = scan_deviations(by_size, budget=budget, on_leaf=grab)
+    ctx = ScanContext(instance, schedule, coalition, by_size=True)
+    nodes = scan_deviations(ctx, budget=budget, on_leaf=grab)
     if not hit:
         return None
     found = hit.pop()
-    by_index = ScanContext(instance, schedule, coalition)
     try:
-        scan_deviations(by_index, budget=budget - nodes, on_leaf=grab)
+        scan_deviations(ctx._in_index_order(), budget=budget - nodes, on_leaf=grab)
     except BudgetExceededError as stop:
         raise BudgetExceededError(
             f"deviation search exceeded {budget} nodes",

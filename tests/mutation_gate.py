@@ -92,6 +92,9 @@ MUTANTS = {
     "stop-drops-its-count": (
         CORRECTNESS, KERNEL, "stop.nodes = nodes", "pass",
     ),
+    "index-view-keeps-size-order": (
+        CORRECTNESS, KERNEL, "view.free = tuple(sorted(self.free))", "view.free = self.free",
+    ),
     "bump-prefers-larger-leaf": (
         CORRECTNESS, MEASURES, "assign < slot[2]", "assign > slot[2]",
     ),

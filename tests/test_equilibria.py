@@ -28,6 +28,7 @@ from schedgames.equilibria import (
 )
 from schedgames.experiments import random_instance, random_ne
 from schedgames.measures import deviation_stats, ir_min, measure_report
+from schedgames.witnesses import reduce_partition_identical, reduce_partition_unrelated
 
 FIG1 = IdenticalInstance(m=3, p=(5, 5, 3, 2, 3, 2))
 FIG1_NE = Schedule((1, 1, 2, 2, 3, 3))
@@ -417,6 +418,82 @@ def test_verdict_costs_scan_by_size_and_witness_adds_scan_by_index(unrelated, da
             assert best == profitable_deviation(instance, schedule, best.after, coalition)
         assert (info.value.nodes, info.value.budget) == (budget + 1, budget)
         assert info.value.explored_fraction == scan.explored_fraction
+
+
+def _reduction(values, unrelated=False):
+    if unrelated:
+        art = reduce_partition_unrelated(values, Fraction(1, len(values)))
+    else:
+        art = reduce_partition_identical(values)
+    return art.instance, art.start_schedule
+
+
+@pytest.mark.parametrize(
+    "pair, coalition, holds",
+    [
+        pytest.param((FIG1, FIG1_NE), None, False, id="figure-1"),
+        pytest.param((FIG1, FIG1_NE), {1, 2, 4, 6}, False, id="figure-1-movers"),
+        pytest.param((FIG1, FIG1_NE), {1}, True, id="figure-1-singleton"),
+        pytest.param(_reduction((3, 4, 7, 5, 8, 7)), None, False, id="split"),
+        pytest.param(_reduction((3, 4, 7, 5, 8, 7)), range(1, 9), False, id="split-movers"),
+        pytest.param(_reduction((3, 4, 7, 5, 8, 7)), range(1, 7), True, id="split-inputs"),
+        pytest.param(_reduction((3, 3, 3, 5)), None, True, id="no-split"),
+        pytest.param(_reduction((3, 3, 4, 4), unrelated=True), None, False, id="unrelated-split"),
+        pytest.param(
+            _reduction((3, 3, 4, 4), unrelated=True), {1, 3, 5}, False,
+            id="unrelated-split-coalition",
+        ),
+        pytest.param(_reduction((3, 3, 3, 5), unrelated=True), None, True, id="unrelated-no-split"),
+        pytest.param(
+            _reduction((3, 3, 3, 5), unrelated=True), {1, 2, 5}, True,
+            id="unrelated-no-split-coalition",
+        ),
+    ],
+)
+def test_each_first_deviation_call_builds_one_scan_context(monkeypatch, pair, coalition, holds):
+    # validation and the context's passes run once per call: the scan by
+    # index reads the scan by size's context with `free` in index order
+    instance, schedule = pair
+    built = []
+    init = ScanContext.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ScanContext, "__init__", counted)
+    if coalition is None:
+        found = is_strong(instance, schedule).witness
+    else:
+        found = can_coalition_deviate(instance, schedule, coalition)
+    assert (found is None) == holds
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("unrelated", [False, True], ids=["identical", "unrelated"])
+@given(data=st.data())
+def test_index_order_view_equals_a_fresh_context(unrelated, data):
+    # the view `_first_deviation` scans by index differs from the context
+    # it scans by size only in `free`, and it scans as a context built in
+    # index order does: the same leaves, in the same order, on as many nodes
+    instance, schedule = data.draw(twin_heavy_pairs(unrelated, min_m=2, max_n=6))
+    coalition = data.draw(st.none() | st.sets(st.integers(1, instance.n)))
+    view = ScanContext(instance, schedule, coalition, by_size=True)._in_index_order()
+    fresh = ScanContext(instance, schedule, coalition)
+    for name in ("free", "prev_twin", "load0", "cost0", "uncapped", "coalition", "orig"):
+        assert getattr(view, name) == getattr(fresh, name), name
+    assert set(view.twins) == set(fresh.twins)
+
+    def leaves(ctx):
+        seen = []
+
+        def leaf(ctx, assign, loads, caps):
+            seen.append((tuple(assign), tuple(loads), tuple(caps)))
+
+        nodes = scan_deviations(ctx, budget=10**6, on_leaf=leaf)
+        return nodes, seen
+
+    assert leaves(view) == leaves(fresh)
 
 
 def test_enumeration_flags_truncation_on_budget():

@@ -14,7 +14,6 @@ from .core import (
 )
 from .equilibria import (
     Deviation,
-    can_coalition_deviate,
     enumerate_profitable_deviations,
     is_nash,
     is_strong,
@@ -47,7 +46,6 @@ __all__ = [
     "Schedule",
     "UnrelatedInstance",
     "ValidationError",
-    "can_coalition_deviate",
     "canonical_form",
     "check_flower",
     "deviation_stats",

@@ -27,6 +27,7 @@ from .core import (
     BudgetExceededError,
     IdenticalInstance,
     ValidationError,
+    _check_budget,
     format_rational,
     parse_rational,
     read_instance,
@@ -35,13 +36,7 @@ from .core import (
     write_schedule,
     load_profile,
 )
-from .equilibria import (
-    Deviation,
-    _members,
-    can_coalition_deviate,
-    is_nash,
-    is_strong,
-)
+from .equilibria import Deviation, _members, is_nash, is_strong
 from .measures import _MEASURES, _paper_limits, deviation_stats, measure_report
 from .schedulers import PtasConfig, list_schedule, lpt, ptas
 from .experiments import SCHEDULERS, SweepConfig, bound_sweep
@@ -50,7 +45,6 @@ from . import witnesses
 
 @dataclass(frozen=True)
 class Verdict:
-    command: str
     payload: dict
     exit_code: int
     rendered: str | None = None
@@ -157,7 +151,10 @@ def _parse_params(text: str | None) -> dict[str, str]:
         if "=" not in piece:
             raise ValidationError(f"parameters look like key=value, got {piece!r}")
         key, value = piece.split("=", 1)
-        out[key.strip().lower()] = value.strip()
+        key = key.strip().lower()
+        if key in out:
+            raise ValidationError(f"--param names {key} twice")
+        out[key] = value.strip()
     return out
 
 
@@ -190,7 +187,7 @@ def _cmd_schedule(args) -> Verdict:
         "loads": [_fmt(l) for l in profile.loads],
         "makespan": _fmt(profile.makespan),
     }
-    return Verdict(command="schedule", payload=payload, exit_code=0)
+    return Verdict(payload=payload, exit_code=0)
 
 
 def _cmd_check(args) -> Verdict:
@@ -221,14 +218,14 @@ def _cmd_check(args) -> Verdict:
         }
         all_hold &= result.holds
     if members is not None:
-        deviation = can_coalition_deviate(instance, schedule, members, node_budget=args.budget)
+        result = is_strong(instance, schedule, node_budget=args.budget, coalition=members)
         payload["coalition"] = {
             "members": members,
-            "can_deviate": deviation is not None,
-            "witness": None if deviation is None else deviation.to_dict(),
+            "can_deviate": not result.holds,
+            "witness": None if result.witness is None else result.witness.to_dict(),
         }
-        all_hold &= deviation is None
-    return Verdict(command="check", payload=payload, exit_code=0 if all_hold else 1)
+        all_hold &= result.holds
+    return Verdict(payload=payload, exit_code=0 if all_hold else 1)
 
 
 def _table_rows(instance, schedule, report) -> list[list[str]]:
@@ -277,7 +274,7 @@ def _cmd_measures(args) -> Verdict:
         if args.format == "csv":
             rendered = _render_csv(rows)
     exit_code = 0 if report.exhaustive else 3
-    return Verdict(command="measures", payload=payload, exit_code=exit_code, rendered=rendered)
+    return Verdict(payload=payload, exit_code=exit_code, rendered=rendered)
 
 
 def _write_json(obj, path) -> None:
@@ -351,11 +348,11 @@ def _cmd_witness(args) -> Verdict:
     else:
         payload.update(_write_artifact(artifact, out, files))
     if search is None:
-        return Verdict(command="witness", payload=payload, exit_code=0)
+        return Verdict(payload=payload, exit_code=0)
     payload["found"] = search.found
     payload["value"] = _fmt(search.value)
     payload["nodes"] = search.budget_charged
-    return Verdict(command="witness", payload=payload, exit_code=0 if search.found else 1)
+    return Verdict(payload=payload, exit_code=0 if search.found else 1)
 
 
 def _cmd_reduce(args) -> Verdict:
@@ -389,7 +386,7 @@ def _cmd_reduce(args) -> Verdict:
             str(out / "schedule.json"),
             str(out / "artifact.json"),
         ]
-    return Verdict(command="reduce", payload=payload, exit_code=0)
+    return Verdict(payload=payload, exit_code=0)
 
 
 def _cmd_experiment(args) -> Verdict:
@@ -439,12 +436,7 @@ def _cmd_experiment(args) -> Verdict:
     if args.out:
         payload["csv"] = args.out
     rendered = _render_csv(rows) if args.format == "csv" else None
-    return Verdict(
-        command="experiment",
-        payload=payload,
-        exit_code=0 if not violations else 1,
-        rendered=rendered,
-    )
+    return Verdict(payload=payload, exit_code=0 if not violations else 1, rendered=rendered)
 
 
 _HANDLERS = {
@@ -464,16 +456,17 @@ def run(argv) -> Verdict:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 2
-        return Verdict(
-            command="usage", payload={"error": "usage"}, exit_code=2 if code else 0
-        )
+        return Verdict(payload={"error": "usage"}, exit_code=2 if code else 0)
     try:
+        # a bad budget is bad input even where no search would read it
+        if hasattr(args, "budget"):
+            _check_budget(args.budget)
         return _HANDLERS[args.command](args)
     except (ValueError, OSError) as exc:
         # ValidationError and JSONDecodeError are ValueErrors too; OSError
         # covers missing, unreadable and directory paths
         print(f"error: {exc}", file=sys.stderr)
-        return Verdict(command=args.command, payload={"error": str(exc)}, exit_code=2)
+        return Verdict(payload={"error": str(exc)}, exit_code=2)
     except BudgetExceededError as exc:
         payload = {
             "error": "budget-exceeded",
@@ -488,7 +481,7 @@ def run(argv) -> Verdict:
             # though a smaller witness may exist
             payload["best"] = exc.best.to_dict()
         print(f"error: {exc}", file=sys.stderr)
-        return Verdict(command=args.command, payload=payload, exit_code=3)
+        return Verdict(payload=payload, exit_code=3)
 
 
 def main() -> None:

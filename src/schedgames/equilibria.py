@@ -1,21 +1,20 @@
 """Exact equilibrium checking: unilateral moves, coalition deviations,
 and one pruned exhaustive search over joint actions.
 
-`scan_deviations` is the one search kernel: `is_strong`,
-`can_coalition_deviate` and `enumerate_profitable_deviations` here, and
-the measures in `measures`, are views over it.  It runs on a
-`ScanContext`, the instance's `_scaled` integers (see `core`) read
-against one schedule, from which `is_nash` and `profitable_deviation`
-also take every load and cost; a value becomes a `Fraction` only on its
-way out.
+`scan_deviations` is the one search kernel: `is_strong` and
+`enumerate_profitable_deviations` here, and the measures in `measures`,
+are views over it.  It runs on a `ScanContext`, the instance's `_scaled`
+integers (see `core`) read against one schedule, from which `is_nash`
+and `profitable_deviation` also take every load and cost; a value
+becomes a `Fraction` only on its way out.
 
-The scan places the jobs free to act by index, so that candidates come
-in lexicographic order, or by non-increasing size, where its cuts bite
-sooner.  Whether a deviation exists does not depend on that order, so
-`is_strong` and `can_coalition_deviate` decide by size and scan by index
-only when a deviation exists, to find the lexicographically first.
-`enumerate_profitable_deviations` scans by index, since its order and
-its budget-stop prefix are lexicographic.
+Each scan places the jobs free to act by index, so that candidates come
+in lexicographic order, or, given `by_size`, by non-increasing size,
+where its cuts bite sooner.  Whether a deviation exists does not depend
+on that order, so `is_strong`, for every coalition or one named one,
+decides by size and scans by index only when a deviation exists, to find
+the lexicographically first.  `enumerate_profitable_deviations` scans by
+index, since its order and its budget-stop prefix are lexicographic.
 
 The scan cuts only branches that hold no profitable deviation, and it
 visits interchangeable jobs once per relabelling, through the
@@ -137,22 +136,15 @@ class ScanContext:
 
     `coalition` is the set of jobs (1-based, checked with `_members`) a
     scan lets act, or None for any set of movers; `free` lists the jobs
-    free to act, 0-based, in the order a scan places them: ascending, or
-    with `by_size` by non-increasing size on the start machine, ties by
-    index.  `twins` lists the twin classes among them: jobs with the same
-    start machine and the same scaled processing time on every machine,
-    in index order, two or more per class, the classes in the index order
-    of their first job; twins share a size, so either order of `free`
-    keeps each class in index order.  `prev_twin[j]` is the twin just
-    before job j, or -1.
+    free to act, 0-based and ascending (each scan picks its own order).
+    `twins` lists the twin classes among them: jobs with the same start
+    machine and the same scaled processing time on every machine, in index
+    order, two or more per class, the classes in the index order of their
+    first job.  `prev_twin[j]` is the twin just before job j, or -1.
     `uncapped` exceeds every load a joint action can give a machine; a
-    scan caps machines at it until a mover or member lands there.
-
-    One call validates and builds one context, which every scan of the
-    call reads: `_in_index_order` gives the context with `free` in
-    ascending order and shares everything else, since no other field
-    depends on the order, so a scan by size and a scan by index pay the
-    set-up once.
+    scan caps machines at it until a mover or member lands there.  No
+    field depends on a scan's order, so one context serves a call's scans
+    by size and by index, and the call pays the set-up once.
 
     `to_schedule`, `migrants_of` and `deviation` trust the joint action
     they are given (one machine index in 0..m-1 per job, as a scan or
@@ -166,7 +158,7 @@ class ScanContext:
         "cost0", "coalition", "free", "twins", "prev_twin", "uncapped",
     )
 
-    def __init__(self, instance: Instance, schedule: Schedule, coalition=None, *, by_size=False):
+    def __init__(self, instance: Instance, schedule: Schedule, coalition=None):
         self.coalition = None if coalition is None else _members(coalition, instance.n)
         validate_schedule(instance, schedule)
         self.instance = instance
@@ -176,33 +168,23 @@ class ScanContext:
         self.sizes, self.scale = instance._scaled
         self.columns = columns = list(zip(*self.sizes))
         self.orig = orig = [i - 1 for i in schedule.assignment]
-        own = list(map(getitem, columns, orig))
         load0 = [0] * m
-        for i, size in zip(orig, own):
+        for i, size in zip(orig, map(getitem, columns, orig)):
             load0[i] += size
         self.load0 = load0
         self.cost0 = [load0[i] for i in orig]
-        free = range(n) if self.coalition is None else sorted(j - 1 for j in self.coalition)
+        self.free = free = tuple(
+            range(n) if self.coalition is None else sorted(j - 1 for j in self.coalition)
+        )
         classes: dict = {}
         for j in free:
             classes.setdefault((orig[j], columns[j]), []).append(j)
-        # a stable sort keeps ties in index order, reversed or not
-        self.free = tuple(sorted(free, key=own.__getitem__, reverse=True) if by_size else free)
         self.uncapped = sum(map(max, columns)) + 1
         self.twins = tuple(tuple(c) for c in classes.values() if len(c) > 1)
         self.prev_twin = prev_twin = [-1] * n
         for c in self.twins:
             for a, b in zip(c, c[1:]):
                 prev_twin[b] = a
-
-    def _in_index_order(self) -> ScanContext:
-        """This context with `free` in ascending order, sharing every other
-        field, which is the same in either order."""
-        view = _new(ScanContext)
-        for name in ScanContext.__slots__:
-            setattr(view, name, getattr(self, name))
-        view.free = tuple(sorted(self.free))
-        return view
 
     def to_schedule(self, assign) -> Schedule:
         schedule = _new(Schedule)
@@ -332,7 +314,7 @@ def _distinct_orders(values: list) -> list[tuple]:
 
 
 def scan_deviations(
-    ctx: ScanContext, *, budget: int, on_leaf: Callable, min_ratio_floor=None
+    ctx: ScanContext, *, budget: int, on_leaf: Callable, by_size=False, min_ratio_floor=None
 ) -> int:
     """Depth-first search over the joint actions of the schedule of `ctx`.
     Returns the nodes visited, which `budget` (a positive int, checked by
@@ -344,9 +326,11 @@ def scan_deviations(
     that raises `_StopScan` ends the scan, which returns the nodes up to
     and including that leaf: the smallest budget that reaches it.
 
+    The scan places the jobs of `ctx.free` in index order, or with
+    `by_size` by non-increasing size on the start machine, ties by index.
     Each profitable candidate, one per orbit (below), goes to on_leaf(ctx,
-    assign, loads, caps) in lexicographic order of the jobs of `ctx.free`
-    taken in that order: the 0-based joint action, its machine loads, and
+    assign, loads, caps) in lexicographic order of those jobs taken in
+    that order: the 0-based joint action, its machine loads, and
     per machine its cap, the smallest start cost among the jobs bound to
     it (movers into it, and with a coalition the members that stay), or
     `ctx.uncapped`.  They are the scan's own lists, valid during the call
@@ -374,17 +358,18 @@ def scan_deviations(
       every machine (`ctx.twins`).  Relabelling them changes no load,
       cost or ratio, so only targets non-decreasing within each twin class
       are visited: the lexicographically smallest member of each orbit,
-      in either order of `ctx.free`, since both keep a class in index
-      order.  So in index order the first leaf attaining any value is that
-      of the labelled scan.  A caller adds `ctx.orbit_size(assign)` to
-      count labelled deviations, or expands `ctx.orbit(assign)`.
+      in either order, since twins share a size and so both keep a class
+      in index order.  So in index order the first leaf attaining any
+      value is that of the labelled scan.  A caller adds
+      `ctx.orbit_size(assign)` to count labelled deviations, or expands
+      `ctx.orbit(assign)`.
 
     A budget stop's `explored_fraction` is the exact share of the joint
     actions resolved in visiting order, cut and twin-skipped branches
     included: those below the path to the node that exceeded the budget.
-    The scan's set-up is its plan, one entry per depth, built from the
-    columns, costs and twins `ctx` stores: a call validates and builds one
-    context, and its scans by size and by index read it.  The scan
+    The scan's set-up is its order and its plan, one entry per depth,
+    built from the columns, costs and twins `ctx` stores, so that a call
+    validates and builds one context for all its scans.  The scan
     recurses once per job free to act, so it refuses more than 500 of
     them (ValidationError) to stay within the recursion limit, and it
     drops its recursive closure on every exit, so that its lists, `ctx`
@@ -399,6 +384,10 @@ def scan_deviations(
         )
     m, n = ctx.m, ctx.n
     columns, orig = ctx.columns, ctx.orig
+    if by_size:
+        # a stable sort keeps ties in index order, reversed or not
+        own = list(map(getitem, columns, orig))
+        free = sorted(free, key=own.__getitem__, reverse=True)
     cost0, load0, prev_twin = ctx.cost0, ctx.load0, ctx.prev_twin
     members_fixed = ctx.coalition is not None
     # per depth: the job, its sizes on each machine, its start machine, the
@@ -531,75 +520,55 @@ def scan_deviations(
         dfs = None
 
 
-def _first_deviation(instance, schedule, budget, coalition=None) -> Deviation | None:
-    """The lexicographically first profitable deviation, or None.
+def is_strong(
+    instance: Instance,
+    schedule: Schedule,
+    node_budget: int = DEFAULT_SEARCH_BUDGET,
+    *,
+    coalition=None,
+) -> StabilityResult:
+    """Is the schedule resilient to every coalition move, or with
+    `coalition` to a joint move of exactly those jobs, in which every one
+    of them (moving or staying put) strictly improves?  A job named twice
+    in `coalition` raises ValidationError.  Exhaustive within the budget;
+    raises BudgetExceededError rather than guessing.  On failure the
+    witness is the lexicographically smallest profitable joint action,
+    its coalition the migrants, or `coalition` when given.
 
-    Whether one exists does not depend on visiting order, so a scan by
-    size, where the cuts bite sooner, decides it; a scan by index runs
-    only to find the first one (`is_strong` says how they share the
-    budget, and what a stop in each carries).  Both read the one context
-    the call validates and builds; the scan by index reads it through
-    `_in_index_order`."""
-    _check_budget(budget)
+    Whether a deviation exists does not depend on visiting order, so two
+    scans of the one context the call validates and builds share
+    `node_budget`: one by size, where the cuts bite sooner, decides, and
+    only when it meets a deviation does one by index find the smallest,
+    on the nodes the first left.  A stop counts the nodes of both in
+    `nodes`, names `node_budget` as `budget`, and reports in
+    `explored_fraction` the share the stopped scan resolved, in its own
+    visiting order.  A stop in the scan by index carries in `best` the
+    deviation the scan by size found, so the schedule is known not to be
+    strong, though that deviation need not be the smallest; a stop in the
+    scan by size carries none."""
+    _check_budget(node_budget)
     hit: list = []
 
     def grab(ctx, assign, loads, caps):
         hit.append(ctx.deviation(assign, ctx.coalition))
         raise _StopScan
 
-    ctx = ScanContext(instance, schedule, coalition, by_size=True)
-    nodes = scan_deviations(ctx, budget=budget, on_leaf=grab)
+    ctx = ScanContext(instance, schedule, coalition)
+    nodes = scan_deviations(ctx, budget=node_budget, on_leaf=grab, by_size=True)
     if not hit:
-        return None
+        return StabilityResult(holds=True)
     found = hit.pop()
     try:
-        scan_deviations(ctx._in_index_order(), budget=budget - nodes, on_leaf=grab)
+        scan_deviations(ctx, budget=node_budget - nodes, on_leaf=grab)
     except BudgetExceededError as stop:
         raise BudgetExceededError(
-            f"deviation search exceeded {budget} nodes",
+            f"deviation search exceeded {node_budget} nodes",
             nodes=nodes + stop.nodes,
-            budget=budget,
+            budget=node_budget,
             explored_fraction=stop.explored_fraction,
             best=found,
         ) from None
-    return hit[0]
-
-
-def is_strong(
-    instance: Instance, schedule: Schedule, node_budget: int = DEFAULT_SEARCH_BUDGET
-) -> StabilityResult:
-    """Is the schedule resilient to every coalition move?  Exhaustive
-    within the budget; raises BudgetExceededError rather than guessing.
-    On failure the witness is the lexicographically smallest profitable
-    joint action, its coalition the migrants.
-
-    Two scans share `node_budget`: one by size decides, and only when it
-    meets a deviation does one by index find the smallest, on the nodes
-    the first left.  A stop counts the nodes of both in `nodes`, names
-    `node_budget` as `budget`, and reports in `explored_fraction` the
-    share the stopped scan resolved, in its own visiting order.  A stop
-    in the scan by index carries in `best` the deviation the scan by size
-    found, so the schedule is known not to be strong, though that
-    deviation need not be the smallest; a stop in the scan by size
-    carries none."""
-    witness = _first_deviation(instance, schedule, node_budget)
-    return StabilityResult(holds=witness is None, witness=witness)
-
-
-def can_coalition_deviate(
-    instance: Instance,
-    schedule: Schedule,
-    coalition,
-    node_budget: int = DEFAULT_SEARCH_BUDGET,
-) -> Deviation | None:
-    """Joint move of exactly the given jobs in which every one of them
-    (moving or staying put) strictly improves; None if impossible.  A
-    job named twice in `coalition` raises ValidationError.  The move is
-    the lexicographically smallest, and it is found and budgeted as in
-    `is_strong`: a scan by size decides, then one by index finds it, both
-    on the one `node_budget`, and a stop in the second carries the first
-    one's deviation in `best`."""
-    return _first_deviation(instance, schedule, node_budget, coalition)
+    return StabilityResult(holds=False, witness=hit[0])
 
 
 @dataclass(frozen=True)

@@ -342,8 +342,8 @@ def _evaluate(scheduler, eps, instance, schedule, budget):
     each member of an orbit has the representative's report, and a
     failing orbit is expanded whole.  After a budget stop only members up
     to the last representative are kept, the lexicographic prefix that
-    enumeration finds on the same budget; so the context keeps index
-    order, not the size order of `measure_report`.
+    enumeration finds on the same budget; so the measure scan keeps index
+    order (`_measure`'s default), not the size order of `measure_report`.
 
     Returns (measures, makespan, opt, checks, failures): `opt` is None
     past its budget, and `checks` is empty when the measures ran out of

@@ -27,14 +27,15 @@ the scan finished.  The
 `ir_max` witness counts improving bystanders in its coalition; every
 other witness's coalition is its migrants.
 
-Both scans place jobs by non-increasing size (`ScanContext(by_size=
-True)`), which meets the caps and the load-conservation cut sooner than
-index order, so their leaves do not come in lexicographic order.  Each
-witness is therefore kept by a tie-break, `_bump`: a leaf replaces it on
-a strictly larger ratio, or on an equal one with a lexicographically
-smaller joint action.  Each orbit representative is the smallest member
-of its orbit, so every witness is the lexicographically smallest
-deviation attaining its value, as in an index-order scan.
+Both scans place jobs by non-increasing size (`by_size=True`, an
+argument of the scan, not of the context), which meets the caps and the
+load-conservation cut sooner than index order, so their leaves do not
+come in lexicographic order.  Each witness is therefore kept by a
+tie-break, `_bump`: a leaf replaces it on a strictly larger ratio, or on
+an equal one with a lexicographically smaller joint action.  Each orbit
+representative is the smallest member of its orbit, so every witness is
+the lexicographically smallest deviation attaining its value, as in an
+index-order scan.
 
 The exact `ir_max` and `dr_max` of a leaf take a pass over its n jobs,
 `_leaf_max_ratios`, which `_measure` runs only when it must:
@@ -277,15 +278,18 @@ def measure_report(
     leaves met in size order, not from a lexicographic prefix, and each
     witness is the smallest of those leaves attaining its value."""
     _check_budget(node_budget)
-    return _measure(ScanContext(instance, schedule, by_size=True), node_budget)
+    return _measure(ScanContext(instance, schedule), node_budget, by_size=True)
 
 
-def _measure(ctx: ScanContext, node_budget: int, on_leaf=None) -> MeasureReport:
+def _measure(
+    ctx: ScanContext, node_budget: int, on_leaf=None, *, by_size=False
+) -> MeasureReport:
     """`measure_report` of the schedule of `ctx`, a context without a
-    coalition, for a caller that has checked the budget.
+    coalition, for a caller that has checked the budget, from one scan
+    that places jobs by index, or with `by_size` by size.
     `on_leaf(ctx, assign, loads, caps)`, when given, also sees every orbit
-    representative the scan finds, in the scan order of `ctx.free`
-    (lexicographic when `ctx` lists it ascending, as a sweep's does)."""
+    representative the scan finds, in scan order (lexicographic in index
+    order, as a sweep's is)."""
     best = {name: [1, 1, None] for name in _MEASURES}
     low, high, harm = best["ir_min"], best["ir_max"], best["dr_max"]
     twins = ctx.twins
@@ -303,7 +307,7 @@ def _measure(ctx: ScanContext, node_budget: int, on_leaf=None) -> MeasureReport:
         if on_leaf is not None:
             on_leaf(ctx, assign, loads, caps)
 
-    nodes, exhaustive = _scan(ctx, node_budget, leaf)
+    nodes, exhaustive = _scan(ctx, node_budget, leaf, by_size=by_size)
     fields = {}
     for name, (num, den, assign) in best.items():
         witness = None
@@ -315,12 +319,14 @@ def _measure(ctx: ScanContext, node_budget: int, on_leaf=None) -> MeasureReport:
     return MeasureReport(**fields, exhaustive=exhaustive, deviation_count=count[0], nodes=nodes)
 
 
-def _scan(ctx: ScanContext, node_budget: int, on_leaf, min_ratio_floor=None):
-    """`scan_deviations` on `ctx`: (nodes, finished), where a budget stop
-    gives the nodes its `BudgetExceededError` carries and False."""
+def _scan(ctx: ScanContext, node_budget: int, on_leaf, *, by_size, min_ratio_floor=None):
+    """`scan_deviations` on `ctx` in the order `by_size` picks: (nodes,
+    finished), where a budget stop gives the nodes its
+    `BudgetExceededError` carries and False."""
     try:
         nodes = scan_deviations(
-            ctx, budget=node_budget, on_leaf=on_leaf, min_ratio_floor=min_ratio_floor
+            ctx, budget=node_budget, on_leaf=on_leaf, by_size=by_size,
+            min_ratio_floor=min_ratio_floor,
         )
     except BudgetExceededError as exc:
         return exc.nodes, False
@@ -347,7 +353,7 @@ def ir_min(
     after a budget stop the value is a lower bound taken from the leaves
     met in size order, with the smallest of them attaining it."""
     _check_budget(node_budget)
-    ctx = ScanContext(instance, schedule, by_size=True)
+    ctx = ScanContext(instance, schedule)
     # [num, den, assign]: the scan prunes on the ratio in its first two
     slot = [1, 1, None]
 
@@ -355,7 +361,7 @@ def ir_min(
         num, den, *_ = _leaf_screen(ctx, loads, caps)
         _bump(slot, num, den, assign)
 
-    exhaustive = _scan(ctx, node_budget, leaf, min_ratio_floor=slot)[1]
+    exhaustive = _scan(ctx, node_budget, leaf, by_size=True, min_ratio_floor=slot)[1]
     witness = None if slot[2] is None else ctx.deviation(slot[2])
     return MeasureValue(value=Fraction(slot[0], slot[1]), witness=witness, exhaustive=exhaustive)
 

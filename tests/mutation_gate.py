@@ -12,8 +12,9 @@ named subset of the tests against the copy, under the derandomized
 - A correctness mutant can change a verdict, a witness, a count, a
   measure or a reported node count, so `ORACLES`, the tests that check
   results against brute-force oracles or leaf by leaf, must fail.
-- A performance mutant only loosens a cut or skips a shortcut, leaving
-  every result as it was, so it must fail `ORACLES` and `PINS` together,
+- A performance mutant only loosens a cut, skips a shortcut or reorders
+  a scan whose results do not depend on its order, leaving every result
+  as it was, so it must fail `ORACLES` and `PINS` together,
   where `PINS` holds the tests that pin node counts.
 
 Before any mutant, the unmutated copy must pass both subsets.  The gate
@@ -92,8 +93,10 @@ MUTANTS = {
     "stop-drops-its-count": (
         CORRECTNESS, KERNEL, "stop.nodes = nodes", "pass",
     ),
-    "index-view-keeps-size-order": (
-        CORRECTNESS, KERNEL, "view.free = tuple(sorted(self.free))", "view.free = self.free",
+    "witness-scan-keeps-size-order": (
+        CORRECTNESS, KERNEL,
+        "scan_deviations(ctx, budget=node_budget - nodes, on_leaf=grab)",
+        "scan_deviations(ctx, budget=node_budget - nodes, on_leaf=grab, by_size=True)",
     ),
     "bump-prefers-larger-leaf": (
         CORRECTNESS, MEASURES, "assign < slot[2]", "assign > slot[2]",
@@ -120,6 +123,11 @@ MUTANTS = {
         PERFORMANCE, KERNEL,
         "if size < cj and tops[i] < cj - 1 and i != oj:",
         "if size <= cj and tops[i] < cj - 1 and i != oj:",
+    ),
+    "size-order-ascending": (
+        PERFORMANCE, KERNEL,
+        "free = sorted(free, key=own.__getitem__, reverse=True)",
+        "free = sorted(free, key=own.__getitem__)",
     ),
 }
 

@@ -417,6 +417,24 @@ def test_witness_integer_parameter_names_its_key(tmp_path, flags):
 @pytest.mark.parametrize(
     "flags",
     [
+        ["--figure", "3", "--param", "r=3,r=5"],
+        ["--search", "ir_max", "--param", "target=1.55,target=9"],
+    ],
+    ids=["figure-3", "search"],
+)
+def test_witness_rejects_a_repeated_parameter(tmp_path, flags):
+    # a repeated key is bad input, not the last value silently winning
+    out = tmp_path / "w"
+    verdict = run(["witness", *flags, "--out", str(out)])
+    assert verdict.exit_code == 2
+    key = flags[-1].partition("=")[0]
+    assert verdict.payload["error"] == f"--param names {key} twice"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
         ["--figure", "3", "--param", "r=1"],
         ["--figure", "3", "--param", "m=x"],
         ["--search", "ir_max", "--param", "target=abc"],
@@ -598,6 +616,15 @@ def test_experiment_rejects_non_positive_budget_before_ptas_runs():
     )
     assert verdict.exit_code == 2
     assert verdict.payload["error"] == "node budget must be positive, got 0"
+
+
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_check_ne_rejects_a_bad_budget_no_search_reads(fig1_files, budget):
+    # --ne runs no budgeted search, yet a bad budget is still bad input
+    instance, schedule = fig1_files
+    verdict = run(["check", "--ne", "--budget", budget, "--in", instance, "--schedule", schedule])
+    assert verdict.exit_code == 2
+    assert verdict.payload["error"] == f"node budget must be positive, got {budget}"
 
 
 def test_experiment_needs_preset_or_scheduler():

@@ -19,7 +19,6 @@ from oracles import (
 from schedgames.core import BudgetExceededError, IdenticalInstance, Schedule, UnrelatedInstance
 from schedgames.equilibria import (
     ScanContext,
-    can_coalition_deviate,
     enumerate_profitable_deviations,
     is_nash,
     is_strong,
@@ -68,9 +67,10 @@ def test_cut_keeps_every_profitable_leaf_of_an_equilibrium(pair):
 def test_cut_keeps_every_coalition_deviation_of_an_equilibrium(pair, data):
     instance, schedule = pair
     coalition = data.draw(st.sets(st.integers(1, instance.n), min_size=1))
-    deviation = can_coalition_deviate(instance, schedule, coalition)
+    result = is_strong(instance, schedule, coalition=coalition)
     expected = brute_coalition_deviation(instance, schedule, coalition)
-    assert (None if deviation is None else deviation.after.assignment) == expected
+    assert result.holds == (expected is None)
+    assert (None if result.holds else result.witness.after.assignment) == expected
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,6 @@ from schedgames.equilibria import (
     Deviation,
     ScanContext,
     _StopScan,
-    can_coalition_deviate,
     enumerate_profitable_deviations,
     is_nash,
     is_strong,
@@ -127,27 +126,28 @@ def test_two_machine_stability_notions_coincide(pair):
     assert is_nash(instance, schedule).holds == is_strong(instance, schedule).holds
 
 
-# --- can_coalition_deviate ------------------------------------------------
+# --- is_strong with a coalition --------------------------------------------
 
 
 def test_benchmark_coalition_of_movers_can_deviate():
-    deviation = can_coalition_deviate(FIG1, FIG1_NE, {1, 2, 4, 6})
-    assert deviation is not None
+    result = is_strong(FIG1, FIG1_NE, coalition={1, 2, 4, 6})
+    assert not result.holds
+    deviation = result.witness
     assert deviation.after.assignment == FIG1_MOVE.assignment
     assert deviation.coalition == frozenset({1, 2, 4, 6})
 
 
 def test_singleton_coalition_cannot_deviate_from_equilibrium():
     for j in range(1, 7):
-        assert can_coalition_deviate(FIG1, FIG1_NE, {j}) is None
+        assert is_strong(FIG1, FIG1_NE, coalition={j}).holds
 
 
 def test_mid_size_jobs_cannot_deviate_alone():
-    assert can_coalition_deviate(FIG1, FIG1_NE, {3, 5}) is None
+    assert is_strong(FIG1, FIG1_NE, coalition={3, 5}).holds
 
 
 def test_empty_coalition_cannot_deviate():
-    assert can_coalition_deviate(FIG1, FIG1_NE, set()) is None
+    assert is_strong(FIG1, FIG1_NE, coalition=set()).holds
 
 
 def test_coalition_with_staying_member_must_still_improve():
@@ -155,21 +155,22 @@ def test_coalition_with_staying_member_must_still_improve():
     # the size-4 job improves by the same move without migrating
     instance = IdenticalInstance(m=2, p=(4, 1))
     schedule = Schedule((1, 1))
-    deviation = can_coalition_deviate(instance, schedule, {1, 2})
-    assert deviation is not None
+    result = is_strong(instance, schedule, coalition={1, 2})
+    assert not result.holds
+    deviation = result.witness
     assert deviation.migrants == frozenset({2})
     assert deviation.coalition == frozenset({1, 2})
 
 
 def test_coalition_rejects_bad_member():
     with pytest.raises(ValidationError):
-        can_coalition_deviate(FIG1, FIG1_NE, {0})
+        is_strong(FIG1, FIG1_NE, coalition={0})
 
 
 def test_coalition_rejects_a_repeated_member():
     # a repeated job is malformed input, not the same coalition named once
     with pytest.raises(ValidationError, match="job 1 twice"):
-        can_coalition_deviate(FIG1, FIG1_NE, [1, 1, 2, 2, 4, 4, 6, 6])
+        is_strong(FIG1, FIG1_NE, coalition=[1, 1, 2, 2, 4, 4, 6, 6])
     with pytest.raises(ValidationError, match="job 1 twice"):
         profitable_deviation(FIG1, FIG1_NE, FIG1_MOVE, coalition=[1, 1, 2, 4, 6])
 
@@ -266,18 +267,28 @@ def test_budget_is_honored_within_factor_two():
         assert budget < info.value.nodes <= 2 * budget
 
 
-def _brute_representatives(ctx):
+def _scan_order(ctx, by_size):
+    """The jobs free to act in `ctx`, 0-based, in the order a scan with
+    `by_size` places them: by index, or by non-increasing size on the
+    start machine, ties by index."""
+    if not by_size:
+        return list(ctx.free)
+    return sorted(ctx.free, key=lambda j: (-ctx.sizes[ctx.orig[j]][j], j))
+
+
+def _brute_representatives(ctx, by_size):
     """(rank, joint action) of every profitable joint action of the jobs
     free to act in `ctx` whose targets do not decrease within any class
     of `ctx.twins`, by rank: the joint action read as a base-m number over
-    `ctx.free`, 0-based.  Plain enumeration on `Fraction` loads."""
+    the jobs in the scan order of `by_size`, 0-based.  Plain enumeration
+    on `Fraction` loads."""
     instance, m = ctx.instance, ctx.m
     orig = [i - 1 for i in ctx.schedule.assignment]
     old = load_profile(instance, ctx.schedule).loads
     found = []
     for targets in itertools.product(range(m), repeat=len(ctx.free)):
         joint = list(orig)
-        for j, i in zip(ctx.free, targets):
+        for j, i in zip(_scan_order(ctx, by_size), targets):
             joint[j] = i
         if joint == orig or any(
             joint[a] > joint[b] for c in ctx.twins for a, b in zip(c, c[1:])
@@ -305,14 +316,15 @@ def test_budget_stop_has_seen_exactly_the_representatives_it_resolved(unrelated,
     # met before it are exactly the profitable representatives in that share
     instance, schedule = data.draw(twin_heavy_pairs(unrelated, min_m=2, max_n=6))
     coalition = data.draw(st.none() | st.sets(st.integers(1, instance.n)))
-    ctx = ScanContext(instance, schedule, coalition, by_size=data.draw(st.booleans()))
-    expected = _brute_representatives(ctx)
+    ctx = ScanContext(instance, schedule, coalition)
+    by_size = data.draw(st.booleans())
+    expected = _brute_representatives(ctx, by_size)
     seen = []
 
     def leaf(ctx, assign, loads, caps):
         seen.append(tuple(assign))
 
-    finished = scan_deviations(ctx, budget=10**6, on_leaf=leaf)
+    finished = scan_deviations(ctx, budget=10**6, on_leaf=leaf, by_size=by_size)
     assert seen == [joint for _, joint in expected]
     budgets = st.just([])
     if finished > 1:
@@ -320,23 +332,23 @@ def test_budget_stop_has_seen_exactly_the_representatives_it_resolved(unrelated,
     for budget in data.draw(budgets):
         seen.clear()
         with pytest.raises(BudgetExceededError) as info:
-            scan_deviations(ctx, budget=budget, on_leaf=leaf)
+            scan_deviations(ctx, budget=budget, on_leaf=leaf, by_size=by_size)
         assert info.value.nodes == budget + 1
         resolved = info.value.explored_fraction * ctx.m ** len(ctx.free)
         assert resolved.denominator == 1
         assert seen == [joint for rank, joint in expected if rank < resolved]
 
 
-def _stop(ctx, budget, on_leaf=lambda *args: None):
+def _stop(ctx, budget, by_size, on_leaf=lambda *args: None):
     """The stop of a scan of `ctx` on `budget`, or None if it finishes."""
     try:
-        scan_deviations(ctx, budget=budget, on_leaf=on_leaf)
+        scan_deviations(ctx, budget=budget, on_leaf=on_leaf, by_size=by_size)
     except BudgetExceededError as stop:
         return stop
     return None
 
 
-def _nodes_to_first_leaf(ctx):
+def _nodes_to_first_leaf(ctx, by_size):
     """The nodes a scan of `ctx` visits up to its first profitable leaf,
     the leaf included, by bisection on the budget; None without one."""
     seen = []
@@ -346,10 +358,10 @@ def _nodes_to_first_leaf(ctx):
 
     def reached(budget):
         seen.clear()
-        _stop(ctx, budget, leaf)
+        _stop(ctx, budget, by_size, leaf)
         return bool(seen)
 
-    low, high = 0, scan_deviations(ctx, budget=10**6, on_leaf=leaf)
+    low, high = 0, scan_deviations(ctx, budget=10**6, on_leaf=leaf, by_size=by_size)
     if not seen:
         return None
     while high - low > 1:
@@ -366,15 +378,16 @@ def test_a_stop_at_the_first_leaf_returns_the_nodes_up_to_it(unrelated, data):
     # reaches it; without a leaf, the scan's full count
     instance, schedule = data.draw(twin_heavy_pairs(unrelated, min_m=2, max_n=6))
     coalition = data.draw(st.none() | st.sets(st.integers(1, instance.n)))
-    ctx = ScanContext(instance, schedule, coalition, by_size=data.draw(st.booleans()))
+    ctx = ScanContext(instance, schedule, coalition)
+    by_size = data.draw(st.booleans())
 
     def stop(ctx, assign, loads, caps):
         raise _StopScan
 
-    first = _nodes_to_first_leaf(ctx)
+    first = _nodes_to_first_leaf(ctx, by_size)
     if first is None:
-        first = scan_deviations(ctx, budget=10**6, on_leaf=lambda *args: None)
-    assert scan_deviations(ctx, budget=10**6, on_leaf=stop) == first
+        first = scan_deviations(ctx, budget=10**6, on_leaf=lambda *args: None, by_size=by_size)
+    assert scan_deviations(ctx, budget=10**6, on_leaf=stop, by_size=by_size) == first
 
 
 @pytest.mark.parametrize("unrelated", [False, True], ids=["identical", "unrelated"])
@@ -387,19 +400,16 @@ def test_verdict_costs_scan_by_size_and_witness_adds_scan_by_index(unrelated, da
     # index carries the certified deviation the scan by size found
     instance, schedule = data.draw(twin_heavy_pairs(unrelated, min_m=2, max_n=6))
     coalition = data.draw(st.none() | st.sets(st.integers(1, instance.n)))
-    by_size = ScanContext(instance, schedule, coalition, by_size=True)
-    by_index = ScanContext(instance, schedule, coalition)
+    ctx = ScanContext(instance, schedule, coalition)
 
     def first_deviation(budget):
-        if coalition is None:
-            return is_strong(instance, schedule, node_budget=budget).witness
-        return can_coalition_deviate(instance, schedule, coalition, node_budget=budget)
+        return is_strong(instance, schedule, node_budget=budget, coalition=coalition).witness
 
-    first = _nodes_to_first_leaf(by_size)
+    first = _nodes_to_first_leaf(ctx, by_size=True)
     if first is None:
-        cost = scan_deviations(by_size, budget=10**6, on_leaf=lambda *args: None)
+        cost = scan_deviations(ctx, budget=10**6, on_leaf=lambda *args: None, by_size=True)
     else:
-        cost = first + _nodes_to_first_leaf(by_index)
+        cost = first + _nodes_to_first_leaf(ctx, by_size=False)
     expected = first_deviation(10**6)
     assert (expected is None) == (first is None)
     assert first_deviation(max(cost, 1)) == expected
@@ -411,10 +421,10 @@ def test_verdict_costs_scan_by_size_and_witness_adds_scan_by_index(unrelated, da
             first_deviation(budget)
         best = info.value.best
         if first is None or budget < first:
-            scan = _stop(by_size, budget)
+            scan = _stop(ctx, budget, by_size=True)
             assert best is None
         else:
-            scan = _stop(by_index, budget - first)
+            scan = _stop(ctx, budget - first, by_size=False)
             assert best == profitable_deviation(instance, schedule, best.after, coalition)
         assert (info.value.nodes, info.value.budget) == (budget + 1, budget)
         assert info.value.explored_fraction == scan.explored_fraction
@@ -451,8 +461,8 @@ def _reduction(values, unrelated=False):
     ],
 )
 def test_each_first_deviation_call_builds_one_scan_context(monkeypatch, pair, coalition, holds):
-    # validation and the context's passes run once per call: the scan by
-    # index reads the scan by size's context with `free` in index order
+    # each `is_strong` call, with or without a coalition, validates and
+    # builds one context, which its scans by size and by index both read
     instance, schedule = pair
     built = []
     init = ScanContext.__init__
@@ -462,38 +472,10 @@ def test_each_first_deviation_call_builds_one_scan_context(monkeypatch, pair, co
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(ScanContext, "__init__", counted)
-    if coalition is None:
-        found = is_strong(instance, schedule).witness
-    else:
-        found = can_coalition_deviate(instance, schedule, coalition)
-    assert (found is None) == holds
+    result = is_strong(instance, schedule, coalition=coalition)
+    assert result.holds == holds
+    assert (result.witness is None) == holds
     assert len(built) == 1
-
-
-@pytest.mark.parametrize("unrelated", [False, True], ids=["identical", "unrelated"])
-@given(data=st.data())
-def test_index_order_view_equals_a_fresh_context(unrelated, data):
-    # the view `_first_deviation` scans by index differs from the context
-    # it scans by size only in `free`, and it scans as a context built in
-    # index order does: the same leaves, in the same order, on as many nodes
-    instance, schedule = data.draw(twin_heavy_pairs(unrelated, min_m=2, max_n=6))
-    coalition = data.draw(st.none() | st.sets(st.integers(1, instance.n)))
-    view = ScanContext(instance, schedule, coalition, by_size=True)._in_index_order()
-    fresh = ScanContext(instance, schedule, coalition)
-    for name in ("free", "prev_twin", "load0", "cost0", "uncapped", "coalition", "orig"):
-        assert getattr(view, name) == getattr(fresh, name), name
-    assert set(view.twins) == set(fresh.twins)
-
-    def leaves(ctx):
-        seen = []
-
-        def leaf(ctx, assign, loads, caps):
-            seen.append((tuple(assign), tuple(loads), tuple(caps)))
-
-        nodes = scan_deviations(ctx, budget=10**6, on_leaf=leaf)
-        return nodes, seen
-
-    assert leaves(view) == leaves(fresh)
 
 
 def test_enumeration_flags_truncation_on_budget():
@@ -521,7 +503,7 @@ def test_scan_decides_up_to_its_job_limit():
     # a coalition scan counts its members only
     instance = IdenticalInstance(m=2, p=(1,) * 1200)
     schedule = Schedule((1,) * 600 + (2,) * 600)
-    assert can_coalition_deviate(instance, schedule, [1, 601]) is None
+    assert is_strong(instance, schedule, coalition=[1, 601]).holds
 
 
 # --- deviation construction -------------------------------------------------

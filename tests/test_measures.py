@@ -231,7 +231,7 @@ def test_leaf_screen_never_underestimates(pair, by_size):
     # below the best ratios so far, so at every leaf each bound must reach
     # the exact ratio it stands for
     instance, schedule = pair
-    ctx = ScanContext(instance, schedule, by_size=by_size)
+    ctx = ScanContext(instance, schedule)
 
     def leaf(ctx, assign, loads, caps):
         _, _, inum, iden, dnum, dden = _leaf_screen(ctx, loads, caps)
@@ -241,7 +241,7 @@ def test_leaf_screen_never_underestimates(pair, by_size):
             return
         assert dnum * yden >= ynum * dden
 
-    scan_deviations(ctx, budget=10**6, on_leaf=leaf)
+    scan_deviations(ctx, budget=10**6, on_leaf=leaf, by_size=by_size)
 
 
 @given(ANY_START)
@@ -270,23 +270,26 @@ def test_size_ordered_report_keeps_the_oracle_witnesses(pair):
 def test_size_order_visits_the_same_leaves(pair, data):
     # the scan's order of the jobs free to act changes which leaves come
     # first, never which leaves there are (orbit representatives, with
-    # their loads and caps)
+    # their loads and caps); both scans read one context
     instance, schedule = pair
     coalition = data.draw(st.none() | st.sets(st.integers(1, instance.n)))
+    ctx = ScanContext(instance, schedule, coalition)
     leaves = []
     for by_size in (False, True):
-        ctx = ScanContext(instance, schedule, coalition, by_size=by_size)
         found = []
 
         def leaf(ctx, assign, loads, caps):
             found.append((tuple(assign), tuple(loads), tuple(caps)))
 
-        scan_deviations(ctx, budget=10**6, on_leaf=leaf)
-        leaves.append(sorted(found))
-    assert leaves[0] == leaves[1]
-    # the last context is the size-ordered one
-    start_sizes = [ctx.sizes[ctx.orig[j]][j] for j in ctx.free]
-    assert start_sizes == sorted(start_sizes, reverse=True)
+        scan_deviations(ctx, budget=10**6, on_leaf=leaf, by_size=by_size)
+        leaves.append(found)
+    assert sorted(leaves[0]) == sorted(leaves[1])
+    # each scan meets its leaves in lexicographic order of its jobs: by
+    # index, or by non-increasing start size with ties by index
+    size_order = sorted(ctx.free, key=lambda j: (-ctx.sizes[ctx.orig[j]][j], j))
+    for order, found in zip((ctx.free, size_order), leaves):
+        keys = [[assign[j] for j in order] for assign, _, _ in found]
+        assert keys == sorted(keys)
 
 
 PARTITION_M2 = reduce_partition_unrelated((3, 5, 4, 6, 9, 7, 8, 4, 6, 3, 5, 6), Fraction(1, 12))

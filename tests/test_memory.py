@@ -20,11 +20,7 @@ from schedgames.core import (
     instance_to_dict,
     schedule_to_dict,
 )
-from schedgames.equilibria import (
-    can_coalition_deviate,
-    enumerate_profitable_deviations,
-    is_strong,
-)
+from schedgames.equilibria import enumerate_profitable_deviations, is_strong
 from schedgames.experiments import SweepConfig, bound_sweep, replay_violation
 from schedgames.measures import ir_min, measure_report
 from schedgames.schedulers import PtasConfig, lex_min_assignment, lpt, optimal_makespan, ptas
@@ -98,8 +94,8 @@ PATHS = [
         id="is_strong-budget",
     ),
     pytest.param(
-        lambda: can_coalition_deviate(UNSTABLE, UNSTABLE_START, [1, 2, 3]),
-        id="can_coalition_deviate",
+        lambda: is_strong(UNSTABLE, UNSTABLE_START, coalition=[1, 2, 3]),
+        id="is_strong-coalition",
     ),
     pytest.param(lambda: ir_min(UNSTABLE, UNSTABLE_START), id="ir_min"),
     pytest.param(lambda: measure_report(UNSTABLE, UNSTABLE_START), id="measure_report"),

@@ -27,7 +27,6 @@ from schedgames.core import (
 from schedgames.equilibria import (
     ScanContext,
     _StopScan,
-    can_coalition_deviate,
     enumerate_profitable_deviations,
     is_strong,
     profitable_deviation,
@@ -122,12 +121,12 @@ def test_partition_split_node_count_is_pinned():
     art = reduce_partition_identical((3, 4, 7, 5, 8, 7))
     # `on_leaf` ends a scan by raising `_StopScan`, and the scan returns
     # the nodes up to that leaf, which `is_strong` charges to its budget
-    ctx = ScanContext(art.instance, art.start_schedule, by_size=True)
+    ctx = ScanContext(art.instance, art.start_schedule)
 
     def stop(ctx, assign, loads, caps):
         raise _StopScan
 
-    assert scan_deviations(ctx, budget=10**6, on_leaf=stop) == 124
+    assert scan_deviations(ctx, budget=10**6, on_leaf=stop, by_size=True) == 124
     result = is_strong(art.instance, art.start_schedule, node_budget=5_159)
     assert result.witness.after.assignment == (2, 3, 2, 3, 3, 2, 1, 1, 2, 3)
     # a stop in the scan by index counts both scans against the caller's
@@ -223,9 +222,10 @@ def test_is_strong_witness_is_oracle_minimum(pair):
 def test_coalition_deviation_matches_oracle(pair, data):
     instance, schedule = pair
     coalition = data.draw(st.sets(st.integers(1, instance.n), min_size=1))
-    deviation = can_coalition_deviate(instance, schedule, coalition)
+    result = is_strong(instance, schedule, coalition=coalition)
     expected = brute_coalition_deviation(instance, schedule, coalition)
-    assert (None if deviation is None else deviation.after.assignment) == expected
+    assert result.holds == (expected is None)
+    assert (None if result.holds else result.witness.after.assignment) == expected
 
 
 def _reduction(values):

@@ -7,11 +7,12 @@ from the sweep seed via SplitMix64 (documented below), so (seed, config)
 regenerate identical reports modulo timing fields, and any violation
 record carries everything needed to reproduce it standalone.
 `bound_sweep` and `replay_violation` evaluate a trial through the one
-private `_evaluate`, so a replay runs the checks the sweep ran.  Checks
-carry their witnesses: each failure takes its witness where its check is
-built, so a failed limit on a measure of `measures._MEASURES` carries
-that measure's witness, a structural failure its deviation, and any
-other failed check none.
+private `_evaluate`, whose list of `BoundCheck`s is the single record of
+what the trial checked: the trial's `checks` and `bounds_ok`, its CSV
+cell and its violations (one per failed check, in list order) all read
+it, and a replay runs the checks the sweep ran.  Each check carries its
+witness: a limit on a measure of `measures._MEASURES` that measure's
+witness, a structural check its deviation, and any other check none.
 """
 
 from __future__ import annotations
@@ -34,9 +35,8 @@ from .core import (
     parse_rational,
     schedule_from_dict,
     schedule_to_dict,
-    validate_schedule,
 )
-from .equilibria import ScanContext
+from .equilibria import Deviation, ScanContext
 from .measures import (
     _MEASURES,
     MeasureReport,
@@ -186,10 +186,14 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class BoundCheck:
+    """One verdict of a trial; `witness` is the deviation that attains the
+    value it checks, if any."""
+
     name: str
     holds: bool
     observed: str
     bound: str
+    witness: Deviation | None
 
 
 @dataclass(frozen=True)
@@ -278,20 +282,25 @@ def _schedule_for(config: SweepConfig, instance: IdenticalInstance, extra_seed: 
     return random_ne(instance, extra_seed)
 
 
+# each scheduler's makespan guarantee against opt, given m and eps: the
+# factor, and its printed form (ptas prints eps apart)
+_MAKESPAN_FACTORS = {
+    "lpt": lambda m, eps: (Fraction(4, 3) - Fraction(1, 3 * m),) * 2,
+    "ls": lambda m, eps: (2 - Fraction(1, m),) * 2,
+    "ptas": lambda m, eps: (1 + eps, f"1 + {eps}"),
+}
+
+
 def _bound_checks(scheduler, eps, equilibrium, ctx, report: MeasureReport, makespan, opt):
     """Every limit applicable to this scheduler and machine count on the
-    schedule of `ctx`; `equilibrium` says whether it is a Nash
-    equilibrium.  Returns (checks, failures): a failure is (check,
-    observed, bound, witness) of a failed check, in check order, and a
-    check that reads a measure carries that measure's witness."""
+    schedule of `ctx`, as a list of `BoundCheck`s in check order;
+    `equilibrium` says whether it is a Nash equilibrium.  A check that
+    reads a measure carries that measure's witness."""
     m = ctx.m
     checks = []
-    failures = []
 
     def add(name, holds, observed, bound, witness=None):
-        checks.append(BoundCheck(name=name, holds=holds, observed=str(observed), bound=bound))
-        if not holds:
-            failures.append((name, str(observed), bound, witness))
+        checks.append(BoundCheck(name, holds, str(observed), bound, witness))
 
     def add_limits(prefix, limits):
         # limits as `measures._paper_limits` gives them, by measure
@@ -310,25 +319,18 @@ def _bound_checks(scheduler, eps, equilibrium, ctx, report: MeasureReport, makes
             add("ne-top-load-at-most-half", 2 * makespan <= total, makespan, f"<= {total}/2")
     if scheduler == "lpt":
         add_limits("lpt", _paper_limits(m, lpt_schedule=True))
-        if opt is not None:
-            limit = Fraction(4, 3) - Fraction(1, 3 * m)
-            add("lpt-makespan", makespan <= limit * opt, makespan, f"<= ({limit})*opt")
+    if scheduler == "ptas":
+        add_limits("ptas", {"ir_min": (f"<= 1 + {eps}", lambda x: x <= 1 + eps)})
+    if scheduler in _MAKESPAN_FACTORS and opt is not None:
+        factor, text = _MAKESPAN_FACTORS[scheduler](m, eps)
+        add(f"{scheduler}-makespan", makespan <= factor * opt, makespan, f"<= ({text})*opt")
     if scheduler == "ls":
-        if opt is not None:
-            limit = 2 - Fraction(1, m)
-            add("ls-makespan", makespan <= limit * opt, makespan, f"<= ({limit})*opt")
         worst = Fraction(1)
         for _, i, cost in ctx.improving_moves():
             if ctx.load0[i] > 0:
                 worst = max(worst, Fraction(cost, ctx.load0[i]))
         add("ls-single-move-damage", worst <= 2, worst, "<= 2")
-    if scheduler == "ptas":
-        add_limits("ptas", {"ir_min": (f"<= 1 + {eps}", lambda x: x <= 1 + eps)})
-        if opt is not None:
-            add(
-                "ptas-makespan", makespan <= (1 + eps) * opt, makespan, f"<= (1 + {eps})*opt"
-            )
-    return tuple(checks), failures
+    return checks
 
 
 def _evaluate(scheduler, eps, instance, schedule, budget):
@@ -345,11 +347,11 @@ def _evaluate(scheduler, eps, instance, schedule, budget):
     enumeration finds on the same budget; so the measure scan keeps index
     order (`_measure`'s default), not the size order of `measure_report`.
 
-    Returns (measures, makespan, opt, checks, failures): `opt` is None
-    past its budget, and `checks` is empty when the measures ran out of
-    budget (the trial is inconclusive).  Each failure is (check, observed,
-    bound, witness): the failed checks first, in check order, then the
-    structural failures in lexicographic order."""
+    Returns (measures, makespan, opt, checks): `opt` is None past its
+    budget.  `checks` lists the limit checks in check order, none when the
+    measures ran out of budget (the trial is inconclusive), then one
+    failed `deviation-structure` check per failing deviation, in
+    lexicographic order, with the deviation as its witness."""
     ctx = ScanContext(instance, schedule)
     equilibrium = next(ctx.improving_moves(), None) is None
     failed: list[tuple] = []
@@ -371,24 +373,28 @@ def _evaluate(scheduler, eps, instance, schedule, budget):
         opt = optimal_makespan(instance, node_budget=budget).value
     except BudgetExceededError:
         opt = None
-    checks, failures = (), []
+    checks = []
     if measures.exhaustive:
-        checks, failures = _bound_checks(scheduler, eps, equilibrium, ctx, measures, makespan, opt)
-    failures += [
-        ("deviation-structure", repr(sr), "structural predicates", ctx.deviation(assign))
+        checks = _bound_checks(scheduler, eps, equilibrium, ctx, measures, makespan, opt)
+    checks += [
+        BoundCheck(
+            "deviation-structure", False, repr(sr), "structural predicates", ctx.deviation(assign)
+        )
         for assign, sr in sorted(failed, key=lambda f: f[0])
         if measures.exhaustive or assign <= last
     ]
-    return measures, makespan, opt, checks, failures
+    return measures, makespan, opt, tuple(checks)
 
 
 def bound_sweep(config: SweepConfig) -> SweepReport:
     """Run the configured trials, measuring every schedule exactly and
     checking every applicable limit; a clean sweep has no violations.
 
-    Budget-capped trials are marked inconclusive and excluded from the
-    bound checks but still counted; structural findings discovered before
-    the budget ran out are kept (a witnessed failure stands on its own).
+    Each trial's record keeps its `_evaluate` checks, and each failed
+    check becomes one violation, in list order.  Budget-capped trials are
+    marked inconclusive and excluded from the limit checks but still
+    counted; structural failures found before the budget ran out are kept
+    (a witnessed failure stands on its own).
     """
     report = SweepReport(config=config)
     started = time.perf_counter()
@@ -402,25 +408,26 @@ def bound_sweep(config: SweepConfig) -> SweepReport:
         extra_seed = trng.next_u64()
         instance = random_instance(instance_seed, m, n, config.p_max)
         schedule = _schedule_for(config, instance, extra_seed)
-        measures, makespan, opt, checks, failures = _evaluate(
+        measures, makespan, opt, checks = _evaluate(
             config.scheduler, config.eps, instance, schedule, config.budget
         )
         inconclusive = not measures.exhaustive
-        for check, observed, bound, witness in failures:
-            report.violations.append(
-                Violation(
-                    trial=t,
-                    seed=trial_seed,
-                    scheduler=config.scheduler,
-                    eps=config.eps,
-                    check=check,
-                    observed=observed,
-                    bound=bound,
-                    instance=instance_to_dict(instance),
-                    schedule=schedule_to_dict(schedule),
-                    witness=None if witness is None else witness.to_dict(),
-                )
+        report.violations.extend(
+            Violation(
+                trial=t,
+                seed=trial_seed,
+                scheduler=config.scheduler,
+                eps=config.eps,
+                check=c.name,
+                observed=c.observed,
+                bound=c.bound,
+                instance=instance_to_dict(instance),
+                schedule=schedule_to_dict(schedule),
+                witness=None if c.witness is None else c.witness.to_dict(),
             )
+            for c in checks
+            if not c.holds
+        )
         report.records.append(
             TrialRecord(
                 trial=t,
@@ -446,7 +453,8 @@ def replay_violation(payload: dict, node_budget: int = DEFAULT_SEARCH_BUDGET) ->
 
     The record needs its `scheduler`, `check`, `instance` and `schedule`
     fields, and a `deviation-structure` record its `witness`; a missing
-    one is a ValidationError.  The record's own `scheduler` and `eps`
+    one, or a schedule that does not fit the instance, is a
+    ValidationError.  The record's own `scheduler` and `eps`
     select the checks, and must name a scheduler the sweep can run.  A
     `deviation-structure` record is replayed on its witness alone; any
     other check reproduces only when the trial's measures finish within
@@ -460,7 +468,6 @@ def replay_violation(payload: dict, node_budget: int = DEFAULT_SEARCH_BUDGET) ->
             raise ValidationError(f"the violation record has no {key!r} field")
     instance = instance_from_dict(payload["instance"])
     schedule = schedule_from_dict(payload["schedule"])
-    validate_schedule(instance, schedule)
     scheduler = payload["scheduler"]
     eps = payload.get("eps")
     eps = None if eps is None else parse_rational(eps)
@@ -470,6 +477,6 @@ def replay_violation(payload: dict, node_budget: int = DEFAULT_SEARCH_BUDGET) ->
         after = schedule_from_dict(payload["witness"])
         lpt_origin = scheduler == "lpt"
         return not structural_report(instance, schedule, after, lpt_origin=lpt_origin).passed
-    failures = _evaluate(scheduler, eps, instance, schedule, node_budget)[4]
-    return any(name == check for name, *_ in failures)
+    checks = _evaluate(scheduler, eps, instance, schedule, node_budget)[3]
+    return any(c.name == check and not c.holds for c in checks)
 

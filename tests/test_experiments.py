@@ -395,6 +395,37 @@ def test_structure_violations_match_the_public_checks(monkeypatch, scheduler, bu
             assert replay_violation(v.to_dict()) is True
 
 
+@pytest.mark.parametrize(
+    "scheduler, budget",
+    [
+        pytest.param("lpt", 10**6, id="lpt"),
+        pytest.param("random-ne", 10**6, id="random-ne"),
+        pytest.param("random-ne", 200, id="random-ne-budget-200"),
+    ],
+)
+def test_bounds_ok_is_false_exactly_for_the_trials_with_a_violation(
+    monkeypatch, scheduler, budget
+):
+    # a failing structural predicate is a failed check of its trial, so it
+    # clears the trial's bounds_ok and CSV cell as a failed limit does; an
+    # inconclusive trial's cell stays blank whatever its checks
+    lemmas = StructuralReport.passed.fget
+    monkeypatch.setattr(
+        StructuralReport, "passed", property(lambda sr: lemmas(sr) and sr.migrant_count < 6)
+    )
+    config = small_config(scheduler, seed=5, trials=40, n_range=(8, 10), p_max=20, budget=budget)
+    report = bound_sweep(config)
+    violated = {v.trial for v in report.violations}
+    assert violated and {v.check for v in report.violations} == {"deviation-structure"}
+    assert [r.bounds_ok for r in report.records] == [
+        r.trial not in violated for r in report.records
+    ]
+    column = CSV_COLUMNS.index("bounds_ok")
+    assert [row[column] for row in report.csv_rows()[1:]] == [
+        str(r.bounds_ok).lower() if r.exhaustive else "" for r in report.records
+    ]
+
+
 @pytest.mark.parametrize("scheduler", SCHEDULERS)
 def test_each_sweep_trial_builds_one_scan_context(monkeypatch, scheduler):
     built = []
@@ -447,6 +478,17 @@ def test_replay_checks_the_budget_for_every_record(budget, check):
     assert replay_violation(payload) is False
     with pytest.raises(ValidationError, match="node budget must be positive"):
         replay_violation(payload, node_budget=budget)
+
+
+@pytest.mark.parametrize("check", ["deviation-structure", "ne-min-improvement"])
+def test_replay_rejects_a_schedule_that_does_not_fit_the_instance(check):
+    # job 6 on machine 4 of 3: the structural replay and the re-evaluation
+    # both validate the schedule when they build its scan context
+    witness = {"assignment": [2, 3, 2, 1, 3, 1]}
+    schedule = {"assignment": [1, 1, 2, 2, 3, 4]}
+    payload = dict(FIG1_RECORD, eps=None, check=check, schedule=schedule, witness=witness)
+    with pytest.raises(ValidationError, match="job 6 assigned to invalid machine 4"):
+        replay_violation(payload)
 
 
 def test_violation_record_carries_trial_seed(monkeypatch):

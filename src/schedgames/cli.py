@@ -65,7 +65,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("schedule", help="run a scheduler on an instance")
     p.add_argument("--alg", required=True, choices=["lpt", "ls", "ptas"])
     p.add_argument("--eps", help="approximation parameter for --alg ptas")
-    p.add_argument("--refine", action="store_true", help="ptas re-run post-pass")
     p.add_argument("--order", help="comma-separated job order for --alg ls")
     p.add_argument("--in", dest="instance", required=True)
     p.add_argument("--out", help="write the schedule JSON here")
@@ -159,8 +158,8 @@ def _parse_params(text: str | None) -> dict[str, str]:
 
 
 def _cmd_schedule(args) -> Verdict:
-    if args.alg != "ptas" and (args.eps is not None or args.refine):
-        raise ValidationError("--eps and --refine apply only to --alg ptas")
+    if args.alg != "ptas" and args.eps is not None:
+        raise ValidationError("--eps applies only to --alg ptas")
     if args.alg != "ls" and args.order is not None:
         raise ValidationError("--order applies only to --alg ls")
     instance = read_instance(args.instance)
@@ -175,9 +174,7 @@ def _cmd_schedule(args) -> Verdict:
     else:
         if args.eps is None:
             raise ValidationError("--alg ptas needs --eps")
-        schedule = ptas(
-            instance, PtasConfig(epsilon=parse_rational(args.eps), refine=args.refine)
-        )
+        schedule = ptas(instance, PtasConfig(epsilon=parse_rational(args.eps)))
     if args.out:
         write_schedule(schedule, args.out)
     profile = load_profile(instance, schedule)

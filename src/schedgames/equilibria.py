@@ -574,7 +574,7 @@ def is_strong(
 @dataclass(frozen=True)
 class DeviationSweep:
     """Materialized stream of profitable deviations in lexicographic
-    order; `complete` is False when a limit or the budget truncated it."""
+    order; `complete` is False when the budget truncated it."""
 
     deviations: tuple[Deviation, ...]
     complete: bool
@@ -587,22 +587,17 @@ class DeviationSweep:
 
 
 def enumerate_profitable_deviations(
-    instance: Instance,
-    schedule: Schedule,
-    limit: int | None = None,
-    node_budget: int = DEFAULT_SEARCH_BUDGET,
+    instance: Instance, schedule: Schedule, node_budget: int = DEFAULT_SEARCH_BUDGET
 ) -> DeviationSweep:
     """Every profitable deviation (movers-only coalitions), lexicographic
-    in the joint action; complete iff it finished under budget and limit.
-    A budget stop keeps the lexicographic prefix found so far.
+    in the joint action; complete iff it finished within the budget.  A
+    budget stop keeps the lexicographic prefix found so far.
 
     The scan yields orbit representatives; the other members of each
     orbit wait on a heap.  A member of a later orbit is never below that
     orbit's representative, which comes after the current one; so once a
     representative is seen, every pending member below it, and then the
     representative, is final."""
-    if limit is not None and (not _is_int(limit) or limit < 1):
-        raise ValidationError(f"limit must be a positive int or None, got {limit!r}")
     _check_budget(node_budget)
     ctx = ScanContext(instance, schedule)
     found: list[Deviation] = []
@@ -610,8 +605,6 @@ def enumerate_profitable_deviations(
 
     def emit(ctx, assign, loads=None, caps=None):
         found.append(ctx.deviation(assign))
-        if len(found) == limit:
-            raise _StopScan
 
     def leaf(ctx, assign, loads, caps):
         members = ctx.orbit(assign)
@@ -625,8 +618,8 @@ def enumerate_profitable_deviations(
     try:
         # without twins every orbit is trivial and nothing is pending
         scan_deviations(ctx, budget=node_budget, on_leaf=leaf if ctx.twins else emit)
-        while pending and len(found) != limit:
-            found.append(ctx.deviation(heapq.heappop(pending)))
+        while pending:
+            emit(ctx, heapq.heappop(pending))
     except BudgetExceededError:
         complete = False
-    return DeviationSweep(deviations=tuple(found), complete=complete and len(found) != limit)
+    return DeviationSweep(deviations=tuple(found), complete=complete)

@@ -260,14 +260,16 @@ class SweepReport:
 
     def csv_rows(self) -> list[list[str]]:
         """The CSV_COLUMNS header, then one row per trial; a value that
-        was not computed is an empty cell."""
+        was not computed is an empty cell, and so is `bounds_ok` for an
+        inconclusive trial none of whose checks failed."""
         rows = [CSV_COLUMNS]
         for r in self.records:
             values = (r.makespan, r.opt, *(getattr(r, name) for name in _MEASURES))
+            ok = "false" if not r.bounds_ok else "true" if r.exhaustive else ""
             rows.append(
                 [str(r.trial), r.scheduler, str(r.m), str(r.n)]
                 + ["" if q is None else str(format_rational(q)) for q in values]
-                + [str(r.bounds_ok).lower() if r.exhaustive else "", str(r.exhaustive).lower()]
+                + [ok, str(r.exhaustive).lower()]
             )
         return rows
 

@@ -5,10 +5,10 @@ Deterministic tie-breaks throughout: the one job sort,
 `size_ordered_jobs`, orders by non-increasing size with ties broken by
 ascending job index, and greedy steps pick the least loaded machine with
 the lowest index.  Loads are sums of the instance's `_scaled` integers
-(see `core`).  `list_schedule`, hence `lpt`, the completion of each
-`ptas` round and the warm start of `optimal_makespan` share one greedy,
-`_greedy`.  `core.load_profile` is the `Fraction` view of the loads of
-a schedule returned here.
+(see `core`).  `list_schedule`, hence `lpt`, the completion of `ptas`
+and the warm start of `optimal_makespan` share one greedy, `_greedy`.
+`core.load_profile` is the `Fraction` view of the loads of a schedule
+returned here.
 
 One search, `_canonical_search`, enumerates canonical assignments of
 scaled integer sizes: it counts nodes against the budget, starts a job
@@ -16,7 +16,7 @@ no lower than an equal-size predecessor's machine, cuts a child whose
 machine carries the same load as an earlier sibling's or whose new load
 exceeds a limit, and hands each leaf to a leaf rule that sets the next
 limit or ends the search.  The lex-min prefix (`lex_min_assignment`,
-and each round of `ptas`) keeps the first leaf with the smallest sorted
+and the prefix of `ptas`) keeps the first leaf with the smallest sorted
 load vector, under the limit of its largest load, so the labels are those
 the full enumeration returns.  `optimal_makespan` keeps the leaf with the
 smallest makespan, under the limit of its incumbent less one, and stops
@@ -223,15 +223,11 @@ def lex_min_assignment(
 class PtasConfig:
     """Knobs for the strong-stability approximation scheme.
 
-    epsilon sets the prefix size k = ceil(m / epsilon).  `refine`
-    re-runs the scheme on the remaining machines whenever the makespan
-    machine carries prefix jobs only (off by default: the base scheme is
-    the contract, the loop is an optional post-pass).  `node_budget`, a
-    positive int, caps each round's lex-min prefix search.
+    epsilon sets the prefix size k = ceil(m / epsilon).  `node_budget`, a
+    positive int, caps the lex-min prefix search.
     """
 
     epsilon: Fraction
-    refine: bool = False
     node_budget: int = DEFAULT_SEARCH_BUDGET
 
     def __post_init__(self):
@@ -247,48 +243,16 @@ class PtasConfig:
         return min(n, k)
 
 
-def _scheme_round(row, jobs, m, k, node_budget):
-    """One pass on m machines: lex-min prefix of the first k of `jobs`
-    (in size order), greedy completion.  Returns each job's 0-based
-    machine, the prefix job set and the scaled loads."""
-    prefix, rest = jobs[:k], jobs[k:]
-    machines, loads = _lex_min_prefix(row, prefix, m, node_budget)
-    machines += _greedy([row[j - 1] for j in rest], loads)
-    return dict(zip(jobs, machines)), set(prefix), loads
-
-
 def ptas(instance: IdenticalInstance, config: PtasConfig) -> Schedule:
-    """Lex-minimal assignment of the longest k jobs, then LPT for the rest."""
+    """Lex-minimal assignment of the longest k jobs, then list scheduling
+    of the rest in size order from the prefix's loads."""
     _require_identical(instance)
     row = instance._scaled[0][0]
+    order = size_ordered_jobs(instance)
     k = config.prefix_size(instance.m, instance.n)
-    # the live jobs, kept in size order as rounds freeze some of them
-    jobs = size_ordered_jobs(instance)
-    machine_ids = list(range(1, instance.m + 1))
-    frozen: dict[int, int] = {}
-    while True:
-        placed, prefix, loads = _scheme_round(row, jobs, len(machine_ids), k, config.node_budget)
-        amap = {j: machine_ids[i] for j, i in placed.items()}
-        if not config.refine or len(machine_ids) == 1 or not amap:
-            break
-        top = max(loads)
-        top_machines = [machine_ids[i] for i, load in enumerate(loads) if load == top]
-        # a completion job on some makespan machine ends the loop
-        if any(
-            any(j not in prefix for j, i in amap.items() if i == mach)
-            for mach in top_machines
-        ):
-            break
-        mach = min(top_machines)
-        moved = [j for j, i in amap.items() if i == mach]
-        if len(moved) == len(jobs):
-            break
-        for j in moved:
-            frozen[j] = mach
-        jobs = [j for j in jobs if j not in frozen]
-        machine_ids = [i for i in machine_ids if i != mach]
-    frozen.update(amap)
-    return Schedule(tuple(frozen[j] for j in range(1, instance.n + 1)))
+    machines, loads = _lex_min_prefix(row, order[:k], instance.m, config.node_budget)
+    machines += _greedy([row[j - 1] for j in order[k:]], loads)
+    return _schedule_from(order, machines)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
-"""Mutation gate: every cut of the deviation scan and every fast path of
-the measures must be caught by the tests when it is broken.
+"""Mutation gate: every cut of the two search kernels, the deviation scan
+and the canonical-assignment search of the schedulers, and every fast
+path of the measures must be caught by the tests when it is broken.
 
     python tests/mutation_gate.py
 
@@ -47,6 +48,9 @@ ORACLES = (
     "tests/test_conservation_cut.py::test_cut_keeps_every_profitable_leaf_of_an_equilibrium",
     "tests/test_conservation_cut.py::test_cut_keeps_every_leaf_of_seeded_equilibria",
     "tests/test_witnesses.py::test_reduction_equivalence_on_random_multisets",
+    "tests/test_schedulers.py::test_lex_min_assignment_matches_exhaustive_oracle",
+    "tests/test_schedulers.py::test_lex_min_matches_exhaustive_oracle",
+    "tests/test_schedulers.py::test_optimal_makespan_matches_exhaustive_oracle",
 )
 PINS = (
     "tests/test_twin_orbits.py::test_partition_family_node_count_is_pinned",
@@ -54,9 +58,11 @@ PINS = (
     "tests/test_conservation_cut.py::test_lpt_measure_report_node_count_is_pinned",
     "tests/test_conservation_cut.py::test_tightened_cut_keeps_every_leaf",
     "tests/test_measures.py::test_partition_reduction_measure_nodes_are_pinned",
+    "tests/test_schedulers.py::test_lex_min_node_count_is_pinned",
+    "tests/test_schedulers.py::test_optimal_makespan_node_count_is_pinned",
 )
 
-KERNEL, MEASURES = "equilibria.py", "measures.py"
+KERNEL, MEASURES, SCHEDULERS = "equilibria.py", "measures.py", "schedulers.py"
 CORRECTNESS, PERFORMANCE = "correctness", "performance"
 
 # name: (kind, module, target text, replacement)
@@ -119,6 +125,14 @@ MUTANTS = {
         "if top * iden > inum * load:\n                inum, iden = top, load",
         "if cap * iden > inum * load:\n                inum, iden = cap, load",
     ),
+    "limit-cuts-ties": (
+        CORRECTNESS, SCHEDULERS, "if load + size > limit:", "if load + size >= limit:",
+    ),
+    "twin-start-one-higher": (
+        CORRECTNESS, SCHEDULERS,
+        "labels[t - 1] if t and size == sizes[t - 1] else 0",
+        "labels[t - 1] + 1 if t and size == sizes[t - 1] else 0",
+    ),
     "leave-is-zero": (
         PERFORMANCE, KERNEL,
         "leave = column[oj] if caps[oj] == infinity else 0",
@@ -131,6 +145,16 @@ MUTANTS = {
         PERFORMANCE, KERNEL,
         "if size < cj and tops[i] < cj - 1 and i != oj:",
         "if size <= cj and tops[i] < cj - 1 and i != oj:",
+    ),
+    "equal-load-siblings-kept": (
+        PERFORMANCE, SCHEDULERS,
+        "            if load in seen:\n                continue\n",
+        "",
+    ),
+    "twin-starts-at-zero": (
+        PERFORMANCE, SCHEDULERS,
+        "labels[t - 1] if t and size == sizes[t - 1] else 0",
+        "0",
     ),
 }
 

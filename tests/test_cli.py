@@ -214,6 +214,7 @@ def test_usage_errors_exit_2(fig1_files):
     instance, schedule = fig1_files
     assert run(["frobnicate"]).exit_code == 2
     assert run(["check", "--no-such-flag", "--in", instance, "--schedule", schedule]).exit_code == 2
+    assert run(["schedule", "--alg", "ptas", "--eps", "1/2", "--refine", "--in", instance]).exit_code == 2
     assert run(["schedule", "--alg", "lpt", "--in", "/nonexistent.json"]).exit_code == 2
     assert run(["check", "--coalition", "1,x", "--in", instance, "--schedule", schedule]).exit_code == 2
     assert run(["witness", "--figure", "3", "--param", "m=x", "--out", "/tmp/wbad"]).exit_code == 2
@@ -657,7 +658,6 @@ def test_schedule_rejects_flags_of_other_algorithms(fig1_files):
     for alg, flags in (
         ("lpt", ["--eps", "1/2"]),
         ("lpt", ["--order", "3,2"]),
-        ("ls", ["--refine"]),
         ("ptas", ["--eps", "1/2", "--order", "3,2"]),
     ):
         verdict = run(["schedule", "--alg", alg, *flags, "--in", instance])

@@ -190,14 +190,6 @@ def test_enumeration_contains_benchmark_deviation():
     assert FIG1_MOVE.assignment in [d.after.assignment for d in sweep]
 
 
-def test_enumeration_respects_limit():
-    sweep = enumerate_profitable_deviations(FIG1, FIG1_NE, limit=1)
-    assert len(sweep) == 1 and not sweep.complete
-    for limit in (0, True):
-        with pytest.raises(ValidationError):
-            enumerate_profitable_deviations(FIG1, FIG1_NE, limit=limit)
-
-
 @given(instance_with_schedule(min_m=2, max_m=3, min_n=1, max_n=6))
 def test_enumeration_matches_unpruned_oracle(pair):
     instance, schedule = pair

@@ -407,8 +407,9 @@ def test_bounds_ok_is_false_exactly_for_the_trials_with_a_violation(
     monkeypatch, scheduler, budget
 ):
     # a failing structural predicate is a failed check of its trial, so it
-    # clears the trial's bounds_ok and CSV cell as a failed limit does; an
-    # inconclusive trial's cell stays blank whatever its checks
+    # clears the trial's bounds_ok and CSV cell as a failed limit does, in
+    # an inconclusive trial too; only an inconclusive trial without a
+    # failed check has a blank cell
     lemmas = StructuralReport.passed.fget
     monkeypatch.setattr(
         StructuralReport, "passed", property(lambda sr: lemmas(sr) and sr.migrant_count < 6)
@@ -422,7 +423,8 @@ def test_bounds_ok_is_false_exactly_for_the_trials_with_a_violation(
     ]
     column = CSV_COLUMNS.index("bounds_ok")
     assert [row[column] for row in report.csv_rows()[1:]] == [
-        str(r.bounds_ok).lower() if r.exhaustive else "" for r in report.records
+        "false" if r.trial in violated else "true" if r.exhaustive else ""
+        for r in report.records
     ]
 
 

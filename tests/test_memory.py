@@ -107,10 +107,6 @@ PATHS = [
         lambda: enumerate_profitable_deviations(UNSTABLE, UNSTABLE_START), id="enumerate"
     ),
     pytest.param(
-        lambda: enumerate_profitable_deviations(UNSTABLE, UNSTABLE_START, limit=3),
-        id="enumerate-limit",
-    ),
-    pytest.param(
         lambda: enumerate_profitable_deviations(UNSTABLE, UNSTABLE_START, node_budget=50),
         id="enumerate-budget",
     ),

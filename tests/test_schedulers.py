@@ -325,13 +325,34 @@ def test_ptas_prefix_size():
 
 
 @given(
+    identical_instances(min_m=1, max_m=4, max_n=7),
+    st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(3, 4), Fraction(2)]),
+)
+def test_ptas_is_the_lex_min_prefix_then_greedy(instance, eps):
+    # the scheme: the oracle's lex-min assignment of the k longest jobs,
+    # then each other job, in size order, on the least loaded machine
+    # (lowest index on ties)
+    order = fraction_size_order(instance)
+    k = PtasConfig(epsilon=eps).prefix_size(instance.m, instance.n)
+    assignment = [0] * instance.n
+    loads = [Fraction(0)] * instance.m
+    for j, i in zip(order[:k], brute_lex_min_assignment(instance, k)):
+        assignment[j - 1] = i
+        loads[i - 1] += instance.p[j - 1]
+    for j in order[k:]:
+        i = loads.index(min(loads))
+        assignment[j - 1] = i + 1
+        loads[i] += instance.p[j - 1]
+    assert ptas(instance, PtasConfig(epsilon=eps)).assignment == tuple(assignment)
+
+
+@given(
     identical_instances(min_m=2, max_m=3, max_n=7),
     st.sampled_from([Fraction(1), Fraction(1, 2)]),
-    st.booleans(),
 )
 @settings(max_examples=40)
-def test_ptas_meets_makespan_bound_and_equilibrium(instance, eps, refine):
-    schedule = ptas(instance, PtasConfig(epsilon=eps, refine=refine))
+def test_ptas_meets_makespan_bound_and_equilibrium(instance, eps):
+    schedule = ptas(instance, PtasConfig(epsilon=eps))
     opt = optimal_makespan(instance).value
     assert load_profile(instance, schedule).makespan <= (1 + eps) * opt
     assert is_nash(instance, schedule).holds

@@ -167,13 +167,20 @@ def test_enumeration_matches_oracle_in_order(pair):
     assert all(d.coalition == d.migrants for d in sweep)
 
 
-@given(PAIRS, st.integers(1, 6))
-def test_enumeration_limit_is_oracle_prefix(pair, limit):
+@given(PAIRS, st.integers(1, 300))
+def test_enumeration_budget_stop_is_oracle_prefix(pair, budget):
     instance, schedule = pair
     expected = brute_deviations(instance, schedule)
-    sweep = enumerate_profitable_deviations(instance, schedule, limit=limit)
-    assert [d.after.assignment for d in sweep] == expected[:limit]
-    assert sweep.complete == (len(expected) < limit)
+    sweep = enumerate_profitable_deviations(instance, schedule, node_budget=budget)
+    got = [d.after.assignment for d in sweep]
+    assert got == expected[: len(got)]
+    # complete iff the budget covers the whole scan; a stop after the last
+    # deviation can still hold every one of them
+    nodes = scan_deviations(
+        ScanContext(instance, schedule), budget=10**8, on_leaf=lambda *leaf: None
+    )
+    assert sweep.complete == (nodes <= budget)
+    assert not sweep.complete or got == expected
 
 
 @given(PAIRS)

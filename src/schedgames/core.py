@@ -237,7 +237,13 @@ def validate_schedule(instance: Instance, schedule: Schedule):
         raise ValidationError(
             f"schedule covers {schedule.n} jobs but the instance has {instance.n}"
         )
-    for j, i in enumerate(schedule.assignment, start=1):
+    assignment = schedule.assignment
+    # checked whole first, by builtins; the per-job loop runs only to name
+    # the first bad job (or for an int subclass, which it accepts)
+    if set(map(type, assignment)) == {int}:
+        if 1 <= min(assignment) and max(assignment) <= instance.m:
+            return
+    for j, i in enumerate(assignment, start=1):
         if not _is_int(i) or not 1 <= i <= instance.m:
             raise ValidationError(f"job {j} assigned to invalid machine {i!r}")
 

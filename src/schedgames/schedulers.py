@@ -5,8 +5,9 @@ Deterministic tie-breaks throughout: the one job sort,
 `size_ordered_jobs`, orders by non-increasing size with ties broken by
 ascending job index, and greedy steps pick the least loaded machine with
 the lowest index.  Loads are sums of the instance's `_scaled` integers
-(see `core`).  `list_schedule`, hence `lpt`, the completion of `ptas`
-and the warm start of `optimal_makespan` share one greedy, `_greedy`.
+(see `core`).  `list_schedule`, hence `lpt`, the completion of `ptas`,
+the first limit of the lex-min prefix and the warm start of
+`optimal_makespan` share one greedy, `_greedy`.
 `core.load_profile` is the `Fraction` view of the loads of a schedule
 returned here.
 
@@ -17,10 +18,11 @@ machine carries the same load as an earlier sibling's or whose new load
 exceeds a limit, and hands each leaf to a leaf rule that sets the next
 limit or ends the search.  The lex-min prefix (`lex_min_assignment`,
 and the prefix of `ptas`) keeps the first leaf with the smallest sorted
-load vector, under the limit of its largest load, so the labels are those
-the full enumeration returns.  `optimal_makespan` keeps the leaf with the
-smallest makespan, under the limit of its incumbent less one, and stops
-at the lower bound.
+load vector, under a limit that starts at the greedy makespan of the
+prefix and then follows its incumbent's largest load, so the labels are
+those the full enumeration returns.  `optimal_makespan` keeps the leaf
+with the smallest makespan, under the limit of its incumbent less one,
+and stops at the lower bound.
 """
 
 from __future__ import annotations
@@ -169,13 +171,19 @@ def _lex_min_prefix(row, jobs, m, node_budget) -> tuple[list[int], list[int]]:
     sizes in `row`) to m machines: each job's 0-based machine, relabelled
     so that first use follows ascending job index, and the scaled loads.
 
-    A leaf replaces the incumbent only on a strictly smaller sorted load
-    vector, and the limit is that vector's largest load: a child above it
-    only leads to strictly larger vectors.  No rule of
-    `_canonical_search` removes the first DFS leaf that attains the
-    minimum, so the labels are those the full enumeration returns.
+    The limit starts at the makespan of `_greedy` on the same jobs: that
+    placement is one of the assignments, so the minimal vector's largest
+    load is at most its makespan.  A leaf replaces the incumbent only on a
+    strictly smaller sorted load vector, and the limit then drops to that
+    vector's largest load: a child above it only leads to strictly larger
+    vectors.  So the limit never cuts a leaf that attains the minimum, and
+    no other rule of `_canonical_search` (none of which reads the limit)
+    removes the first DFS leaf that attains it: that leaf is the one kept,
+    and the labels are those the full enumeration returns.
     """
     sizes = [row[j - 1] for j in jobs]
+    greedy_loads = [0] * m
+    _greedy(sizes, greedy_loads)
     best_vector: list[int] | None = None
     best_labels: list[int] = []
 
@@ -187,7 +195,7 @@ def _lex_min_prefix(row, jobs, m, node_budget) -> tuple[list[int], list[int]]:
         return best_vector[0]
 
     _canonical_search(
-        sizes, m, sum(sizes), node_budget, leaf,
+        sizes, m, max(greedy_loads), node_budget, leaf,
         f"lexicographic enumeration of up to {m}^{len(jobs)} assignments",
     )
     first: dict[int, int] = {}

@@ -1,6 +1,7 @@
 """Mutation gate: every cut of the two search kernels, the deviation scan
-and the canonical-assignment search of the schedulers, and every fast
-path of the measures must be caught by the tests when it is broken.
+and the canonical-assignment search of the schedulers, the greedy first
+limit of the lex-min prefix search, and every fast path of the measures
+must be caught by the tests when it is broken.
 
     python tests/mutation_gate.py
 
@@ -51,6 +52,7 @@ ORACLES = (
     "tests/test_schedulers.py::test_lex_min_assignment_matches_exhaustive_oracle",
     "tests/test_schedulers.py::test_lex_min_matches_exhaustive_oracle",
     "tests/test_schedulers.py::test_optimal_makespan_matches_exhaustive_oracle",
+    "tests/test_schedulers.py::test_ptas_is_the_lex_min_prefix_then_greedy",
 )
 PINS = (
     "tests/test_twin_orbits.py::test_partition_family_node_count_is_pinned",
@@ -60,6 +62,7 @@ PINS = (
     "tests/test_measures.py::test_partition_reduction_measure_nodes_are_pinned",
     "tests/test_schedulers.py::test_lex_min_node_count_is_pinned",
     "tests/test_schedulers.py::test_optimal_makespan_node_count_is_pinned",
+    "tests/test_schedulers.py::test_ptas_prefix_node_count_is_pinned",
 )
 
 KERNEL, MEASURES, SCHEDULERS = "equilibria.py", "measures.py", "schedulers.py"
@@ -128,6 +131,13 @@ MUTANTS = {
     "limit-cuts-ties": (
         CORRECTNESS, SCHEDULERS, "if load + size > limit:", "if load + size >= limit:",
     ),
+    # a first limit below the greedy makespan cuts the answer wherever
+    # greedy already attains the smallest largest load
+    "lex-min-limit-below-greedy": (
+        CORRECTNESS, SCHEDULERS,
+        "max(greedy_loads), node_budget",
+        "max(greedy_loads) - 1, node_budget",
+    ),
     "twin-start-one-higher": (
         CORRECTNESS, SCHEDULERS,
         "labels[t - 1] if t and size == sizes[t - 1] else 0",
@@ -150,6 +160,9 @@ MUTANTS = {
         PERFORMANCE, SCHEDULERS,
         "            if load in seen:\n                continue\n",
         "",
+    ),
+    "lex-min-limit-starts-at-total": (
+        PERFORMANCE, SCHEDULERS, "max(greedy_loads), node_budget", "sum(sizes), node_budget",
     ),
     "twin-starts-at-zero": (
         PERFORMANCE, SCHEDULERS,

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from schedgames.core import (
     parse_rational,
     schedule_from_dict,
     schedule_to_dict,
+    validate_schedule,
 )
 
 FIG1 = IdenticalInstance(m=3, p=(5, 5, 3, 2, 3, 2))
@@ -48,6 +50,17 @@ def test_load_profile_rejects_length_mismatch_and_bad_machine():
         load_profile(FIG1, Schedule((1, 1, 2)))
     with pytest.raises(ValidationError):
         load_profile(FIG1, Schedule((1, 1, 2, 2, 3, 4)))
+
+
+@pytest.mark.parametrize(
+    "bad", [True, 1.0, "1", None, 0, FIG1.m + 1], ids=["bool", "float", "str", "none", "0", "m+1"]
+)
+def test_validate_schedule_names_the_first_bad_job(bad):
+    # no such entry passes the whole-assignment check, and the error names
+    # the job and its entry
+    message = re.escape(f"job 3 assigned to invalid machine {bad!r}")
+    with pytest.raises(ValidationError, match=message):
+        validate_schedule(FIG1, Schedule((1, 2, bad, 3, 1, 2)))
 
 
 # `induced_instance` is the test oracle (tests/oracles.py) behind the

@@ -21,6 +21,7 @@ from schedgames.core import (
     load_profile,
 )
 from schedgames.equilibria import is_nash, is_strong
+from schedgames.experiments import random_instance
 from schedgames.schedulers import (
     PtasConfig,
     lex_min_assignment,
@@ -211,18 +212,43 @@ def test_canonical_search_decides_up_to_its_job_limit():
 
 
 # Smallest node budget that finishes each m = 4, k = 8 prefix; the
-# canonical enumeration without cuts needs 3,771 on every one of them.
+# canonical enumeration without cuts needs 3,771 on every one of them, and
+# with the cuts but a first limit of the total size 108, 1,255 and 1,172.
 PINNED_LEX_MIN_NODES = {
-    (5,) * 8: 108,
-    (20, 19, 17, 15, 12, 11, 9, 7): 1255,
-    (13, 11, 7, 5, 3, 2, 1, 1): 1172,
+    (5,) * 8: 44,
+    (20, 19, 17, 15, 12, 11, 9, 7): 26,
+    (13, 11, 7, 5, 3, 2, 1, 1): 101,
 }
 
 
 @pytest.mark.parametrize("sizes", list(PINNED_LEX_MIN_NODES))
 def test_lex_min_node_count_is_pinned(sizes):
     instance = IdenticalInstance(m=4, p=sizes)
-    lex_min_assignment(instance, 8, node_budget=PINNED_LEX_MIN_NODES[sizes])
+    budget = PINNED_LEX_MIN_NODES[sizes]
+    lex_min_assignment(instance, 8, node_budget=budget)
+    with pytest.raises(BudgetExceededError):
+        lex_min_assignment(instance, 8, node_budget=budget - 1)
+
+
+# Smallest node budget that finishes the prefix search of ptas on a random
+# instance, (seed, m, n, p_max), at epsilon; a first limit of the total
+# size needed 10,842 and 1,755,253.
+PINNED_PTAS_NODES = {
+    ((1, 4, 12, 20), Fraction(1, 3)): 280,
+    ((0, 5, 16, 20), Fraction(1, 3)): 3371,
+}
+
+
+@pytest.mark.parametrize(
+    "case", list(PINNED_PTAS_NODES), ids=lambda c: "seed{}-m{}-n{}".format(*c[0][:3])
+)
+def test_ptas_prefix_node_count_is_pinned(case):
+    draw, eps = case
+    instance = random_instance(*draw)
+    budget = PINNED_PTAS_NODES[case]
+    ptas(instance, PtasConfig(epsilon=eps, node_budget=budget))
+    with pytest.raises(BudgetExceededError):
+        ptas(instance, PtasConfig(epsilon=eps, node_budget=budget - 1))
 
 
 def test_lex_min_of_twenty_unit_jobs_finishes_within_200_nodes():
@@ -233,12 +259,17 @@ def test_lex_min_of_twenty_unit_jobs_finishes_within_200_nodes():
     assert result.loads == (10, 10)
 
 
+# m = 5 too, where starting the limit at the greedy makespan cuts the most
 @given(
     st.one_of(
         identical_instances(min_m=1, max_m=4, max_n=7, sizes=st.integers(1, 20)),
         identical_instances(min_m=1, max_m=4, max_n=7),
         identical_instances(
             min_m=1, max_m=4, max_n=7, sizes=st.sampled_from([Fraction(1), Fraction(3, 2), 2])
+        ),
+        identical_instances(min_m=5, max_m=5, max_n=6, sizes=st.integers(1, 20)),
+        identical_instances(
+            min_m=5, max_m=5, max_n=6, sizes=st.sampled_from([Fraction(1), Fraction(3, 2), 2])
         ),
     )
 )
@@ -325,7 +356,10 @@ def test_ptas_prefix_size():
 
 
 @given(
-    identical_instances(min_m=1, max_m=4, max_n=7),
+    st.one_of(
+        identical_instances(min_m=1, max_m=4, max_n=7),
+        identical_instances(min_m=5, max_m=5, max_n=6, sizes=st.integers(1, 20)),
+    ),
     st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(3, 4), Fraction(2)]),
 )
 def test_ptas_is_the_lex_min_prefix_then_greedy(instance, eps):

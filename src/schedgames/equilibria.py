@@ -144,18 +144,21 @@ class ScanContext:
     `uncapped` exceeds every load a joint action can give a machine; a
     scan caps machines at it until a mover or member lands there.  No
     field depends on a scan's order, so one context serves a call's scans
-    by size and by index, and the call pays the set-up once.
+    by size and by index, and the call pays the set-up once.  `jobs` is
+    the range of 1-based job indices, from which migrant sets are read.
 
-    `to_schedule`, `migrants_of` and `deviation` trust the joint action
-    they are given (one machine index in 0..m-1 per job, as a scan or
-    `check_move` produces it) and build their results past the dataclass
-    constructors; the results equal, hash like and print like the ones
-    those constructors build.
+    `migrants_of` and `deviation` trust the joint action they are given
+    (one machine index in 0..m-1 per job, as a scan or `check_move`
+    produces it).  `deviation` is the one way the package builds a
+    `Deviation`: it builds it and its `after` schedule past the dataclass
+    constructors, in one call that a scan's leaf can afford, and the
+    results equal, hash like and print like the ones those constructors
+    build.  `migrants_of` serves the validating and witness paths.
     """
 
     __slots__ = (
         "instance", "schedule", "m", "n", "sizes", "scale", "columns", "orig", "load0",
-        "cost0", "coalition", "free", "twins", "prev_twin", "uncapped",
+        "cost0", "coalition", "free", "twins", "prev_twin", "uncapped", "jobs",
     )
 
     def __init__(self, instance: Instance, schedule: Schedule, coalition=None):
@@ -165,6 +168,7 @@ class ScanContext:
         self.schedule = schedule
         self.m = m = instance.m
         self.n = n = instance.n
+        self.jobs = range(1, n + 1)
         self.sizes, self.scale = instance._scaled
         self.columns = columns = list(zip(*self.sizes))
         self.orig = orig = [i - 1 for i in schedule.assignment]
@@ -186,21 +190,18 @@ class ScanContext:
             for a, b in zip(c, c[1:]):
                 prev_twin[b] = a
 
-    def to_schedule(self, assign) -> Schedule:
-        schedule = _new(Schedule)
-        _set(schedule, "assignment", tuple([i + 1 for i in assign]))
-        return schedule
-
     def migrants_of(self, assign) -> frozenset[int]:
-        return frozenset(compress(range(1, self.n + 1), map(ne, assign, self.orig)))
+        return frozenset(compress(self.jobs, map(ne, assign, self.orig)))
 
     def deviation(self, assign, coalition=None) -> Deviation:
         """The deviation to the joint action `assign`; its coalition is the
         migrants unless given."""
-        migrants = self.migrants_of(assign)
+        migrants = frozenset(compress(self.jobs, map(ne, assign, self.orig)))
+        after = _new(Schedule)
+        _set(after, "assignment", tuple([i + 1 for i in assign]))
         deviation = _new(Deviation)
         _set(deviation, "before", self.schedule)
-        _set(deviation, "after", self.to_schedule(assign))
+        _set(deviation, "after", after)
         _set(deviation, "migrants", migrants)
         _set(deviation, "coalition", migrants if coalition is None else frozenset(coalition))
         return deviation

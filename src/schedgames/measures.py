@@ -19,11 +19,16 @@ the CLI's table both read it.
 `equilibria.scan_deviations`; read `ir_max` and `dr_max` from it.  It
 wraps `_measure`, which runs that scan on a caller's `ScanContext`.
 `ir_min` answers the min-improvement measure alone with a scan that
-prunes every branch unable to reach the best ratio found so far.  Both
-read a leaf's smallest mover improvement off the scan's per-machine
-caps, in one O(m) pass, `_leaf_screen`, and both read a budget stop
-through one helper, `_scan`, which returns the nodes visited and whether
-the scan finished.  The
+prunes every branch unable to reach the best ratio found so far; that
+floor starts at the best single improving move, which is itself a
+profitable deviation, so the value and witness are those of a floor
+started at 1, reached in fewer nodes.  Both read a leaf's smallest
+mover improvement off the scan's per-machine caps, in one O(m) pass of
+`_leaf_screen`, and both read a budget stop through one helper, `_scan`,
+which returns the nodes visited and whether the scan finished.  The
+screen is built once per scan, with the scan's constants (the uncapped
+cap, the start loads and the largest of them) read then, and `ir_min`
+takes the form that computes the smallest mover improvement alone.  The
 `ir_max` witness counts improving bystanders in its coalition; every
 other witness's coalition is its migrants.
 
@@ -35,7 +40,9 @@ tie-break, `_bump`: a leaf replaces it on a strictly larger ratio, or on
 an equal one with a lexicographically smaller joint action.  Each orbit
 representative is the smallest member of its orbit, so every witness is
 the lexicographically smallest deviation attaining its value, as in an
-index-order scan.
+index-order scan.  `ir_min`'s seed goes through the same tie-break, and
+its floor still visits ties, so a leaf that ties the seed with a smaller
+joint action replaces it.
 
 The exact `ir_max` and `dr_max` of a leaf take a pass over its n jobs,
 `_leaf_max_ratios`, which `_measure` runs only when it must:
@@ -235,11 +242,15 @@ def _leaf_max_ratios(ctx, assign, loads):
     return inum, iden, dnum, dden
 
 
-def _leaf_screen(ctx, loads, caps):
-    """One O(m) pass over a leaf of a coalition-free scan: (num, den) of
-    its smallest mover improvement, then (num, den) upper bounds on the
-    largest improvement and on the largest damage that `_leaf_max_ratios`
-    finds, 0/1 where none exists.
+def _leaf_screen(ctx, bounds=True):
+    """The leaf screen of one coalition-free scan of `ctx`: a function of
+    a leaf's (loads, caps) that makes one O(m) pass over them and returns
+    (num, den) of the leaf's smallest mover improvement, then, with
+    `bounds` (the report's form, not `ir_min`'s), (num, den) upper bounds
+    on the largest improvement and on the largest damage that
+    `_leaf_max_ratios` finds, 0/1 where none exists.
+    The scan's constants, `ctx.uncapped`, `ctx.load0` and its largest
+    entry, are read here once, not at each leaf.
 
     Without a coalition only movers set caps, so `caps[i]` is the
     smallest start cost among the movers into machine i, or
@@ -252,20 +263,31 @@ def _leaf_screen(ctx, loads, caps):
     a mover landed there, and the bound is its load over its start."""
     uncapped, load0 = ctx.uncapped, ctx.load0
     top = max(load0)
-    num = den = None
-    inum = dnum = 0
-    iden = dden = 1
-    for cap, load, start in zip(caps, loads, load0):
-        if cap != uncapped:
-            if num is None or cap * den < num * load:
+
+    def smallest(loads, caps):
+        num = den = None
+        for cap, load in zip(caps, loads):
+            if cap != uncapped and (num is None or cap * den < num * load):
                 num, den = cap, load
-            if top * iden > inum * load:
-                inum, iden = top, load
-            if load > start > 0 and load * dden > dnum * start:
-                dnum, dden = load, start
-        elif 0 < load < start and start * iden > inum * load:
-            inum, iden = start, load
-    return num, den, inum, iden, dnum, dden
+        return num, den
+
+    def screen(loads, caps):
+        num = den = None
+        inum = dnum = 0
+        iden = dden = 1
+        for cap, load, start in zip(caps, loads, load0):
+            if cap != uncapped:
+                if num is None or cap * den < num * load:
+                    num, den = cap, load
+                if top * iden > inum * load:
+                    inum, iden = top, load
+                if load > start > 0 and load * dden > dnum * start:
+                    dnum, dden = load, start
+            elif 0 < load < start and start * iden > inum * load:
+                inum, iden = start, load
+        return num, den, inum, iden, dnum, dden
+
+    return screen if bounds else smallest
 
 
 def measure_report(
@@ -294,10 +316,11 @@ def _measure(
     low, high, harm = best["ir_min"], best["ir_max"], best["dr_max"]
     twins = ctx.twins
     count = [0]
+    screen = _leaf_screen(ctx)
 
     def leaf(ctx, assign, loads, caps):
         count[0] += ctx.orbit_size(assign) if twins else 1
-        num, den, inum, iden, dnum, dden = _leaf_screen(ctx, loads, caps)
+        num, den, inum, iden, dnum, dden = screen(loads, caps)
         _bump(low, num, den, assign)
         # a bound that ties the best may hide a tie with a smaller leaf
         if inum * high[1] >= high[0] * iden or dnum * harm[1] >= harm[0] * dden:
@@ -348,17 +371,25 @@ def ir_min(
     instance: Instance, schedule: Schedule, node_budget: int = DEFAULT_SEARCH_BUDGET
 ) -> MeasureValue:
     """Largest factor by which some coalition improves every mover; 1 when
-    the schedule is strong.  Uses ratio-floor pruning, so it is faster
-    than a full report.  Like `measure_report` it places jobs by size:
-    after a budget stop the value is a lower bound taken from the leaves
-    met in size order, with the smallest of them attaining it."""
+    the schedule is strong.  Uses ratio-floor pruning, from the best
+    single improving move on, so it is faster than a full report.  Like
+    `measure_report` it places jobs by size: after a budget stop the value
+    is a lower bound taken from the best single move and the leaves met in
+    size order, with the smallest of those attaining it."""
     _check_budget(node_budget)
     ctx = ScanContext(instance, schedule)
-    # [num, den, assign]: the scan prunes on the ratio in its first two
+    # [num, den, assign]: the scan prunes on the ratio in its first two,
+    # from the best single improving move on, the smallest on ties
     slot = [1, 1, None]
+    orig, cost0 = ctx.orig, ctx.cost0
+    for j, i, cost in ctx.improving_moves():
+        move = list(orig)
+        move[j] = i
+        _bump(slot, cost0[j], cost, move)
+    smallest = _leaf_screen(ctx, bounds=False)
 
     def leaf(ctx, assign, loads, caps):
-        num, den, *_ = _leaf_screen(ctx, loads, caps)
+        num, den = smallest(loads, caps)
         _bump(slot, num, den, assign)
 
     exhaustive = _scan(ctx, node_budget, leaf, by_size=True, min_ratio_floor=slot)[1]

@@ -1,7 +1,8 @@
 """Mutation gate: every cut of the two search kernels, the deviation scan
 and the canonical-assignment search of the schedulers, the greedy first
 limit of the lex-min prefix search, and every fast path of the measures
-must be caught by the tests when it is broken.
+(the leaf screen, the witness tie-break and `ir_min`'s seeded ratio
+floor) must be caught by the tests when it is broken.
 
     python tests/mutation_gate.py
 
@@ -41,6 +42,7 @@ ORACLES = (
     "tests/test_measures.py::test_min_improvement_read_off_caps_matches_movers_and_oracle",
     "tests/test_measures.py::test_size_ordered_report_keeps_the_oracle_witnesses",
     "tests/test_measures.py::test_measures_match_brute_force_oracle",
+    "tests/test_measures.py::test_ir_min_seed_keeps_the_smallest_tying_witness",
     "tests/test_equilibria.py::test_a_stop_at_the_first_leaf_returns_the_nodes_up_to_it",
     "tests/test_equilibria.py::test_enumeration_matches_unpruned_oracle",
     "tests/test_equilibria.py::test_budget_stop_has_seen_exactly_the_representatives_it_resolved",
@@ -60,6 +62,7 @@ PINS = (
     "tests/test_conservation_cut.py::test_lpt_measure_report_node_count_is_pinned",
     "tests/test_conservation_cut.py::test_tightened_cut_keeps_every_leaf",
     "tests/test_measures.py::test_partition_reduction_measure_nodes_are_pinned",
+    "tests/test_measures.py::test_ir_min_finishing_budget_is_pinned",
     "tests/test_schedulers.py::test_lex_min_node_count_is_pinned",
     "tests/test_schedulers.py::test_optimal_makespan_node_count_is_pinned",
     "tests/test_schedulers.py::test_ptas_prefix_node_count_is_pinned",
@@ -125,8 +128,14 @@ MUTANTS = {
     ),
     "screen-bounds-movers-by-cap": (
         CORRECTNESS, MEASURES,
-        "if top * iden > inum * load:\n                inum, iden = top, load",
-        "if cap * iden > inum * load:\n                inum, iden = cap, load",
+        "if top * iden > inum * load:\n                    inum, iden = top, load",
+        "if cap * iden > inum * load:\n                    inum, iden = cap, load",
+    ),
+    # a seed ratio that no single move attains can stand as ir_min's value
+    "ir-min-seed-inflated": (
+        CORRECTNESS, MEASURES,
+        "_bump(slot, cost0[j], cost, move)",
+        "_bump(slot, cost0[j] + 1, cost, move)",
     ),
     "limit-cuts-ties": (
         CORRECTNESS, SCHEDULERS, "if load + size > limit:", "if load + size >= limit:",
@@ -168,6 +177,9 @@ MUTANTS = {
         PERFORMANCE, SCHEDULERS,
         "labels[t - 1] if t and size == sizes[t - 1] else 0",
         "0",
+    ),
+    "ir-min-seed-dropped": (
+        PERFORMANCE, MEASURES, "_bump(slot, cost0[j], cost, move)", "pass",
     ),
 }
 

@@ -628,7 +628,7 @@ def test_context_deviations_match_public_constructors(pair):
             assert got == built and hash(got) == hash(built) and repr(got) == repr(built)
         assert type(got) is Deviation and type(got.after) is Schedule
         assert got.after == after and hash(got.after) == hash(after)
-        assert repr(got.after) == repr(after) and ctx.to_schedule(joint) == after
+        assert repr(got.after) == repr(after)
         assert ctx.migrants_of(joint) == migrants
         wider = migrants | ctx.bystanders(joint)
         assert ctx.deviation(joint, wider) == profitable_deviation(instance, schedule, after, wider)

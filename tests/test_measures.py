@@ -11,7 +11,14 @@ from conftest import (
     twin_heavy_pairs,
     unrelated_with_schedule,
 )
-from oracles import brute_measure_witnesses, brute_measures, brute_ratio_maps, brute_structure
+from oracles import (
+    brute_deviations,
+    brute_improving_moves,
+    brute_measure_witnesses,
+    brute_measures,
+    brute_ratio_maps,
+    brute_structure,
+)
 from schedgames.core import (
     IdenticalInstance,
     Schedule,
@@ -201,15 +208,17 @@ ANY_START = st.one_of(
 def test_min_improvement_read_off_caps_matches_movers_and_oracle(pair):
     # a leaf reads its smallest mover improvement off the m caps; it must
     # equal the minimum over the n movers, and both measures the oracle's
+    # in both forms of the screen, the report's and `ir_min`'s
     instance, schedule = pair
     ctx = ScanContext(instance, schedule)
+    screen, smallest = _leaf_screen(ctx), _leaf_screen(ctx, bounds=False)
 
     def leaf(ctx, assign, loads, caps):
         movers = [
             Fraction(ctx.cost0[j], loads[i]) for j, i in enumerate(assign) if i != ctx.orig[j]
         ]
-        num, den, *_ = _leaf_screen(ctx, loads, caps)
-        assert Fraction(num, den) == min(movers)
+        num, den, *_ = screen(loads, caps)
+        assert Fraction(num, den) == min(movers) and smallest(loads, caps) == (num, den)
 
     scan_deviations(ctx, budget=10**6, on_leaf=leaf)
     (want, joint), _, _ = brute_measure_witnesses(instance, schedule)
@@ -232,9 +241,10 @@ def test_leaf_screen_never_underestimates(pair, by_size):
     # the exact ratio it stands for
     instance, schedule = pair
     ctx = ScanContext(instance, schedule)
+    screen = _leaf_screen(ctx)
 
     def leaf(ctx, assign, loads, caps):
-        _, _, inum, iden, dnum, dden = _leaf_screen(ctx, loads, caps)
+        _, _, inum, iden, dnum, dden = screen(loads, caps)
         xnum, xden, ynum, yden = _leaf_max_ratios(ctx, assign, loads)
         assert inum * xden >= xnum * iden
         if ynum is None:
@@ -359,6 +369,73 @@ def test_partition_reduction_measure_nodes_are_pinned(art, nodes, count):
     report = measure_report(art.instance, art.start_schedule)
     assert report.exhaustive and not art.expected_se
     assert (report.nodes, report.deviation_count) == (nodes, count)
+
+
+@pytest.mark.parametrize(
+    "instance, start, budget",
+    [
+        (random_instance(3, 3, 9, 20), (1, 1, 2, 2, 3, 3, 1, 1, 1), 45),
+        (
+            UnrelatedInstance(
+                m=3,
+                p=(
+                    (3, 5, 2, 7, 4, 6, 1, 8),
+                    (4, 2, 6, 3, 5, 1, 7, 2),
+                    (6, 3, 4, 2, 1, 5, 3, 4),
+                ),
+            ),
+            (1, 1, 1, 1, 2, 2, 3, 3),
+            141,
+        ),
+    ],
+    ids=["identical-m3n9", "unrelated-m3n8"],
+)
+def test_ir_min_finishing_budget_is_pinned(instance, start, budget):
+    # non-equilibrium starts: ir_min's ratio floor starts at the best single
+    # improving move, so its scan finishes within exactly `budget` nodes
+    # (from a floor of 1 it needed 180 and 159)
+    schedule = Schedule(start)
+    assert ir_min(instance, schedule, budget).exhaustive
+    assert not ir_min(instance, schedule, budget - 1).exhaustive
+
+
+@pytest.mark.parametrize(
+    "sizes, start, seed, witness",
+    [
+        # job 5 alone gains 7/6 on machine 1, and so does every mover of
+        # the smaller (1, 2, 3, 2, 1): the scan's leaf replaces the seed
+        ((3, 4, 3, 2, 3), (1, 3, 2, 2, 3), (1, 3, 2, 2, 1), (1, 2, 3, 2, 1)),
+        # job 2 alone gains 6/5 on machine 2, and so does every mover of
+        # the larger (3, 2, 3, 2, 1): the seed stays
+        ((4, 2, 1, 3, 2), (1, 1, 3, 2, 3), (1, 2, 3, 2, 3), (1, 2, 3, 2, 3)),
+    ],
+    ids=["leaf-wins", "seed-stays"],
+)
+def test_ir_min_seed_keeps_the_smallest_tying_witness(sizes, start, seed, witness):
+    # ir_min's floor starts at the best single improving move, the
+    # lexicographically smallest on ties; where a deviation of several
+    # movers ties it, the smaller of the two is the witness
+    instance, schedule = IdenticalInstance(m=3, p=sizes), Schedule(start)
+    loads = load_profile(instance, schedule).loads
+    singles = {}
+    for j, i, cost in brute_improving_moves(instance, schedule):
+        joint = list(start)
+        joint[j - 1] = i
+        singles[tuple(joint)] = loads[start[j - 1] - 1] / cost
+    best = max(singles.values())
+    assert min(joint for joint, ratio in singles.items() if ratio == best) == seed
+    (value, joint), _, _ = brute_measure_witnesses(instance, schedule)
+    assert value == best and joint == witness
+    tying = [
+        joint
+        for joint in brute_deviations(instance, schedule)
+        if joint not in singles
+        and min(brute_ratio_maps(instance, schedule, joint)[0].values()) == best
+    ]
+    assert tying and min(min(tying), seed) == witness
+    fast, report = ir_min(instance, schedule), measure_report(instance, schedule)
+    assert (fast.value, fast.witness.after.assignment) == (best, witness)
+    assert (report.ir_min, report.ir_min_witness.after.assignment) == (best, witness)
 
 
 @given(instance_with_schedule(min_m=2, max_m=3, min_n=1, max_n=6))

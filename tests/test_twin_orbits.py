@@ -290,6 +290,47 @@ def test_deviation_count_matches_dp_oracle(pair):
     assert ir_min(instance, schedule).value == values[0]
 
 
+@st.composite
+def dp_scale_pairs(draw):
+    """(instance, schedule) on 2 or 3 machines with 10 to 14 jobs, past
+    the reach of the brute-force oracles: identical or unrelated machines
+    with integer sizes up to 9, and a start that is a best-response
+    equilibrium or, with one job moved off it, mostly not one.  Small
+    sizes and starts near an equilibrium keep the DP oracle's states few,
+    so that the deep profile's 400 examples take under a minute."""
+    m = draw(st.integers(2, 3))
+    n = draw(st.integers(10, 14))
+    size = st.integers(1, 9)
+    if draw(st.booleans()):
+        rows = draw(st.lists(st.lists(size, min_size=n, max_size=n), min_size=m, max_size=m))
+        instance = UnrelatedInstance(m=m, p=tuple(map(tuple, rows)))
+    else:
+        instance = IdenticalInstance(m=m, p=tuple(draw(st.lists(size, min_size=n, max_size=n))))
+    start = draw(st.lists(st.integers(1, m), min_size=n, max_size=n))
+    schedule = _best_response_equilibrium(instance, start)
+    if draw(st.booleans()):
+        assignment = list(schedule.assignment)
+        j = draw(st.integers(0, n - 1))
+        assignment[j] = draw(st.sampled_from([i for i in range(1, m + 1) if i != assignment[j]]))
+        schedule = Schedule(tuple(assignment))
+    return instance, schedule
+
+
+@given(dp_scale_pairs())
+def test_measures_match_dp_oracle_at_scale(pair):
+    # the count, all three measures, ir_min's own scan and the
+    # enumeration's length, each against the DP oracle
+    instance, schedule = pair
+    count, *values = dp_measures(instance, schedule)
+    report = measure_report(instance, schedule)
+    assert report.exhaustive and report.deviation_count == count
+    assert [report.ir_min, report.ir_max, report.dr_max] == values
+    best = ir_min(instance, schedule)
+    assert best.exhaustive and best.value == values[0]
+    deviations = enumerate_profitable_deviations(instance, schedule)
+    assert deviations.complete and len(deviations) == count
+
+
 def _twin_equilibria(count):
     """Three-machine equilibria of 9 to 12 jobs drawn from a few base
     sizes: LPT schedules and best-response ones from a random start, in
@@ -318,11 +359,11 @@ def test_structure_is_constant_on_twin_orbits():
         )
         for rep in reps:
             plain, unit = (
-                structural_report(instance, schedule, ctx.to_schedule(rep), lpt_origin=origin)
+                structural_report(instance, schedule, ctx.deviation(rep).after, lpt_origin=origin)
                 for origin in (False, True)
             )
             for member in ctx.orbit(rep):
-                after = ctx.to_schedule(member)
+                after = ctx.deviation(member).after
                 assert structural_report(instance, schedule, after) == plain
                 assert structural_report(instance, schedule, after, lpt_origin=True) == unit
                 ref = brute_structure(instance, schedule, after)

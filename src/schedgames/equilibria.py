@@ -9,12 +9,15 @@ and `profitable_deviation` also take every load and cost; a value
 becomes a `Fraction` only on its way out.
 
 Each scan places the jobs free to act by index, so that candidates come
-in lexicographic order, or, given `by_size`, by non-increasing size,
-where its cuts bite sooner.  Whether a deviation exists does not depend
-on that order, so `is_strong`, for every coalition or one named one,
-decides by size and scans by index only when a deviation exists, to find
-the lexicographically first.  `enumerate_profitable_deviations` scans by
-index, since its order and its budget-stop prefix are lexicographic.
+in lexicographic order, or, given `by_size`, by non-increasing size
+(`_scan_order`), where its cuts bite sooner.  Whether a deviation exists
+does not depend on that order, so `is_strong`, for every coalition or
+one named one, decides by size and scans by index only when a deviation
+exists, to find the lexicographically first.
+`enumerate_profitable_deviations` scans by size too and sorts what it
+finds once; after a budget stop it keeps the deviations below the first
+joint action, in index order, that the scan left unresolved, which it
+reads off the stop's `explored_fraction`.
 
 The scan cuts only branches that hold no profitable deviation, and it
 visits interchangeable jobs once per relabelling, through the
@@ -26,12 +29,11 @@ is hard, so every search takes a node budget and raises
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from math import comb
-from operator import getitem, ne
+from operator import attrgetter, getitem, ne
 from typing import Callable, Iterator
 
 from .core import (
@@ -314,6 +316,17 @@ def _distinct_orders(values: list) -> list[tuple]:
         out.append(tuple(values))
 
 
+def _scan_order(ctx: ScanContext, by_size) -> tuple[int, ...] | list[int]:
+    """The jobs free to act in `ctx`, in the order a scan places them: by
+    index, or with `by_size` by non-increasing size on the start machine,
+    ties by index."""
+    if not by_size:
+        return ctx.free
+    # a stable sort keeps ties in index order, reversed or not
+    own = list(map(getitem, ctx.columns, ctx.orig))
+    return sorted(ctx.free, key=own.__getitem__, reverse=True)
+
+
 def scan_deviations(
     ctx: ScanContext, *, budget: int, on_leaf: Callable, by_size=False, min_ratio_floor=None
 ) -> int:
@@ -328,7 +341,8 @@ def scan_deviations(
     and including that leaf: the smallest budget that reaches it.
 
     The scan places the jobs of `ctx.free` in index order, or with
-    `by_size` by non-increasing size on the start machine, ties by index.
+    `by_size` by non-increasing size on the start machine, ties by index
+    (`_scan_order`).
     Each profitable candidate, one per orbit (below), goes to on_leaf(ctx,
     assign, loads, caps) in lexicographic order of those jobs taken in
     that order: the 0-based joint action, its machine loads, and
@@ -385,10 +399,7 @@ def scan_deviations(
         )
     m, n = ctx.m, ctx.n
     columns, orig = ctx.columns, ctx.orig
-    if by_size:
-        # a stable sort keeps ties in index order, reversed or not
-        own = list(map(getitem, columns, orig))
-        free = sorted(free, key=own.__getitem__, reverse=True)
+    free = _scan_order(ctx, by_size)
     cost0, load0, prev_twin = ctx.cost0, ctx.load0, ctx.prev_twin
     members_fixed = ctx.coalition is not None
     # per depth: the job, its sizes on each machine, its start machine, the
@@ -574,8 +585,9 @@ def is_strong(
 
 @dataclass(frozen=True)
 class DeviationSweep:
-    """Materialized stream of profitable deviations in lexicographic
-    order; `complete` is False when the budget truncated it."""
+    """Materialized list of profitable deviations in lexicographic order
+    of the joint action; `complete` is False when the budget truncated
+    it, and the list is then a lexicographic prefix."""
 
     deviations: tuple[Deviation, ...]
     complete: bool
@@ -587,40 +599,71 @@ class DeviationSweep:
         return len(self.deviations)
 
 
+def _first_unresolved(order, m: int, share: Fraction) -> tuple[int, ...]:
+    """The lexicographically smallest joint action of jobs 0..n-1, as
+    1-based machines, whose rank is at least `share` of the m^n joint
+    actions, where `order` lists every job and the rank reads a joint
+    action as a base-m number over the jobs in that order: the first joint
+    action in index order that a scan in `order`, stopped with `share`
+    explored, left unresolved.  Each job in index order takes the smallest
+    machine from which the largest completion still reaches that rank."""
+    n = len(order)
+    weight = [0] * n
+    for depth, j in enumerate(order):
+        weight[j] = m ** (n - 1 - depth)
+    need = int(share * m**n)
+    rest = m**n - 1
+    first = []
+    for w in weight:
+        # `rest` is the largest rank the jobs after this one can add
+        rest -= (m - 1) * w
+        i = max(0, -((rest - need) // w))
+        need -= i * w
+        first.append(i + 1)
+    return tuple(first)
+
+
 def enumerate_profitable_deviations(
     instance: Instance, schedule: Schedule, node_budget: int = DEFAULT_SEARCH_BUDGET
 ) -> DeviationSweep:
     """Every profitable deviation (movers-only coalitions), lexicographic
     in the joint action; complete iff it finished within the budget.  A
-    budget stop keeps the lexicographic prefix found so far.
+    budget stop keeps a lexicographic prefix: every profitable deviation
+    below the first joint action, in index order, that the scan left
+    unresolved.
 
-    The scan yields orbit representatives; the other members of each
-    orbit wait on a heap.  A member of a later orbit is never below that
-    orbit's representative, which comes after the current one; so once a
-    representative is seen, every pending member below it, and then the
-    representative, is final."""
+    The scan places the jobs by size, where its cuts bite sooner, and each
+    leaf builds the deviation of every member of its orbit; one sort by
+    joint action orders them.  A stop's `explored_fraction` names what the
+    scan resolved: the joint actions whose rank over the jobs in size
+    order is below that share of all of them.  The first joint action in
+    index order outside that set is the cutoff (`_first_unresolved`).
+    Every profitable one below it has an orbit whose representative, the
+    member of smallest rank, the scan met, so the deviations kept are
+    exactly those below the cutoff."""
     _check_budget(node_budget)
     ctx = ScanContext(instance, schedule)
     found: list[Deviation] = []
-    pending: list = []
-
-    def emit(ctx, assign, loads=None, caps=None):
-        found.append(ctx.deviation(assign))
+    deviation = ctx.deviation
 
     def leaf(ctx, assign, loads, caps):
-        members = ctx.orbit(assign)
-        for member in members[1:]:
-            heapq.heappush(pending, member)
-        while pending and pending[0] < members[0]:
-            emit(ctx, heapq.heappop(pending))
-        emit(ctx, assign)
+        found.append(deviation(assign))
 
-    complete = True
+    def orbit_leaf(ctx, assign, loads, caps):
+        found.extend(map(deviation, ctx.orbit(assign)))
+
+    # the cutoff after a stop reads the order the scan ran in
+    by_size = True
+    share = None
     try:
-        # without twins every orbit is trivial and nothing is pending
-        scan_deviations(ctx, budget=node_budget, on_leaf=leaf if ctx.twins else emit)
-        while pending:
-            emit(ctx, heapq.heappop(pending))
-    except BudgetExceededError:
-        complete = False
-    return DeviationSweep(deviations=tuple(found), complete=complete)
+        # without twins every orbit is its representative alone
+        scan_deviations(
+            ctx, budget=node_budget, on_leaf=orbit_leaf if ctx.twins else leaf, by_size=by_size
+        )
+    except BudgetExceededError as stop:
+        share = stop.explored_fraction
+    if share is not None:
+        cutoff = _first_unresolved(_scan_order(ctx, by_size), ctx.m, share)
+        found = [d for d in found if d.after.assignment < cutoff]
+    found.sort(key=attrgetter("after.assignment"))
+    return DeviationSweep(deviations=tuple(found), complete=share is None)

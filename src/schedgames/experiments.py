@@ -345,9 +345,9 @@ def _evaluate(scheduler, eps, instance, schedule, budget):
     orbit representative.  Twins share a start machine and every size, so
     each member of an orbit has the representative's report, and a
     failing orbit is expanded whole.  After a budget stop only members up
-    to the last representative are kept, the lexicographic prefix that
-    enumeration finds on the same budget; so the measure scan keeps index
-    order (`_measure`'s default), not the size order of `measure_report`.
+    to the last representative are kept, a lexicographic prefix of the
+    failing deviations; so the measure scan keeps index order
+    (`_measure`'s default), not the size order of `measure_report`.
 
     Returns (measures, makespan, opt, checks): `opt` is None past its
     budget.  `checks` lists the limit checks in check order, none when the

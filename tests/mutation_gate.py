@@ -1,8 +1,9 @@
 """Mutation gate: every cut of the two search kernels, the deviation scan
 and the canonical-assignment search of the schedulers, the greedy first
-limit of the lex-min prefix search, and every fast path of the measures
-(the leaf screen, the witness tie-break and `ir_min`'s seeded ratio
-floor) must be caught by the tests when it is broken.
+limit of the lex-min prefix search, the enumeration's scan order and
+budget-stop cutoff, and every fast path of the measures (the leaf screen,
+the witness tie-break and `ir_min`'s seeded ratio floor) must be caught
+by the tests when it is broken.
 
     python tests/mutation_gate.py
 
@@ -15,9 +16,10 @@ named subset of the tests against the copy, under the derandomized
 - A correctness mutant can change a verdict, a witness, a count, a
   measure or a reported node count, so `ORACLES`, the tests that check
   results against brute-force oracles or leaf by leaf, must fail.
-- A performance mutant only loosens a cut or skips a shortcut, leaving
-  every result as it was, so `ORACLES` must still pass and `PINS`, the
-  tests that pin node counts, must fail.  A mutant that passes `PINS`
+- A performance mutant only loosens a cut, skips a shortcut or changes
+  the order of a scan whose results its contract fixes in either order,
+  so `ORACLES` must still pass and `PINS`, the tests that pin node
+  counts, must fail.  A mutant that passes `PINS`
   goes unseen, and one that fails `ORACLES` changed a result: it is a
   correctness mutant.
 
@@ -47,6 +49,7 @@ ORACLES = (
     "tests/test_equilibria.py::test_enumeration_matches_unpruned_oracle",
     "tests/test_equilibria.py::test_budget_stop_has_seen_exactly_the_representatives_it_resolved",
     "tests/test_twin_orbits.py::test_enumeration_matches_oracle_in_order",
+    "tests/test_twin_orbits.py::test_enumeration_budget_stop_is_oracle_prefix",
     "tests/test_twin_orbits.py::test_measure_report_matches_oracle",
     "tests/test_conservation_cut.py::test_cut_keeps_every_profitable_leaf_of_an_equilibrium",
     "tests/test_conservation_cut.py::test_cut_keeps_every_leaf_of_seeded_equilibria",
@@ -59,6 +62,7 @@ ORACLES = (
 PINS = (
     "tests/test_twin_orbits.py::test_partition_family_node_count_is_pinned",
     "tests/test_twin_orbits.py::test_partition_split_node_count_is_pinned",
+    "tests/test_twin_orbits.py::test_enumeration_finishing_budget_is_pinned",
     "tests/test_conservation_cut.py::test_lpt_measure_report_node_count_is_pinned",
     "tests/test_conservation_cut.py::test_tightened_cut_keeps_every_leaf",
     "tests/test_measures.py::test_partition_reduction_measure_nodes_are_pinned",
@@ -115,8 +119,21 @@ MUTANTS = {
     # has resolved
     "size-order-ascending": (
         CORRECTNESS, KERNEL,
-        "free = sorted(free, key=own.__getitem__, reverse=True)",
-        "free = sorted(free, key=own.__getitem__)",
+        "return sorted(ctx.free, key=own.__getitem__, reverse=True)",
+        "return sorted(ctx.free, key=own.__getitem__)",
+    ),
+    # a cutoff read in index order off a stop of the scan by size keeps
+    # deviations the scan never resolved, or drops ones it met
+    "cutoff-ranks-by-index": (
+        CORRECTNESS, KERNEL,
+        "_first_unresolved(_scan_order(ctx, by_size), ctx.m, share)",
+        "_first_unresolved(ctx.free, ctx.m, share)",
+    ),
+    # orbit members and representatives past the cutoff break the prefix
+    "stop-keeps-every-deviation-met": (
+        CORRECTNESS, KERNEL,
+        "found = [d for d in found if d.after.assignment < cutoff]",
+        "pass",
     ),
     "bump-prefers-larger-leaf": (
         CORRECTNESS, MEASURES, "assign < slot[2]", "assign > slot[2]",
@@ -164,6 +181,11 @@ MUTANTS = {
         PERFORMANCE, KERNEL,
         "if size < cj and tops[i] < cj - 1 and i != oj:",
         "if size <= cj and tops[i] < cj - 1 and i != oj:",
+    ),
+    # the enumeration by index, its cutoff read in the same order: the same
+    # contract on more nodes
+    "enumeration-by-index": (
+        PERFORMANCE, KERNEL, "by_size = True", "by_size = False",
     ),
     "equal-load-siblings-kept": (
         PERFORMANCE, SCHEDULERS,

@@ -1,11 +1,12 @@
 """Independent brute-force oracles used to cross-check the library.
 
 Everything here enumerates plainly with itertools and Fractions, or
-counts and maximizes with a plain dynamic program over Fraction loads, and
+counts and maximizes with a plain dynamic program over integer loads, and
 deliberately shares no code with the package's pruned searches.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,31 +39,58 @@ def brute_deviations(instance, schedule):
     return out
 
 
+def brute_first_unresolved(m, n, order, share):
+    """The lexicographically smallest joint action (1-based) whose rank is
+    at least `share` of the m^n joint actions, the rank reading a joint
+    action as a base-m number over the jobs in `order` (0-based, every
+    job once), by full enumeration in itertools.product order."""
+    def rank(joint):
+        value = 0
+        for j in order:
+            value = value * m + joint[j] - 1
+        return value
+
+    need = share * m**n
+    return next(
+        joint for joint in itertools.product(range(1, m + 1), repeat=n) if rank(joint) >= need
+    )
+
+
 def dp_measures(instance, schedule):
     """(deviation_count, ir_min, ir_max, dr_max), as `brute_deviations`
     and `brute_measures` give them, by a forward DP over the jobs in index
-    order.  A state is the `Fraction` loads of the jobs placed so far, per
-    machine the smallest and the largest start cost among the movers into
-    it (None before any), and the set of machines a job stays on; each
-    state keeps how many joint actions reach it.  Loads only grow, so a
-    state is dropped once a machine's load reaches its smallest mover
-    cost; every final state with a mover is profitable.  At the end a
-    mover into machine i improves by its start cost over i's load, a job
-    that stays on i by i's start load over its final load, so each final
-    state gives all three ratios."""
-    old = load_profile(instance, schedule).loads
-    m = instance.m
+    order.  Every size is scaled to an integer by the least common
+    multiple of their denominators, so loads and costs are integers and a
+    ratio of two of them is the ratio of the sizes they scale.  A state
+    is the loads of the jobs placed so far, per machine the smallest and
+    the largest start cost among the movers into it (None before any),
+    and the set of machines a job stays on; each state keeps how many
+    joint actions reach it.  Loads only grow, so a state is dropped once a
+    machine's load reaches its smallest mover cost; every final state with
+    a mover is profitable.  At the end a mover into machine i improves by
+    its start cost over i's load, a job that stays on i by i's start load
+    over its final load, so each final state gives all three ratios."""
+    m, n = instance.m, instance.n
+    sizes = [
+        [Fraction(instance.processing_time(j, i)) for i in range(1, m + 1)]
+        for j in range(1, n + 1)
+    ]
+    scale = math.lcm(1, *(size.denominator for row in sizes for size in row))
+    sizes = [[int(size * scale) for size in row] for row in sizes]
+    src = [schedule.machine_of(j) - 1 for j in range(1, n + 1)]
+    old = [0] * m
+    for row, i in zip(sizes, src):
+        old[i] += row[i]
     none = (None,) * m
-    states = {((Fraction(0),) * m, none, none, 0): 1}
-    for j in range(1, instance.n + 1):
-        src = schedule.machine_of(j) - 1
-        cost = old[src]
+    states = {((0,) * m, none, none, 0): 1}
+    for row, here in zip(sizes, src):
+        cost = old[here]
         grown = {}
         for (loads, low, high, stay), count in states.items():
             for i in range(m):
-                load = loads[i] + instance.processing_time(j, i + 1)
+                load = loads[i] + row[i]
                 lo, hi, mask = low[i], high[i], stay
-                if i == src:
+                if i == here:
                     mask |= 1 << i
                 else:
                     lo = cost if lo is None else min(lo, cost)
@@ -84,11 +112,13 @@ def dp_measures(instance, schedule):
         total += count
         movers = [i for i in range(m) if low[i] is not None]
         stayers = [i for i in range(m) if stay >> i & 1]
-        ir_min = max(ir_min, min(low[i] / loads[i] for i in movers))
-        gains = [high[i] / loads[i] for i in movers]
-        gains += [old[i] / loads[i] for i in stayers if loads[i] < old[i]]
+        ir_min = max(ir_min, min(Fraction(low[i], loads[i]) for i in movers))
+        gains = [Fraction(high[i], loads[i]) for i in movers]
+        gains += [Fraction(old[i], loads[i]) for i in stayers if loads[i] < old[i]]
         ir_max = max([ir_max, *gains])
-        dr_max = max([dr_max, *(loads[i] / old[i] for i in stayers if loads[i] > old[i])])
+        dr_max = max(
+            [dr_max, *(Fraction(loads[i], old[i]) for i in stayers if loads[i] > old[i])]
+        )
     return total, ir_min, ir_max, dr_max
 
 

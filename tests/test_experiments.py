@@ -8,6 +8,7 @@ import pytest
 from conftest import _best_response_equilibrium
 from schedgames import experiments, measures
 from schedgames.core import (
+    BudgetExceededError,
     IdenticalInstance,
     Schedule,
     UnrelatedInstance,
@@ -17,7 +18,12 @@ from schedgames.core import (
     load_profile,
     schedule_from_dict,
 )
-from schedgames.equilibria import ScanContext, enumerate_profitable_deviations, is_nash
+from schedgames.equilibria import (
+    ScanContext,
+    enumerate_profitable_deviations,
+    is_nash,
+    scan_deviations,
+)
 from schedgames.experiments import (
     CSV_COLUMNS,
     SCHEDULERS,
@@ -362,8 +368,12 @@ def test_violation_record_carries_scheduler_and_eps():
 def test_structure_violations_match_the_public_checks(monkeypatch, scheduler, budget, p_max):
     # a stricter predicate than the paper's lemmas, so that some deviations
     # fail it: at most 5 migrants, and per-unit flows of at least 2.  A
-    # budget-stopped trial keeps the lexicographic prefix that enumeration
-    # finds on the same budget; small sizes give failing twin orbits.
+    # budget-stopped trial keeps the failing deviations up to the last
+    # orbit representative that its scan, by index, meets within the
+    # budget; small sizes give failing twin orbits.  The reference lists
+    # every profitable deviation with a complete enumeration, which the
+    # oracle tests check against brute_deviations in order; brute_deviations
+    # itself takes about two seconds per trial at n = 10.
     lemmas = StructuralReport.passed.fget
 
     def stricter(sr):
@@ -385,7 +395,20 @@ def test_structure_violations_match_the_public_checks(monkeypatch, scheduler, bu
         instance, schedule = IdenticalInstance(m=3, p=r.jobs), Schedule(r.assignment)
         if not is_nash(instance, schedule).holds:
             continue
-        for dev in enumerate_profitable_deviations(instance, schedule, node_budget=budget):
+        met = []
+        try:
+            scan_deviations(
+                ScanContext(instance, schedule), budget=budget,
+                on_leaf=lambda ctx, assign, loads, caps: met.append(tuple(i + 1 for i in assign)),
+            )
+            last = None
+        except BudgetExceededError:
+            last = met[-1] if met else ()
+        everything = enumerate_profitable_deviations(instance, schedule)
+        assert everything.complete
+        for dev in everything:
+            if last is not None and dev.after.assignment > last:
+                break
             sr = structural_report(instance, schedule, dev.after, lpt_origin=scheduler == "lpt")
             if not sr.passed:
                 expected.append((r.trial, dev.to_dict(), repr(sr)))

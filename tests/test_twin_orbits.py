@@ -5,6 +5,7 @@ or matrix column (unrelated machines)."""
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,6 +14,7 @@ from conftest import _best_response_equilibrium, twin_heavy_pairs
 from oracles import (
     brute_coalition_deviation,
     brute_deviations,
+    brute_first_unresolved,
     brute_measure_witnesses,
     brute_structure,
     dp_measures,
@@ -24,6 +26,7 @@ from schedgames.core import (
     UnrelatedInstance,
     load_profile,
 )
+from schedgames import equilibria
 from schedgames.equilibria import (
     ScanContext,
     _StopScan,
@@ -167,20 +170,77 @@ def test_enumeration_matches_oracle_in_order(pair):
     assert all(d.coalition == d.migrants for d in sweep)
 
 
+def _stop(ctx, budget, by_size):
+    """The stop of a scan of `ctx` on `budget` that meets nothing."""
+    with pytest.raises(BudgetExceededError) as info:
+        scan_deviations(ctx, budget=budget, on_leaf=lambda *leaf: None, by_size=by_size)
+    return info.value
+
+
 @given(PAIRS, st.integers(1, 300))
 def test_enumeration_budget_stop_is_oracle_prefix(pair, budget):
+    # complete iff the budget covers the whole scan; a stop keeps exactly
+    # the oracle's deviations below the first joint action, in index
+    # order, that the scan left unresolved: the cutoff, read here by full
+    # enumeration off the explored_fraction of the same scan.  The order
+    # is read off the scan the enumeration runs (by size, which
+    # test_enumeration_finishing_budget_is_pinned fixes), so that this
+    # checks the cutoff against whichever order that scan ran in.
     instance, schedule = pair
     expected = brute_deviations(instance, schedule)
-    sweep = enumerate_profitable_deviations(instance, schedule, node_budget=budget)
+    orders = []
+    kernel = equilibria.scan_deviations
+
+    def spy(ctx, **kwargs):
+        orders.append(kwargs.get("by_size", False))
+        return kernel(ctx, **kwargs)
+
+    with mock.patch.object(equilibria, "scan_deviations", spy):
+        sweep = enumerate_profitable_deviations(instance, schedule, node_budget=budget)
+    [by_size] = orders
     got = [d.after.assignment for d in sweep]
-    assert got == expected[: len(got)]
-    # complete iff the budget covers the whole scan; a stop after the last
-    # deviation can still hold every one of them
-    nodes = scan_deviations(
-        ScanContext(instance, schedule), budget=10**8, on_leaf=lambda *leaf: None
-    )
+    ctx = ScanContext(instance, schedule)
+    nodes = scan_deviations(ctx, budget=10**8, on_leaf=lambda *leaf: None, by_size=by_size)
     assert sweep.complete == (nodes <= budget)
-    assert not sweep.complete or got == expected
+    if sweep.complete:
+        assert got == expected
+        return
+    order = range(instance.n)
+    if by_size:
+        # by non-increasing size on the start machine, ties by index
+        order = sorted(order, key=lambda j: (-instance.processing_time(j + 1, schedule.assignment[j]), j))
+    share = _stop(ctx, budget, by_size).explored_fraction
+    cutoff = brute_first_unresolved(instance.m, instance.n, order, share)
+    assert got == [joint for joint in expected if joint < cutoff]
+
+
+# two starts that are not equilibria, with the smallest budget on which the
+# enumeration, scanning by size, is complete; by index it takes 13,929 and
+# 2,133 nodes
+FINISHING = [
+    pytest.param(
+        IdenticalInstance(m=3, p=(10, 12, 19, 10, 11, 12, 4, 11, 13)),
+        Schedule((3, 1, 1, 1, 3, 3, 1, 3, 3)),
+        11_085,
+        id="identical-m3n9-twins",
+    ),
+    pytest.param(
+        UnrelatedInstance(
+            m=3,
+            p=((4, 7, 2, 9, 5, 3, 8, 6), (6, 3, 8, 2, 7, 5, 4, 9), (5, 5, 6, 4, 3, 8, 7, 2)),
+        ),
+        Schedule((1, 1, 1, 1, 2, 2, 3, 3)),
+        1_167,
+        id="unrelated-m3n8",
+    ),
+]
+
+
+@pytest.mark.parametrize("instance, schedule, budget", FINISHING)
+def test_enumeration_finishing_budget_is_pinned(instance, schedule, budget):
+    assert enumerate_profitable_deviations(instance, schedule, node_budget=budget).complete
+    stopped = enumerate_profitable_deviations(instance, schedule, node_budget=budget - 1)
+    assert not stopped.complete
 
 
 @given(PAIRS)
@@ -300,7 +360,7 @@ def dp_scale_pairs(draw):
     so that the deep profile's 400 examples take under a minute."""
     m = draw(st.integers(2, 3))
     n = draw(st.integers(10, 14))
-    size = st.integers(1, 9)
+    size = st.integers(1, 20)
     if draw(st.booleans()):
         rows = draw(st.lists(st.lists(size, min_size=n, max_size=n), min_size=m, max_size=m))
         instance = UnrelatedInstance(m=m, p=tuple(map(tuple, rows)))

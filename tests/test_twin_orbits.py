@@ -170,13 +170,6 @@ def test_enumeration_matches_oracle_in_order(pair):
     assert all(d.coalition == d.migrants for d in sweep)
 
 
-def _stop(ctx, budget, by_size):
-    """The stop of a scan of `ctx` on `budget` that meets nothing."""
-    with pytest.raises(BudgetExceededError) as info:
-        scan_deviations(ctx, budget=budget, on_leaf=lambda *leaf: None, by_size=by_size)
-    return info.value
-
-
 @given(PAIRS, st.integers(1, 300))
 def test_enumeration_budget_stop_is_oracle_prefix(pair, budget):
     # complete iff the budget covers the whole scan; a stop keeps exactly
@@ -205,12 +198,14 @@ def test_enumeration_budget_stop_is_oracle_prefix(pair, budget):
     if sweep.complete:
         assert got == expected
         return
+    with pytest.raises(BudgetExceededError) as info:
+        scan_deviations(ctx, budget=budget, on_leaf=lambda *leaf: None, by_size=by_size)
     order = range(instance.n)
     if by_size:
         # by non-increasing size on the start machine, ties by index
-        order = sorted(order, key=lambda j: (-instance.processing_time(j + 1, schedule.assignment[j]), j))
-    share = _stop(ctx, budget, by_size).explored_fraction
-    cutoff = brute_first_unresolved(instance.m, instance.n, order, share)
+        own = [instance.processing_time(j, i) for j, i in enumerate(schedule.assignment, 1)]
+        order = sorted(order, key=lambda j: (-own[j], j))
+    cutoff = brute_first_unresolved(instance.m, instance.n, order, info.value.explored_fraction)
     assert got == [joint for joint in expected if joint < cutoff]
 
 
@@ -354,10 +349,10 @@ def test_deviation_count_matches_dp_oracle(pair):
 def dp_scale_pairs(draw):
     """(instance, schedule) on 2 or 3 machines with 10 to 14 jobs, past
     the reach of the brute-force oracles: identical or unrelated machines
-    with integer sizes up to 9, and a start that is a best-response
-    equilibrium or, with one job moved off it, mostly not one.  Small
-    sizes and starts near an equilibrium keep the DP oracle's states few,
-    so that the deep profile's 400 examples take under a minute."""
+    with integer sizes up to 20, and a start that is a best-response
+    equilibrium or, with one job moved off it, mostly not one.  Starts
+    near an equilibrium keep the DP oracle's states few, so that the deep
+    profile's 400 examples take under a minute."""
     m = draw(st.integers(2, 3))
     n = draw(st.integers(10, 14))
     size = st.integers(1, 20)

@@ -22,9 +22,14 @@ reads off the stop's `explored_fraction`.
 The scan cuts only branches that hold no profitable deviation, and it
 visits interchangeable jobs once per relabelling, through the
 lexicographically smallest relabelling; so every verdict, witness and
-count equals that of the plain enumeration.  Deciding strong stability
-is hard, so every search takes a node budget and raises
-`BudgetExceededError` when it runs out, never guessing.
+count equals that of the plain enumeration.  `is_strong`'s scans stop at
+their first leaf, so they also skip a branch that only mirrors one on an
+interchangeable machine of lower index (machines of equal rows, start
+loads and residents, as the Partition reductions' two gadget machines
+are): the mirror's image comes first, so the first leaf, and with it the
+verdict and the witness, stays.  Deciding strong stability is hard, so
+every search takes a node budget and raises `BudgetExceededError` when it
+runs out, never guessing.
 """
 
 from __future__ import annotations
@@ -327,8 +332,63 @@ def _scan_order(ctx: ScanContext, by_size) -> tuple[int, ...] | list[int]:
     return sorted(ctx.free, key=own.__getitem__, reverse=True)
 
 
+def _mirror_rows(ctx: ScanContext, order) -> list:
+    """Per depth of a scan that places the jobs in `order`, the machines
+    it may skip there as mirrors: a tuple of (k2, k1, held), or None.
+
+    Machines k1 < k2 are interchangeable when their rows of sizes, their
+    start loads and the multisets of their residents' columns (the jobs
+    that start on them) are equal; each k2 is paired with the smallest
+    such k1.  A depth lists the pair when its job is a resident of
+    neither and the residents placed above it match on both machines,
+    with `held` their load on either."""
+    m, sizes, load0, orig, columns = ctx.m, ctx.sizes, ctx.load0, ctx.orig, ctx.columns
+    rows: list = [None] * len(order)
+    pairs = []
+    residents = None
+    for k2 in range(1, m):
+        for k1 in range(k2):
+            if load0[k1] != load0[k2] or sizes[k1] != sizes[k2]:
+                continue
+            if residents is None:
+                residents = [[] for _ in range(m)]
+                for j, i in enumerate(orig):
+                    residents[i].append(columns[j])
+                for group in residents:
+                    group.sort()
+            if residents[k1] == residents[k2]:
+                pairs.append((k2, k1))
+                break
+    for k2, k1 in pairs:
+        # `surplus` counts each column's placed residents of k1 less those
+        # of k2, `unmatched` the columns where that is not 0
+        surplus: dict = {}
+        unmatched = held = 0
+        entry = (k2, k1, held)
+        for t, j in enumerate(order):
+            oj = orig[j]
+            if oj == k1 or oj == k2:
+                column = columns[j]
+                before = surplus.get(column, 0)
+                after = surplus[column] = before + (1 if oj == k1 else -1)
+                unmatched += (after != 0) - (before != 0)
+                if oj == k1:
+                    held += column[k1]
+                    entry = (k2, k1, held)
+            elif not unmatched:
+                row = rows[t]
+                rows[t] = (entry,) if row is None else (*row, entry)
+    return rows
+
+
 def scan_deviations(
-    ctx: ScanContext, *, budget: int, on_leaf: Callable, by_size=False, min_ratio_floor=None
+    ctx: ScanContext,
+    *,
+    budget: int,
+    on_leaf: Callable,
+    by_size=False,
+    min_ratio_floor=None,
+    first=False,
 ) -> int:
     """Depth-first search over the joint actions of the schedule of `ctx`.
     Returns the nodes visited, which `budget` (a positive int, checked by
@@ -379,9 +439,24 @@ def scan_deviations(
       `ctx.orbit_size(assign)` to count labelled deviations, or expands
       `ctx.orbit(assign)`.
 
+    With `first`, for a caller that wants only the first leaf, the scan
+    also skips mirror branches (`_mirror_rows`).  Without a coalition,
+    machines k1 < k2 are interchangeable when their rows of sizes, start
+    loads and residents' columns (as multisets) are equal.  At a depth
+    whose job is a resident of neither, whose placed residents match on
+    both, and where both machines are uncapped and hold exactly their
+    placed residents' load (each stayed and nothing landed), the child on
+    k2 is skipped: swapping k1 and k2, and their residents pairwise, maps
+    every profitable leaf below it to one below the child on k1, which
+    shares the prefix and so comes first, and twin classes to twin classes,
+    so the first profitable representative is never below a skipped child.
+    An exhaustive scan would lose those leaves from its counts, values and
+    witnesses, so it keeps the rule off.  A skipped child is no node.
+
     A budget stop's `explored_fraction` is the exact share of the joint
-    actions resolved in visiting order, cut and twin-skipped branches
-    included: those below the path to the node that exceeded the budget.
+    actions resolved in visiting order, cut, twin-skipped and mirror
+    branches included: those below the path to the node that exceeded the
+    budget.
     The scan's set-up is its order and its plan, one entry per depth,
     built from the columns, costs and twins `ctx` stores, so that a call
     validates and builds one context for all its scans.  The scan
@@ -407,14 +482,16 @@ def scan_deviations(
     # members are fixed), its start cost, its previous twin, and for the
     # jobs at later depths the sum of their smallest sizes and, per machine
     # k, the work of those that start on k and the largest start cost less
-    # one among those that can gain by moving to k (-1 if none); a depth
-    # that raises no top shares the `tops` list of the depth after it
+    # one among those that can gain by moving to k (-1 if none), and the
+    # machines it may skip as mirrors (`_mirror_rows`, None if none); a
+    # depth that raises no top shares the `tops` list of the depth after it
+    mirrors = _mirror_rows(ctx, free) if first and not members_fixed else [None] * len(free)
     plan = []
     rest_min, pend, tops = 0, [0] * m, [-1] * m
-    for j in reversed(free):
+    for j, mirror in zip(reversed(free), reversed(mirrors)):
         column, oj, cj = columns[j], orig[j], cost0[j]
         keep = -1 if members_fixed else oj
-        plan.append((j, column, oj, keep, cj, prev_twin[j], rest_min, pend, tops))
+        plan.append((j, column, oj, keep, cj, prev_twin[j], rest_min, pend, tops, mirror))
         rest_min += min(column)
         pend = pend.copy()
         pend[oj] += column[oj]
@@ -465,12 +542,19 @@ def scan_deviations(
         )
 
     def dfs(t: int, placed: int, room: int, nodes: int) -> int:
-        j, column, oj, keep, cj, twin, rest_min, pend, tops = plan[t]
+        j, column, oj, keep, cj, twin, rest_min, pend, tops, mirror = plan[t]
         floor = min_ratio_floor
         at_leaf = t == last
         # a mover that leaves an uncapped start machine takes its room along
         leave = column[oj] if caps[oj] == infinity else 0
-        for i in (machines if twin < 0 else starts[assign[twin]]):
+        tried = machines if twin < 0 else starts[assign[twin]]
+        if mirror is not None:
+            # k2 mirrors k1 while neither has a cap and each holds exactly
+            # its placed residents: all of them stayed and nothing landed
+            for k2, k1, held in mirror:
+                if loads[k2] == held == loads[k1] and caps[k2] == infinity == caps[k1]:
+                    tried = [i for i in tried if i != k2]
+        for i in tried:
             nodes += 1
             if nodes > budget:
                 raise out_of_budget(t, i, nodes)
@@ -551,7 +635,9 @@ def is_strong(
     scans of the one context the call validates and builds share
     `node_budget`: one by size, where the cuts bite sooner, decides, and
     only when it meets a deviation does one by index find the smallest,
-    on the nodes the first left.  A stop counts the nodes of both in
+    on the nodes the first left.  Both stop at their first leaf, so both
+    skip the branches that mirror interchangeable machines (`first` in
+    `scan_deviations`).  A stop counts the nodes of both in
     `nodes`, names `node_budget` as `budget`, and reports in
     `explored_fraction` the share the stopped scan resolved, in its own
     visiting order.  A stop in the scan by index carries in `best` the
@@ -566,12 +652,12 @@ def is_strong(
         raise _StopScan
 
     ctx = ScanContext(instance, schedule, coalition)
-    nodes = scan_deviations(ctx, budget=node_budget, on_leaf=grab, by_size=True)
+    nodes = scan_deviations(ctx, budget=node_budget, on_leaf=grab, by_size=True, first=True)
     if not hit:
         return StabilityResult(holds=True)
     found = hit.pop()
     try:
-        scan_deviations(ctx, budget=node_budget - nodes, on_leaf=grab)
+        scan_deviations(ctx, budget=node_budget - nodes, on_leaf=grab, first=True)
     except BudgetExceededError as stop:
         raise BudgetExceededError(
             f"deviation search exceeded {node_budget} nodes",

@@ -1,5 +1,6 @@
 import random
 import sys
+from operator import add
 from fractions import Fraction
 from pathlib import Path
 
@@ -92,20 +93,49 @@ def twin_heavy_pairs(draw, unrelated, min_m=1, max_m=3, min_n=1, max_n=6, max_en
     """(instance, schedule) whose jobs repeat a few base sizes (identical
     machines) or matrix columns (unrelated machines, small integer
     entries), and whose repeats mostly start on a shared machine, so that
-    twin jobs are common."""
+    twin jobs are common.
+
+    On two or more machines a draw may mirror machine a on machine b: the
+    first r jobs start on a, the next r repeat their sizes or columns on
+    b, the rest start elsewhere (none are left on two machines), and the
+    jobs are then shuffled; on unrelated machines row b copies row a.  So
+    a and b are interchangeable: their rows, start loads and residents'
+    sizes agree.  A near mirror merges two of b's copies into one job, so
+    that only the residents differ."""
     m = draw(st.integers(min_m, max_m))
     n = draw(st.integers(min_n, max_n))
     k = draw(st.integers(1, max(1, n - 1)))
+    mirror = m > 1 and n > 1 and draw(st.booleans())
+    if mirror:
+        a, b, *others = draw(st.permutations(range(1, m + 1)))
     if unrelated:
         column = st.tuples(*[st.integers(1, max_entry)] * m)
     else:
         column = rationals(max_value=max_entry, max_denominator=3)
     bases = draw(st.lists(column, min_size=k, max_size=k))
+    if mirror and unrelated:
+        bases = [c[: b - 1] + (c[a - 1],) + c[b:] for c in bases]
     homes = draw(st.lists(st.integers(1, m), min_size=k, max_size=k))
     picks = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
-    assignment = tuple(
-        homes[c] if draw(st.booleans()) else draw(st.integers(1, m)) for c in picks
-    )
+    if mirror:
+        r = draw(st.integers(1, n // 2))
+        rest = picks[2 * r :] if others else []
+        copies = picks[:r]
+        if r > 1 and draw(st.booleans()):
+            # a near mirror: two copies merge into one job of their summed
+            # size, so the start loads agree and the residents do not
+            x, y = bases[copies[0]], bases[copies[1]]
+            bases.append(tuple(map(add, x, y)) if unrelated else x + y)
+            copies = [len(bases) - 1, *copies[2:]]
+        picks = picks[:r] + copies + rest
+        assignment = [a] * r + [b] * len(copies) + [draw(st.sampled_from(others)) for _ in rest]
+        shuffled = draw(st.permutations(range(len(picks))))
+        picks = [picks[j] for j in shuffled]
+        assignment = tuple(assignment[j] for j in shuffled)
+    else:
+        assignment = tuple(
+            homes[c] if draw(st.booleans()) else draw(st.integers(1, m)) for c in picks
+        )
     if unrelated:
         instance = UnrelatedInstance(
             m=m, p=tuple(tuple(bases[c][i] for c in picks) for i in range(m))

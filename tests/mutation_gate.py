@@ -1,9 +1,11 @@
 """Mutation gate: every cut of the two search kernels, the deviation scan
-and the canonical-assignment search of the schedulers, the greedy first
-limit of the lex-min prefix search, the enumeration's scan order and
-budget-stop cutoff, and every fast path of the measures (the leaf screen,
-the witness tie-break and `ir_min`'s seeded ratio floor) must be caught
-by the tests when it is broken.
+and the canonical-assignment search of the schedulers, the deviation
+scan's skip of branches that mirror interchangeable machines, the greedy
+first limit of the lex-min prefix search, the enumeration's scan order
+and budget-stop cutoff, and every fast path of the measures (the leaf
+screen, the witness tie-break and `ir_min`'s seeded ratio floor) must be
+caught by the tests when it is broken.  There are 32 mutants: 23
+correctness and 9 performance mutants.
 
     python tests/mutation_gate.py
 
@@ -51,6 +53,8 @@ ORACLES = (
     "tests/test_twin_orbits.py::test_enumeration_matches_oracle_in_order",
     "tests/test_twin_orbits.py::test_enumeration_budget_stop_is_oracle_prefix",
     "tests/test_twin_orbits.py::test_measure_report_matches_oracle",
+    "tests/test_twin_orbits.py::test_is_strong_witness_is_oracle_minimum",
+    "tests/test_twin_orbits.py::test_coalition_deviation_matches_oracle",
     "tests/test_conservation_cut.py::test_cut_keeps_every_profitable_leaf_of_an_equilibrium",
     "tests/test_conservation_cut.py::test_cut_keeps_every_leaf_of_seeded_equilibria",
     "tests/test_witnesses.py::test_reduction_equivalence_on_random_multisets",
@@ -110,10 +114,26 @@ MUTANTS = {
     "stop-drops-its-count": (
         CORRECTNESS, KERNEL, "stop.nodes = nodes", "pass",
     ),
+    # a mirror branch is skipped only while both machines hold just their
+    # placed residents; past that, swapping the machines changes the prefix
+    "mirror-skip-ignores-loads-and-caps": (
+        CORRECTNESS, KERNEL,
+        "if loads[k1] == held == loads[k2] and caps[k1] == infinity == caps[k2]",
+        "if True",
+    ),
+    # exhaustive scans count, measure and list every leaf, mirrors included
+    "mirror-rule-in-exhaustive-scans": (
+        CORRECTNESS, KERNEL, "    first=False,\n) -> int:", "    first=True,\n) -> int:",
+    ),
+    # machines of equal rows and start loads whose residents differ are no
+    # mirrors of each other
+    "mirror-pairs-ignore-residents": (
+        CORRECTNESS, KERNEL, "if residents[k1] == residents[k2]:", "if True:",
+    ),
     "witness-scan-keeps-size-order": (
         CORRECTNESS, KERNEL,
-        "scan_deviations(ctx, budget=node_budget - nodes, on_leaf=grab)",
-        "scan_deviations(ctx, budget=node_budget - nodes, on_leaf=grab, by_size=True)",
+        "scan_deviations(ctx, budget=node_budget - nodes, on_leaf=grab, first=True)",
+        "scan_deviations(ctx, budget=node_budget - nodes, on_leaf=grab, by_size=True, first=True)",
     ),
     # scanning small jobs first changes which joint actions a budget stop
     # has resolved
@@ -186,6 +206,13 @@ MUTANTS = {
     # contract on more nodes
     "enumeration-by-index": (
         PERFORMANCE, KERNEL, "by_size = True", "by_size = False",
+    ),
+    # scans that stop at their first leaf visit the mirror branches too: the
+    # same first leaf on more nodes
+    "mirror-rule-off": (
+        PERFORMANCE, KERNEL,
+        "mirrors = _mirror_rows(ctx, free) if first and not members_fixed else [None] * len(free)",
+        "mirrors = [None] * len(free)",
     ),
     "equal-load-siblings-kept": (
         PERFORMANCE, SCHEDULERS,

@@ -331,16 +331,16 @@ def test_budget_stop_has_seen_exactly_the_representatives_it_resolved(unrelated,
         assert seen == [joint for rank, joint in expected if rank < resolved]
 
 
-def _stop(ctx, budget, by_size, on_leaf=lambda *args: None):
+def _stop(ctx, budget, by_size, on_leaf=lambda *args: None, first=False):
     """The stop of a scan of `ctx` on `budget`, or None if it finishes."""
     try:
-        scan_deviations(ctx, budget=budget, on_leaf=on_leaf, by_size=by_size)
+        scan_deviations(ctx, budget=budget, on_leaf=on_leaf, by_size=by_size, first=first)
     except BudgetExceededError as stop:
         return stop
     return None
 
 
-def _nodes_to_first_leaf(ctx, by_size):
+def _nodes_to_first_leaf(ctx, by_size, first=False):
     """The nodes a scan of `ctx` visits up to its first profitable leaf,
     the leaf included, by bisection on the budget; None without one."""
     seen = []
@@ -350,10 +350,10 @@ def _nodes_to_first_leaf(ctx, by_size):
 
     def reached(budget):
         seen.clear()
-        _stop(ctx, budget, by_size, leaf)
+        _stop(ctx, budget, by_size, leaf, first)
         return bool(seen)
 
-    low, high = 0, scan_deviations(ctx, budget=10**6, on_leaf=leaf, by_size=by_size)
+    low, high = 0, scan_deviations(ctx, budget=10**6, on_leaf=leaf, by_size=by_size, first=first)
     if not seen:
         return None
     while high - low > 1:
@@ -367,19 +367,21 @@ def _nodes_to_first_leaf(ctx, by_size):
 def test_a_stop_at_the_first_leaf_returns_the_nodes_up_to_it(unrelated, data):
     # `on_leaf` ends a scan by raising `_StopScan`, and the scan returns
     # the nodes it visited up to that leaf: the smallest budget that
-    # reaches it; without a leaf, the scan's full count
+    # reaches it; without a leaf, the scan's full count.  So too in a scan
+    # that skips machines mirroring interchangeable ones (`first`)
     instance, schedule = data.draw(twin_heavy_pairs(unrelated, min_m=2, max_n=6))
     coalition = data.draw(st.none() | st.sets(st.integers(1, instance.n)))
     ctx = ScanContext(instance, schedule, coalition)
-    by_size = data.draw(st.booleans())
+    by_size, first_only = data.draw(st.booleans()), data.draw(st.booleans())
+    kwargs = dict(budget=10**6, by_size=by_size, first=first_only)
 
     def stop(ctx, assign, loads, caps):
         raise _StopScan
 
-    first = _nodes_to_first_leaf(ctx, by_size)
+    first = _nodes_to_first_leaf(ctx, by_size, first_only)
     if first is None:
-        first = scan_deviations(ctx, budget=10**6, on_leaf=lambda *args: None, by_size=by_size)
-    assert scan_deviations(ctx, budget=10**6, on_leaf=stop, by_size=by_size) == first
+        first = scan_deviations(ctx, on_leaf=lambda *args: None, **kwargs)
+    assert scan_deviations(ctx, on_leaf=stop, **kwargs) == first
 
 
 @pytest.mark.parametrize("unrelated", [False, True], ids=["identical", "unrelated"])
@@ -389,7 +391,8 @@ def test_verdict_costs_scan_by_size_and_witness_adds_scan_by_index(unrelated, da
     # witness adds the scan by index to its first leaf, and the two share
     # one budget: a stop counts both, names the caller's budget and reports
     # the share resolved by the scan it stopped; a stop in the scan by
-    # index carries the certified deviation the scan by size found
+    # index carries the certified deviation the scan by size found.  Both
+    # scans stop at their first leaf, so both skip mirrored machines
     instance, schedule = data.draw(twin_heavy_pairs(unrelated, min_m=2, max_n=6))
     coalition = data.draw(st.none() | st.sets(st.integers(1, instance.n)))
     ctx = ScanContext(instance, schedule, coalition)
@@ -397,11 +400,13 @@ def test_verdict_costs_scan_by_size_and_witness_adds_scan_by_index(unrelated, da
     def first_deviation(budget):
         return is_strong(instance, schedule, node_budget=budget, coalition=coalition).witness
 
-    first = _nodes_to_first_leaf(ctx, by_size=True)
+    first = _nodes_to_first_leaf(ctx, by_size=True, first=True)
     if first is None:
-        cost = scan_deviations(ctx, budget=10**6, on_leaf=lambda *args: None, by_size=True)
+        cost = scan_deviations(
+            ctx, budget=10**6, on_leaf=lambda *args: None, by_size=True, first=True
+        )
     else:
-        cost = first + _nodes_to_first_leaf(ctx, by_size=False)
+        cost = first + _nodes_to_first_leaf(ctx, by_size=False, first=True)
     expected = first_deviation(10**6)
     assert (expected is None) == (first is None)
     assert first_deviation(max(cost, 1)) == expected
@@ -413,10 +418,10 @@ def test_verdict_costs_scan_by_size_and_witness_adds_scan_by_index(unrelated, da
             first_deviation(budget)
         best = info.value.best
         if first is None or budget < first:
-            scan = _stop(ctx, budget, by_size=True)
+            scan = _stop(ctx, budget, by_size=True, first=True)
             assert best is None
         else:
-            scan = _stop(ctx, budget - first, by_size=False)
+            scan = _stop(ctx, budget - first, by_size=False, first=True)
             assert best == profitable_deviation(instance, schedule, best.after, coalition)
         assert (info.value.nodes, info.value.budget) == (budget + 1, budget)
         assert info.value.explored_fraction == scan.explored_fraction

@@ -33,6 +33,10 @@ UNSTABLE_START = Schedule(tuple(_rng.choices((1, 2, 3), k=9)))
 # no half-sum split (every subset sum is 0 or 2 mod 3, the half-sum 1 mod 3),
 # so the reduction's start schedule is strong
 NO_SPLIT = reduce_partition_identical((3, 6, 9, 12, 15, 5))
+# a half-sum split, so the start schedule is not strong; machines 2 and 3
+# carry the same gadget pair, so both of is_strong's scans skip mirror
+# branches
+SPLIT = reduce_partition_identical((3, 4, 7, 5, 8, 7))
 # LPT's makespan is 11 where 9 is optimal, so the makespan search runs
 MAKESPAN = IdenticalInstance(m=3, p=(5, 5, 4, 4, 3, 3, 3))
 
@@ -92,6 +96,18 @@ PATHS = [
             node_budget=100,
         ),
         id="is_strong-budget",
+    ),
+    pytest.param(
+        lambda: is_strong(SPLIT.instance, SPLIT.start_schedule), id="is_strong-mirrors"
+    ),
+    pytest.param(
+        lambda: _budget_stop(
+            is_strong,
+            instance=SPLIT.instance,
+            schedule=SPLIT.start_schedule,
+            node_budget=200,
+        ),
+        id="is_strong-mirrors-budget",
     ),
     pytest.param(
         lambda: is_strong(UNSTABLE, UNSTABLE_START, coalition=[1, 2, 3]),

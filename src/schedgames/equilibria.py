@@ -334,14 +334,11 @@ def _scan_order(ctx: ScanContext, by_size) -> tuple[int, ...] | list[int]:
 
 def _mirror_rows(ctx: ScanContext, order) -> list:
     """Per depth of a scan that places the jobs in `order`, the machines
-    it may skip there as mirrors: a tuple of (k2, k1, held), or None.
-
-    Machines k1 < k2 are interchangeable when their rows of sizes, their
-    start loads and the multisets of their residents' columns (the jobs
-    that start on them) are equal; each k2 is paired with the smallest
-    such k1.  A depth lists the pair when its job is a resident of
-    neither and the residents placed above it match on both machines,
-    with `held` their load on either."""
+    it may skip there as mirrors (see `scan_deviations`): a tuple of
+    (k2, k1, held), or None.  Each k2 is paired with the smallest
+    interchangeable k1, and a depth lists the pair when its job is a
+    resident of neither and the residents placed above it match on both
+    machines, with `held` their load on either."""
     m, sizes, load0, orig, columns = ctx.m, ctx.sizes, ctx.load0, ctx.orig, ctx.columns
     rows: list = [None] * len(order)
     pairs = []
@@ -442,7 +439,8 @@ def scan_deviations(
     With `first`, for a caller that wants only the first leaf, the scan
     also skips mirror branches (`_mirror_rows`).  Without a coalition,
     machines k1 < k2 are interchangeable when their rows of sizes, start
-    loads and residents' columns (as multisets) are equal.  At a depth
+    loads and multisets of residents' columns (the jobs that start on
+    them) are equal.  At a depth
     whose job is a resident of neither, whose placed residents match on
     both, and where both machines are uncapped and hold exactly their
     placed residents' load (each stayed and nothing landed), the child on

@@ -1,7 +1,7 @@
 import random
 import sys
-from operator import add
 from fractions import Fraction
+from operator import add
 from pathlib import Path
 
 import pytest

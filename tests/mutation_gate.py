@@ -118,7 +118,7 @@ MUTANTS = {
     # placed residents; past that, swapping the machines changes the prefix
     "mirror-skip-ignores-loads-and-caps": (
         CORRECTNESS, KERNEL,
-        "if loads[k1] == held == loads[k2] and caps[k1] == infinity == caps[k2]",
+        "if loads[k2] == held == loads[k1] and caps[k2] == infinity == caps[k1]",
         "if True",
     ),
     # exhaustive scans count, measure and list every leaf, mirrors included

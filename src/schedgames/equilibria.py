@@ -440,16 +440,16 @@ def scan_deviations(
     also skips mirror branches (`_mirror_rows`).  Without a coalition,
     machines k1 < k2 are interchangeable when their rows of sizes, start
     loads and multisets of residents' columns (the jobs that start on
-    them) are equal.  At a depth
-    whose job is a resident of neither, whose placed residents match on
-    both, and where both machines are uncapped and hold exactly their
-    placed residents' load (each stayed and nothing landed), the child on
-    k2 is skipped: swapping k1 and k2, and their residents pairwise, maps
-    every profitable leaf below it to one below the child on k1, which
-    shares the prefix and so comes first, and twin classes to twin classes,
-    so the first profitable representative is never below a skipped child.
-    An exhaustive scan would lose those leaves from its counts, values and
-    witnesses, so it keeps the rule off.  A skipped child is no node.
+    them) are equal.  At a depth whose job is a resident of neither, whose
+    placed residents match on both, and where both machines are uncapped
+    and hold exactly their placed residents' load (each stayed and
+    nothing landed), the child on k2 is skipped: swapping k1 and k2, and
+    their residents pairwise, maps every profitable leaf below it to one
+    below the child on k1, which shares the prefix and so comes first,
+    and twin classes to twin classes, so the first profitable
+    representative is never below a skipped child.  An exhaustive scan
+    would lose those leaves from its counts, values and witnesses, so it
+    keeps the rule off.  A skipped child is no node.
 
     A budget stop's `explored_fraction` is the exact share of the joint
     actions resolved in visiting order, cut, twin-skipped and mirror
